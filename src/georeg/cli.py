@@ -30,7 +30,7 @@ from .config import (
     sigma_eps_for_snr,
     stream_rng,
 )
-from .decomposition import bias_variance_mc
+from .decomposition import _PAIRED_METRICS, bias_variance_mc
 from .errors import ConfigurationError, ExperimentError, NumericError
 from .experiments import SweepSpec, run_sweep
 from .geometry import analysis_to_json_dict, analyze_operator, feature_operator_from_model
@@ -210,6 +210,8 @@ def cmd_bias_variance(args) -> int:
     m = int(params["m"])
     replicas = int(params["replicas"])
     normalize = bool(params["normalize"])
+    header = ["np_over_m", "nf_over_m", *_PAIRED_METRICS, *(f"se_{c}" for c in _PAIRED_METRICS)]
+    attrs = _PAIRED_METRICS.values()  # the BiasVarianceEstimate field behind each column
 
     rows = []
     failures = []
@@ -224,46 +226,21 @@ def cmd_bias_variance(args) -> int:
             print(f"bias-variance: grid point np_over_m={np_r} failed: {exc}", file=sys.stderr)
             continue
         scale = cfg.sigma_y_sq if normalize else 1.0
-        se = est.standard_errors
-        rows.append(
-            (
-                np_r,
-                cfg.n_f / m,
-                est.geometric_error / scale,
-                est.bias_squared / scale,
-                est.variance / scale,
-                est.total_test_error / scale,
-                est.train_error / scale,
-                se["geometric_error"] / scale,
-                se["bias_squared"] / scale,
-                se["variance"] / scale,
-                se["total_test_error"] / scale,
-                se["train_error"] / scale,
-            )
-        )
+        values = [getattr(est, a) for a in attrs] + [est.standard_errors[a] for a in attrs]
+        rows.append(dict(zip(header, [np_r, cfg.n_f / m] + [v / scale for v in values])))
 
     out = _out_dir(args)
-    csv_path = out / "bias_variance.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with open(out / "bias_variance.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            [
-                "np_over_m", "nf_over_m",
-                "geom_error", "bias_sq", "variance", "test_error", "train_error",
-                "se_geom_error", "se_bias_sq", "se_variance", "se_test_error", "se_train_error",
-            ]
-        )
-        for rec in rows:
-            w.writerow([_g17(v) for v in rec])
+        w.writerow(header)
+        w.writerows([_g17(v) for v in rec.values()] for rec in rows)
     paths = ["bias_variance.csv"]
 
     if args.plot and rows:
-        xs = [r[0] for r in rows]
+        xs = [r["np_over_m"] for r in rows]
         series = [
-            {"label": "geom_error", "x": xs, "y": [r[2] for r in rows]},
-            {"label": "bias_sq", "x": xs, "y": [r[3] for r in rows]},
-            {"label": "variance", "x": xs, "y": [r[4] for r in rows]},
-            {"label": "test_error", "x": xs, "y": [r[5] for r in rows]},
+            {"label": c, "x": xs, "y": [r[c] for r in rows]}
+            for c in ("geom_error", "bias_sq", "variance", "test_error")
         ]
         svg.line_chart(out / "bias_variance.svg", series, x_label="N_p / M", y_label="error", title="bias-variance decomposition", log_y=True)
         paths.append("bias_variance.svg")

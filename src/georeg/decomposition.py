@@ -15,15 +15,20 @@ teacher, products across the pair are unbiased for the squared means:
     Bias^2 ~ mean[(T - A1)(T - A2)]      A_k = x_hat_k . beta,  T = x . beta
     Var    ~ mean[A1^2] - mean[A1 A2]
 
-bias_variance_mc reports E_geom and the total test error from the D1 fit
-alone, keeping the estimator exactly the paired-product form above.  The
-sweep driver in experiments.py aggregates the same replicas symmetrically
-over the pair instead, which changes no expectation value (exchangeability)
-but tightens the standard errors it reports.
+One private per-replica kernel, _paired_metrics, forms these products: each
+fit's P_f is built once per replica (PairedDraw.p_fs), and T, A1, A2 and the
+test residuals once per call.  It has two reductions over the same draws.
+The one-sided one, which bias_variance_mc reports, takes E_geom, the
+variance and the train and test errors from the D1 fit alone, keeping the
+estimator exactly the paired-product form above.  The symmetric one, which
+run_sweep in experiments.py reports, averages them over the pair; that
+changes no expectation value (exchangeability) but tightens the standard
+errors.  The cross product bias^2 is the same in both.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +110,14 @@ class PairedDraw:
     model_1: FittedModel
     model_2: FittedModel
 
+    @cached_property
+    def p_fs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P_f of the D1 fit, P_f of the D2 fit), built once per replica."""
+        return (
+            feature_operator_from_model(self.model_1, self.train_1.X),
+            feature_operator_from_model(self.model_2, self.train_2.X),
+        )
+
 
 def draw_paired_replica(
     config: ExperimentConfig, grid_idx: int, replica_idx: int
@@ -138,13 +151,53 @@ def draw_paired_replica(
 
 def paired_projections(draw: PairedDraw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T, A1, A2) over the test rows: true signal x.beta and both x_hat.beta."""
-    beta = draw.teacher.beta
-    p_f_1 = feature_operator_from_model(draw.model_1, draw.train_1.X)
-    p_f_2 = feature_operator_from_model(draw.model_2, draw.train_2.X)
-    t = draw.test.X @ beta
-    a1 = draw.test.X @ (p_f_1.T @ beta)
-    a2 = draw.test.X @ (p_f_2.T @ beta)
-    return t, a1, a2
+    beta, X = draw.teacher.beta, draw.test.X
+    a1, a2 = (X @ (p_f.T @ beta) for p_f in draw.p_fs)
+    return X @ beta, a1, a2
+
+
+# sweep metric name -> BiasVarianceEstimate field, in the order reported
+_PAIRED_METRICS = {
+    "geom_error": "geometric_error",
+    "bias_sq": "bias_squared",
+    "variance": "variance",
+    "test_error": "total_test_error",
+    "train_error": "train_error",
+}
+
+
+def _paired_metrics(
+    draw: PairedDraw, symmetric: bool, wanted: frozenset = frozenset(_PAIRED_METRICS)
+) -> dict:
+    """The paired-product metrics of one replica that are named in ``wanted``.
+
+    symmetric=False is the one-sided reduction (every metric but bias_sq from
+    the D1 fit); symmetric=True averages each over both fits.  bias_sq is the
+    cross product (T - A1).(T - A2) either way.
+    """
+    models = (draw.model_1, draw.model_2)
+    trains = (draw.train_1, draw.train_2)
+
+    def reduce(per_fit):
+        return 0.5 * (per_fit(0) + per_fit(1)) if symmetric else per_fit(0)
+
+    out = {}
+    if "train_error" in wanted:
+        out["train_error"] = reduce(lambda k: training_error(models[k], trains[k]))
+    if "test_error" in wanted:
+        z_t = apply_features(draw.feature_map, draw.test.X)
+        out["test_error"] = reduce(
+            lambda k: np.mean((draw.test.y - z_t @ models[k].w_hat) ** 2)
+        )
+    if wanted & {"geom_error", "bias_sq", "variance"}:
+        t, *a = paired_projections(draw)
+        if "geom_error" in wanted:
+            out["geom_error"] = reduce(lambda k: np.mean((t - a[k]) ** 2))
+        if "bias_sq" in wanted:
+            out["bias_sq"] = np.mean((t - a[0]) * (t - a[1]))
+        if "variance" in wanted:
+            out["variance"] = reduce(lambda k: np.mean(a[k] ** 2)) - np.mean(a[0] * a[1])
+    return out
 
 
 # ------------------------------------------------------------ estimator
@@ -170,40 +223,23 @@ def bias_variance_mc(
     """Paired-training-set estimator of bias^2, variance, and E_geom.
 
     Per replica: draw (teacher, W, D1, D2, test), fit both training sets, and
-    accumulate the paired products described in the module docstring.  E_geom,
-    the total test error, and the training error are taken from the D1 fit.
-    Returns means over replicas with standard errors for every field.
+    take the one-sided reduction of the paired products described in the
+    module docstring: E_geom, the total test error, and the training error
+    come from the D1 fit.  Returns means over replicas with standard errors
+    for every field.
     """
     if n_replicas < 2:
         raise ConfigurationError(f"n_replicas must be >= 2, got {n_replicas}")
-    per = {k: np.empty(n_replicas) for k in ("geom", "b2", "var", "test", "train")}
+    per = {attr: np.empty(n_replicas) for attr in _PAIRED_METRICS.values()}
     for r in range(n_replicas):
         draw = draw_paired_replica(config, grid_idx, r)
-        t, a1, a2 = paired_projections(draw)
-        z_t = apply_features(draw.feature_map, draw.test.X)
-        resid = draw.test.y - z_t @ draw.model_1.w_hat
-        per["geom"][r] = np.mean((t - a1) ** 2)
-        per["b2"][r] = np.mean((t - a1) * (t - a2))
-        per["var"][r] = np.mean(a1**2) - np.mean(a1 * a2)
-        per["test"][r] = np.mean(resid**2)
-        per["train"][r] = training_error(draw.model_1, draw.train_1)
-    means = {k: float(v.mean()) for k, v in per.items()}
-    ses = {
-        k: float(v.std(ddof=1) / np.sqrt(n_replicas)) for k, v in per.items()
-    }
+        for name, value in _paired_metrics(draw, symmetric=False).items():
+            per[_PAIRED_METRICS[name]][r] = value
     return BiasVarianceEstimate(
-        geometric_error=means["geom"],
-        bias_squared=means["b2"],
-        variance=means["var"],
-        total_test_error=means["test"],
-        train_error=means["train"],
+        **{attr: float(v.mean()) for attr, v in per.items()},
         n_replicas=n_replicas,
         n_test_points=config.effective_m_test,
         standard_errors={
-            "geometric_error": ses["geom"],
-            "bias_squared": ses["b2"],
-            "variance": ses["var"],
-            "total_test_error": ses["test"],
-            "train_error": ses["train"],
+            attr: float(v.std(ddof=1) / np.sqrt(n_replicas)) for attr, v in per.items()
         },
     )

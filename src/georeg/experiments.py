@@ -15,6 +15,9 @@ Every metric except bias_sq is evaluated on both fits of the pair and
 averaged; bias_sq is the cross product, already symmetric.  The pair is
 exchangeable, so this changes no mean, but per-replica bias_sq + variance
 then telescopes exactly to geom_error, and reported standard errors shrink.
+The five error metrics are the symmetric reduction of decomposition's
+paired-replica kernel, the same per-replica products that bias_variance_mc
+reduces one-sidedly; the P_f metrics read the replica's cached operators.
 
 RNG streams are keyed by (grid-point index, replica index), so results do
 not depend on execution order or worker count.
@@ -29,10 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig, ratio_to_count
-from .decomposition import draw_paired_replica
+from .decomposition import _paired_metrics, draw_paired_replica
 from .errors import ConfigurationError, NumericError, ShapeError
-from .geometry import analyze_operator, feature_operator_from_model
-from .linreg_core import apply_features, training_error
+from .geometry import _frob_complement, analyze_operator
+from .linreg_core import _spectral_filter
 
 ALL_METRICS = (
     "train_error",
@@ -53,17 +56,6 @@ NORMALIZED_METRICS = frozenset(
     {"train_error", "test_error", "geom_error", "bias_sq", "variance"}
 )
 
-_PF_METRICS = frozenset(
-    {
-        "geom_error",
-        "bias_sq",
-        "variance",
-        "frob_I_minus_Pf",
-        "sigma_max",
-        "theta_max_deg",
-        "delta_phi_max_deg",
-    }
-)
 _ANGLE_METRICS = frozenset({"sigma_max", "theta_max_deg", "delta_phi_max_deg"})
 
 
@@ -152,7 +144,7 @@ def metric_frobenius_complements(p_l: np.ndarray, p_f: np.ndarray) -> tuple[floa
         p = np.asarray(getattr(p, "p_l", p), dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ShapeError(f"{name} must be square, got shape {p.shape}")
-        out.append(float(np.linalg.norm(np.eye(p.shape[0]) - p)))
+        out.append(_frob_complement(p))
     return out[0], out[1]
 
 
@@ -163,8 +155,7 @@ def _frob_complement_from_fit(model) -> float:
     which measures the same matrix without forming it.
     """
     u, s, _ = model.svd
-    keep = s > model.rel_tol * (s[0] if s.size else 0.0)
-    ur = u[:, keep]
+    ur = u[:, _spectral_filter(s, 0.0, model.rel_tol)[0]]
     m = u.shape[0]
     sq = m - 2.0 * np.sum(ur * ur) + np.sum((ur.T @ ur) ** 2)
     return float(np.sqrt(max(sq, 0.0)))
@@ -185,62 +176,24 @@ def _replica_metrics_inner(
 ) -> dict | None:
     draw = draw_paired_replica(config, grid_idx, replica_idx)
     models = (draw.model_1, draw.model_2)
-    trains = (draw.train_1, draw.train_2)
-    out: dict[str, float] = {}
+    out = _paired_metrics(draw, symmetric=True, wanted=metrics)
 
-    if "train_error" in metrics:
-        out["train_error"] = 0.5 * (
-            training_error(models[0], trains[0]) + training_error(models[1], trains[1])
-        )
-    if "test_error" in metrics:
-        z_t = apply_features(draw.feature_map, draw.test.X)
-        r1 = draw.test.y - z_t @ models[0].w_hat
-        r2 = draw.test.y - z_t @ models[1].w_hat
-        out["test_error"] = 0.5 * (np.mean(r1 * r1) + np.mean(r2 * r2))
     if "sigma_Z_min" in metrics:
         out["sigma_Z_min"] = 0.5 * (models[0].sigma_z_min + models[1].sigma_z_min)
     if "frob_I_minus_Pl" in metrics:
         out["frob_I_minus_Pl"] = 0.5 * (
             _frob_complement_from_fit(models[0]) + _frob_complement_from_fit(models[1])
         )
-
-    if metrics & _PF_METRICS:
-        p_fs = [
-            feature_operator_from_model(mdl, tr.X) for mdl, tr in zip(models, trains)
-        ]
-        beta = draw.teacher.beta
-        if metrics & {"geom_error", "bias_sq", "variance"}:
-            t = draw.test.X @ beta
-            a1 = draw.test.X @ (p_fs[0].T @ beta)
-            a2 = draw.test.X @ (p_fs[1].T @ beta)
-            if "geom_error" in metrics:
-                out["geom_error"] = 0.5 * (
-                    np.mean((t - a1) ** 2) + np.mean((t - a2) ** 2)
-                )
-            if "bias_sq" in metrics:
-                out["bias_sq"] = float(np.mean((t - a1) * (t - a2)))
-            if "variance" in metrics:
-                out["variance"] = 0.5 * (
-                    np.mean(a1 * a1) + np.mean(a2 * a2)
-                ) - np.mean(a1 * a2)
-        if "frob_I_minus_Pf" in metrics:
-            eye = np.eye(config.n_f)
-            out["frob_I_minus_Pf"] = 0.5 * (
-                np.linalg.norm(eye - p_fs[0]) + np.linalg.norm(eye - p_fs[1])
-            )
-        if metrics & _ANGLE_METRICS:
-            analyses = [analyze_operator(p) for p in p_fs]
-            if any(a.rank == 0 for a in analyses):
-                return None
-            for name, attr in (
-                ("sigma_max", "sigma_max"),
-                ("theta_max_deg", "theta_max_deg"),
-                ("delta_phi_max_deg", "delta_phi_max_deg"),
-            ):
-                if name in metrics:
-                    out[name] = 0.5 * (
-                        getattr(analyses[0], attr) + getattr(analyses[1], attr)
-                    )
+    if "frob_I_minus_Pf" in metrics:
+        out["frob_I_minus_Pf"] = 0.5 * (
+            _frob_complement(draw.p_fs[0]) + _frob_complement(draw.p_fs[1])
+        )
+    if metrics & _ANGLE_METRICS:
+        analyses = [analyze_operator(p) for p in draw.p_fs]
+        if any(a.rank == 0 for a in analyses):
+            return None
+        for name in metrics & _ANGLE_METRICS:
+            out[name] = 0.5 * (getattr(analyses[0], name) + getattr(analyses[1], name))
 
     vals = np.array([out[k] for k in out], dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -265,7 +218,11 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     worker count.
     """
     if workers is None:
-        workers = int(os.environ.get("GEOREG_WORKERS", "1") or "1")
+        env = os.environ.get("GEOREG_WORKERS", "1") or "1"
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigurationError(f"GEOREG_WORKERS must be an integer, got {env!r}") from None
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()

@@ -32,13 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import default_rel_tol
 from .errors import ConfigurationError, NumericError, ShapeError
 from .linreg_core import (
     Dataset,
     FeatureMap,
     FittedModel,
     TeacherModel,
+    _effective_inverse,
+    _spectral_filter,
+    _thin_svd,
     apply_features,
 )
 
@@ -59,13 +61,8 @@ def label_projector(Z: np.ndarray, rel_tol: float | None = None) -> LabelProject
     When rank(Z) = M this is the identity on label space and the model can
     interpolate any label vector.
     """
-    Z = np.asarray(Z, dtype=float)
-    if not np.all(np.isfinite(Z)):
-        raise NumericError("label_projector input has non-finite entries")
-    if rel_tol is None:
-        rel_tol = default_rel_tol(Z.shape)
-    U, s, _ = np.linalg.svd(Z, full_matrices=False)
-    keep = s > rel_tol * (s[0] if s.size else 0.0)
+    (U, s, _), tol = _thin_svd(np.asarray(Z, dtype=float), rel_tol, "label_projector")
+    keep = _spectral_filter(s, 0.0, tol)[0]
     Ur = U[:, keep]
     return LabelProjector(p_l=Ur @ Ur.T, rank=int(np.count_nonzero(keep)))
 
@@ -94,9 +91,8 @@ def feature_operator(
     if X.shape != (m, W.shape[0]):
         raise ShapeError(f"X is {X.shape}, expected ({m}, {W.shape[0]})")
     if z_inverse is None:
-        from .linreg_core import fit
-
-        z_inverse = fit(Z, np.zeros(m), lam=lam, rel_tol=rel_tol).effective_inverse()
+        svd, tol = _thin_svd(Z, rel_tol, "feature_operator")
+        z_inverse = _effective_inverse(svd, lam, tol)
     return (W @ z_inverse @ X).T
 
 
@@ -184,7 +180,7 @@ def analyze_operator(p_f: np.ndarray, rank_tol: float = 1e-10) -> FeatureOperato
     if not np.all(np.isfinite(p_f)):
         raise NumericError("analyze_operator input has non-finite entries")
     u, sv, vt = np.linalg.svd(p_f)
-    keep = sv > rank_tol * (sv[0] if sv.size else 0.0)
+    keep = _spectral_filter(sv, 0.0, rank_tol)[0]
     sig = sv[keep]
     U = u[:, keep]
     V = vt[keep, :].T
@@ -303,10 +299,13 @@ def prediction_decomposition(
 # ------------------------------------------------------------- reporting
 
 
+def _frob_complement(p: np.ndarray) -> float:
+    """|I - P|_F of a square operator P."""
+    return float(np.linalg.norm(np.eye(p.shape[0]) - p))
+
+
 def analysis_to_json_dict(analysis: FeatureOperatorAnalysis) -> dict:
     """Plain-types view of an analysis, e.g. for the CLI's angles command."""
-    n_f = analysis.p_f.shape[0]
-    frob = float(np.linalg.norm(np.eye(n_f) - analysis.p_f))
     return {
         "sigma": [float(v) for v in analysis.sigmas],
         "theta_deg": [float(v) for v in analysis.thetas_deg],
@@ -314,5 +313,5 @@ def analysis_to_json_dict(analysis: FeatureOperatorAnalysis) -> dict:
         "sigma_max": analysis.sigma_max,
         "theta_max_deg": analysis.theta_max_deg,
         "delta_phi_max_deg": analysis.delta_phi_max_deg,
-        "frob_I_minus_Pf": frob,
+        "frob_I_minus_Pf": _frob_complement(analysis.p_f),
     }

@@ -12,11 +12,14 @@ For relu the prefactor C = 2 makes W the exact effective linear component of
 the feature map under Gaussian inputs (Stein's identity), which the geometric
 diagnostics rely on.
 
-Fitting minimizes |Z w - y|^2 + lam |w|^2.  With lam = 0 the minimum-norm
-solution what = Z^+ y is computed by truncated-SVD pseudoinverse; with
-lam > 0 the SVD filter factors sigma/(sigma^2 + lam) are used.  Both paths
-share one SVD, which downstream operators reuse as the "effective inverse"
-so that algebraic identities hold to round-off for either path.
+Fitting minimizes |Z w - y|^2 + lam |w|^2 through the effective inverse
+G = V diag(f) U^T of the thin SVD Z = U diag(s) V^T.  One private kernel,
+_spectral_filter, owns the package's singular-value rule: rank(Z) counts
+s > rel_tol * s_max, and the filter factors are f = 1/s on those modes for
+lam = 0 (the minimum-norm what = Z^+ y) or f = s/(s^2 + lam) on every mode
+for lam > 0.  fit, FittedModel.effective_inverse and pseudoinverse build w
+and G from it, and geometry takes its cut and its G from the same place, so
+algebraic identities between the operators hold to round-off on either path.
 """
 from __future__ import annotations
 
@@ -196,21 +199,48 @@ def apply_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- fitting
 
 
+def _spectral_filter(s: np.ndarray, lam: float, rel_tol: float) -> tuple:
+    """The package's one singular-value rule: (keep, modes, f).
+
+    keep masks the kept modes, s > rel_tol * s_max; rank(Z) counts them.
+    The effective inverse is G = V[:, modes] diag(f) U[:, modes]^T with the
+    filter factors f = s/(s^2 + lam) on every mode for lam > 0 and f = 1/s
+    on the kept modes for lam = 0.
+    """
+    if lam < 0:
+        raise ConfigurationError(f"lam must be >= 0, got {lam}")
+    keep = s > rel_tol * (s[0] if s.size else 0.0)
+    # modes is a mask, not a slice: indexing with it copies the kept columns
+    # of the SVD factors into C order, and the products' round-off, hence the
+    # last digits of every reported number, depends on that layout.
+    if lam > 0:
+        return keep, slice(None), s / (s**2 + lam)
+    return keep, keep, 1.0 / s[keep]
+
+
+def _thin_svd(A: np.ndarray, rel_tol: float | None, caller: str) -> tuple[tuple, float]:
+    """Thin SVD (U, s, Vt) of a finite matrix, with the cutoff to apply to it
+    (default_rel_tol(A.shape) when rel_tol is None)."""
+    if not np.all(np.isfinite(A)):
+        raise NumericError(f"{caller} input has non-finite entries")
+    tol = default_rel_tol(A.shape) if rel_tol is None else float(rel_tol)
+    return np.linalg.svd(A, full_matrices=False), tol
+
+
+def _effective_inverse(svd: tuple, lam: float, rel_tol: float) -> np.ndarray:
+    """G = V diag(f) U^T from an SVD of Z, with f from _spectral_filter."""
+    U, s, Vt = svd
+    _, modes, f = _spectral_filter(s, lam, rel_tol)
+    return Vt[modes].T @ (f[:, None] * U[:, modes].T)
+
+
 def pseudoinverse(A: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
     """Moore-Penrose inverse by SVD, zeroing sigma <= rel_tol * sigma_max.
 
     rel_tol defaults to 1e-10 * max(A.shape).
     """
-    A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise NumericError("pseudoinverse input has non-finite entries")
-    if rel_tol is None:
-        rel_tol = default_rel_tol(A.shape)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((A.shape[1], A.shape[0]))
-    keep = s > rel_tol * s[0]
-    return Vt[keep].T @ ((1.0 / s[keep])[:, None] * U[:, keep].T)
+    svd, tol = _thin_svd(np.asarray(A, dtype=float), rel_tol, "pseudoinverse")
+    return _effective_inverse(svd, 0.0, tol)
 
 
 @dataclass(frozen=True)
@@ -230,14 +260,7 @@ class FittedModel:
         """The matrix G with what = G y: truncated Z^+ for lam = 0, the
         ridge-filtered inverse for lam > 0.  Downstream operators built from
         G satisfy their algebraic identities to round-off for either path."""
-        U, s, Vt = self.svd
-        if self.lam > 0:
-            f = s / (s**2 + self.lam)
-            return Vt.T @ (f[:, None] * U.T)
-        keep = s > self.rel_tol * (s[0] if s.size else 0.0)
-        if not np.any(keep):
-            return np.zeros((self.Z.shape[1], self.Z.shape[0]))
-        return Vt[keep].T @ ((1.0 / s[keep])[:, None] * U[:, keep].T)
+        return _effective_inverse(self.svd, self.lam, self.rel_tol)
 
 
 def fit(
@@ -260,35 +283,20 @@ def fit(
         raise ShapeError(f"Z must be 2-D, got shape {Z.shape}")
     if Z.shape[0] != y.shape[0]:
         raise ShapeError(f"Z has {Z.shape[0]} rows but y has length {y.shape[0]}")
-    if lam < 0:
-        raise ConfigurationError(f"lam must be >= 0, got {lam}")
-    if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(y))):
+    if not np.all(np.isfinite(y)):
         raise NumericError("fit input has non-finite entries")
-    if rel_tol is None:
-        rel_tol = default_rel_tol(Z.shape)
-
-    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-    cutoff = rel_tol * (s[0] if s.size else 0.0)
-    keep = s > cutoff
+    (U, s, Vt), rel_tol = _thin_svd(Z, rel_tol, "fit")
+    keep, modes, f = _spectral_filter(s, lam, rel_tol)
     rank = int(np.count_nonzero(keep))
-    sigma_min = float(s[keep].min()) if rank else 0.0
-
-    if lam > 0:
-        f = s / (s**2 + lam)
-        w = Vt.T @ (f * (U.T @ y))
-    elif rank:
-        w = Vt[keep].T @ ((U[:, keep].T @ y) / s[keep])
-    else:
-        w = np.zeros(Z.shape[1])
     return FittedModel(
-        w_hat=w,
+        w_hat=Vt[modes].T @ (f * (U[:, modes].T @ y)),
         lam=float(lam),
         feature_map=feature_map,
         Z=Z,
         rank_z=rank,
-        sigma_z_min=sigma_min,
+        sigma_z_min=float(s[keep].min()) if rank else 0.0,
         svd=(U, s, Vt),
-        rel_tol=float(rel_tol),
+        rel_tol=rel_tol,
     )
 
 

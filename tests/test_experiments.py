@@ -8,6 +8,7 @@ from georeg import (
     ExperimentConfig,
     ShapeError,
     SweepSpec,
+    bias_variance_mc,
     label_projector,
     metric_frobenius_complements,
     run_sweep,
@@ -186,3 +187,27 @@ class TestRunSweep:
         spec, _ = small_result
         with pytest.raises(ConfigurationError):
             run_sweep(spec, workers=0)
+
+    def test_non_integer_workers_env_is_a_configuration_error(self, monkeypatch, tmp_path):
+        from georeg.cli import main
+
+        monkeypatch.setenv("GEOREG_WORKERS", "abc")
+        spec = SweepSpec(
+            ExperimentConfig(m=16, n_f=4, n_p=16), np_over_m_grid=(1.0,), n_replicas=2
+        )
+        with pytest.raises(ConfigurationError, match="GEOREG_WORKERS"):
+            run_sweep(spec)
+        argv = ["sweep", "--model", "linear", "--m", "16", "--np-grid", "1",
+                "--replicas", "2", "--out", str(tmp_path)]
+        assert main(argv) == 2
+
+    def test_sweep_and_mc_reduce_the_same_cross_product(self):
+        # one grid point: the sweep's replica streams are bias_variance_mc's at
+        # grid_idx 0, and bias_sq is the same cross product in both reductions
+        cfg = ExperimentConfig(m=32, n_f=8, n_p=16, activation="relu")
+        res = run_sweep(SweepSpec(cfg, np_over_m_grid=(0.5,), n_replicas=6, normalize=False))
+        est = bias_variance_mc(cfg, 6, grid_idx=0)
+        row = res.rows[0]
+        assert (row.n_p, row.n_f, row.n_effective) == (cfg.n_p, cfg.n_f, 6)
+        assert row.means["bias_sq"] == est.bias_squared
+        assert row.standard_errors["bias_sq"] == est.standard_errors["bias_squared"]

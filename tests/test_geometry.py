@@ -108,11 +108,24 @@ class TestFeatureOperator:
             feature_operator(fmap, np.zeros((4, 5)), np.zeros((3, 3)))
 
     def test_model_route_matches_direct(self):
-        cfg = ExperimentConfig(m=20, n_f=6, n_p=30, lam=1e-8)
-        _, data, fmap, model = _fitted(cfg)
-        direct = feature_operator(fmap, model.Z, data.X, lam=cfg.lam)
-        via_model = feature_operator_from_model(model, data.X)
-        assert np.allclose(direct, via_model, atol=1e-14)
+        # relu: Z has full rank 20; linear: Z = X W has rank n_f = 6 < 20, so
+        # the lam = 0 route depends on the truncation rule.
+        for activation, rank in (("relu", 20), ("linear", 6)):
+            for lam in (0.0, 1e-8):
+                cfg = ExperimentConfig(m=20, n_f=6, n_p=30, lam=lam, activation=activation)
+                _, data, fmap, model = _fitted(cfg)
+                assert model.rank_z == rank
+                direct = feature_operator(fmap, model.Z, data.X, lam=cfg.lam)
+                via_model = feature_operator_from_model(model, data.X)
+                assert np.array_equal(direct, via_model), (activation, lam)
+
+    def test_non_finite_z_raises(self):
+        cfg = ExperimentConfig(m=4, n_f=3, n_p=5)
+        fmap = make_feature_map(cfg)
+        Z = np.ones((4, 5))
+        Z[2, 1] = np.nan
+        with pytest.raises(NumericError):
+            feature_operator(fmap, Z, np.zeros((4, 3)))
 
 
 class TestAnalyzeOperator:
