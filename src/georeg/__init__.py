@@ -8,6 +8,8 @@ oblique, or "noisy" oblique), explain the double-descent test-error peak as
 a geometric variance divergence, and split input perturbations into
 adversarial and invariant directions.
 """
+from types import ModuleType as _ModuleType
+
 from .config import (
     ACTIVATIONS,
     ExperimentConfig,
@@ -31,6 +33,7 @@ from .decomposition import (
     error_reduction_check,
     geometric_test_error,
     paired_projections,
+    summarize,
 )
 from .errors import (
     ConfigurationError,
@@ -47,7 +50,6 @@ from .experiments import (
     SweepSpec,
     metric_frobenius_complements,
     run_sweep,
-    summarize,
 )
 from .geometry import (
     FeatureOperatorAnalysis,
@@ -87,67 +89,9 @@ from .perturbation import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACTIVATIONS",
-    "ALL_METRICS",
-    "BiasVarianceEstimate",
-    "ConfigurationError",
-    "Dataset",
-    "DegenerateDirectionError",
-    "ExperimentConfig",
-    "ExperimentError",
-    "FeatureMap",
-    "FeatureOperatorAnalysis",
-    "FittedModel",
-    "LabelProjector",
-    "NORMALIZED_METRICS",
-    "NumericError",
-    "PRESETS",
-    "PairedDraw",
-    "PerturbationRecord",
-    "Representation",
-    "ShapeError",
-    "STREAM_PERTURB",
-    "STREAM_TEACHER",
-    "STREAM_TEST",
-    "STREAM_TRAIN",
-    "STREAM_TRAIN_PAIR",
-    "STREAM_WEIGHTS",
-    "SweepResult",
-    "SweepRow",
-    "SweepSpec",
-    "TeacherModel",
-    "analysis_to_json_dict",
-    "analyze_operator",
-    "angles_from_vectors",
-    "apply_features",
-    "bias_variance_mc",
-    "decompose_perturbation",
-    "default_rel_tol",
-    "directional_derivative",
-    "draw_paired_replica",
-    "error_reduction_check",
-    "feature_operator",
-    "feature_operator_from_model",
-    "fit",
-    "geometric_test_error",
-    "internal_representation",
-    "label_projector",
-    "load_dataset_csv",
-    "make_feature_map",
-    "metric_frobenius_complements",
-    "paired_projections",
-    "perturbation_experiment",
-    "predict",
-    "prediction_decomposition",
-    "pseudoinverse",
-    "ratio_to_count",
-    "run_sweep",
-    "sample_dataset",
-    "sample_teacher",
-    "save_dataset_csv",
-    "sigma_eps_for_snr",
-    "stream_rng",
-    "summarize",
-    "training_error",
-]
+# the public API is every public name imported above
+__all__ = sorted(
+    name
+    for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
+)

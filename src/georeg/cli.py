@@ -1,9 +1,11 @@
 """Command-line front end: sweep | bias-variance | angles | perturb.
 
 Parameter resolution order, lowest to highest precedence: built-in defaults,
---preset values, the JSON file given by --config, then explicit flags.  Every
-command writes its outputs plus a manifest.json recording the fully resolved
-parameters, so a run can be reproduced from the manifest alone.
+--preset values, the JSON object given by --config, then explicit flags.
+Every value, whatever its source, is typed and checked by one per-key table
+(_PARAMS) into one record.  Every command writes its outputs plus a
+manifest.json recording that record, so a run can be reproduced from the
+manifest alone.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure.
 """
@@ -19,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    ACTIVATIONS,
     ExperimentConfig,
     PRESETS,
     STREAM_PERTURB,
@@ -32,67 +35,109 @@ from .config import (
 )
 from .decomposition import _PAIRED_METRICS, bias_variance_mc
 from .errors import ConfigurationError, ExperimentError, NumericError
-from .experiments import SweepSpec, run_sweep
+from .experiments import ALL_METRICS, SweepSpec, run_sweep
 from .geometry import analysis_to_json_dict, analyze_operator, feature_operator_from_model
 from .linreg_core import fit, apply_features, make_feature_map, sample_dataset, sample_teacher
 from .perturbation import perturbation_experiment
 from . import svg
 
-_DEFAULTS = {
-    "model": None,
-    "m": 256,
-    "nf_ratio": 0.25,
-    "np_grid": "0.25,0.5,0.75,1,1.5,2,3,4",
-    "np_ratio": 1.0,
-    "replicas": 100,
-    "lam": 1e-8,
-    "snr": 10.0,
-    "seed": 2,
-    "pairs": 200,
-    "eta": 1e-2,
-    "normalize": False,
-    "workers": None,
-    "sigma_x": 1.0,
-    "sigma_beta": 1.0,
-    "sigma_w": 1.0,
-    "m_test": None,
-}
+# ------------------------------------------------------------- parameters
 
 
-def _g17(v) -> str:
-    return f"{float(v):.17g}"
+def _integer(v) -> int:
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError("expected an integer")
+    return int(v)
 
 
-def _parse_grid(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    try:
-        vals = tuple(float(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"bad grid {text!r}: {exc}") from None
+def _real(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)) or float(v) != float(v):
+        raise ValueError("expected a number")
+    return float(v)
+
+
+def _switch(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError("expected true or false")
+    return v
+
+
+def _family(v) -> str:
+    if v not in ACTIVATIONS:
+        raise ValueError(f"expected one of {', '.join(ACTIVATIONS)}")
+    return v
+
+
+def _grid(v) -> tuple:
+    """Comma-separated ratios or a list of numbers -> tuple of floats."""
+    if not isinstance(v, (str, list)):
+        raise ValueError("expected comma-separated ratios or a list of numbers")
+    tokens = [t for t in v.split(",") if t.strip()] if isinstance(v, str) else v
+    vals = tuple(_real(t) for t in tokens)
     if not vals:
-        raise ConfigurationError("empty --np-grid")
+        raise ValueError("empty grid")
     return vals
 
 
+# key -> (default, type, flag help).  The type coerces flag strings and checks
+# preset and config-file values alike; a key with no help has no flag.
+_PARAMS = {
+    "model": (None, _family, "feature family: identity, linear or relu"),
+    "m": (256, _integer, "training-set size M"),
+    "nf_ratio": (0.25, _real, "N_f / M"),
+    "np_grid": ("0.25,0.5,0.75,1,1.5,2,3,4", _grid, "comma-separated N_p/M ratios"),
+    "np_ratio": (1.0, _real, "N_p / M"),
+    "replicas": (100, _integer, "replicas per grid point"),
+    "lam": (1e-8, _real, "ridge parameter"),
+    "snr": (10.0, _real, "label signal-to-noise ratio"),
+    "seed": (2, _integer, "base RNG seed"),
+    "pairs": (200, _integer, "number of perturbation pairs"),
+    "eta": (1e-2, _real, "finite-difference step"),
+    "normalize": (False, _switch, "report errors in units of sigma_y^2"),
+    "plot": (False, _switch, "also write an SVG chart"),
+    "workers": (None, _integer, "parallel workers (default $GEOREG_WORKERS or 1)"),
+    "sigma_x": (1.0, _real, None),
+    "sigma_beta": (1.0, _real, None),
+    "sigma_w": (1.0, _real, None),
+    "m_test": (None, _integer, None),
+}
+_DEFAULTS = {key: default for key, (default, _, _) in _PARAMS.items()}
+
+
+def _typed(key: str, value):
+    default, kind, _ = _PARAMS[key]
+    if value is None and default is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{key} = {value!r}: {exc}") from None
+
+
 def _resolve(args) -> dict:
-    """Merge defaults, preset, JSON config, and flags into one record."""
-    params = dict(_DEFAULTS)
+    """Merge defaults, preset, JSON config, and flags into one typed record.
+
+    Every value of every layer is typed, so a malformed file fails even where
+    a flag overrides it.
+    """
+    layers = [_DEFAULTS]
     if getattr(args, "preset", None):
-        params.update(PRESETS[args.preset])
+        layers.append(PRESETS[args.preset])
     if getattr(args, "config", None):
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            raise ConfigurationError(f"config {args.config} must hold a JSON object")
         unknown = set(loaded) - set(_DEFAULTS)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        params.update(loaded)
-    for key in _DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+        layers.append(loaded)
+    layers.append({key: getattr(args, key) for key in _DEFAULTS if getattr(args, key, None) is not None})
+    params = {key: _typed(key, val) for layer in layers for key, val in layer.items()}
     if params["model"] is None:
         raise ConfigurationError(
             "usage: georeg <command> --model {identity,linear,relu} [options]\n"
@@ -101,271 +146,216 @@ def _resolve(args) -> dict:
     return params
 
 
-def _base_config(params, n_p: int) -> ExperimentConfig:
-    m = int(params["m"])
-    n_f = ratio_to_count(float(params["nf_ratio"]), m)
+def _config(params: dict, np_ratio: float) -> ExperimentConfig:
+    """The experiment at N_p/M = np_ratio, everything else from the record."""
+    m = params["m"]
     return ExperimentConfig(
         m=m,
-        n_f=n_f,
-        n_p=n_p,
+        n_f=ratio_to_count(params["nf_ratio"], m),
+        n_p=ratio_to_count(np_ratio, m),
         m_test=params["m_test"],
-        sigma_x=float(params["sigma_x"]),
-        sigma_eps=sigma_eps_for_snr(
-            float(params["snr"]), float(params["sigma_x"]), float(params["sigma_beta"])
-        ),
-        sigma_beta=float(params["sigma_beta"]),
-        sigma_w=float(params["sigma_w"]),
-        lam=float(params["lam"]),
-        activation=str(params["model"]),
-        seed=int(params["seed"]),
+        sigma_x=params["sigma_x"],
+        sigma_eps=sigma_eps_for_snr(params["snr"], params["sigma_x"], params["sigma_beta"]),
+        sigma_beta=params["sigma_beta"],
+        sigma_w=params["sigma_w"],
+        lam=params["lam"],
+        activation=params["model"],
+        seed=params["seed"],
     )
 
 
-def _single_point_model(config: ExperimentConfig):
-    """Teacher, feature map, training data, and fit on the (0, 0, ...) streams."""
+def _single_point(params: dict):
+    """(config, teacher, model, analysis of P_f) at np_ratio on the (0, 0, ...) streams."""
+    config = _config(params, params["np_ratio"])
     teacher = sample_teacher(config, (0, 0, STREAM_TEACHER))
     fmap = make_feature_map(config, (0, 0, STREAM_WEIGHTS))
     data = sample_dataset(config, teacher, (0, 0, STREAM_TRAIN))
     model = fit(apply_features(fmap, data.X), data.y, lam=config.lam, feature_map=fmap)
-    return teacher, fmap, data, model
+    return config, teacher, model, analyze_operator(feature_operator_from_model(model, data.X))
 
 
-def _write_manifest(out_dir: Path, command: str, resolved: dict, seed: int, paths: list, extra: dict | None = None):
-    manifest = {
-        "command": command,
-        "resolved_config": resolved,
-        "seed": seed,
-        "output_paths": paths,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-    if extra:
-        manifest.update(extra)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+# ---------------------------------------------------------------- outputs
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _Outputs:
+    """One command's output directory; every file, then the manifest, goes through it."""
+
+    def __init__(self, out: str, command: str, params: dict):
+        self.dir = Path(out)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.command, self.params, self.paths = command, params, []
+
+    def path(self, name: str) -> Path:
+        self.paths.append(name)
+        return self.dir / name
+
+    def write_csv(self, name: str, header: list, rows) -> None:
+        """Floats carry 17 significant digits; other cells are written as is."""
+        with open(self.path(name), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([f"{float(v):.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+    def write_json(self, name: str, data: dict) -> None:
+        self.path(name).write_text(json.dumps(data, indent=2) + "\n")
+
+    def error_chart(self, name: str, title: str, xs: list, curves: dict) -> None:
+        """Log-scale line chart of error curves (label -> values) against N_p/M."""
+        series = [{"label": label, "x": xs, "y": ys} for label, ys in curves.items()]
+        svg.line_chart(self.path(name), series, x_label="N_p / M", y_label="error", title=title, log_y=True)
+
+    def manifest(self, **extra) -> None:
+        self.write_json(
+            "manifest.json",
+            {
+                "command": self.command,
+                "resolved_config": self.params,
+                "seed": self.params["seed"],
+                "output_paths": self.paths + ["manifest.json"],
+                "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                **extra,
+            },
+        )
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_sweep(args) -> int:
-    params = _resolve(args)
-    grid = _parse_grid(params["np_grid"])
-    base = _base_config(params, n_p=ratio_to_count(float(params["nf_ratio"]), int(params["m"])))
+def cmd_sweep(params: dict, out: str) -> int:
     spec = SweepSpec(
-        base_config=base,
-        np_over_m_grid=grid,
-        n_replicas=int(params["replicas"]),
-        normalize=bool(params["normalize"]),
+        base_config=_config(params, params["nf_ratio"]),
+        np_over_m_grid=params["np_grid"],
+        n_replicas=params["replicas"],
+        normalize=params["normalize"],
     )
-    workers = params["workers"]
-    result = run_sweep(spec, workers=int(workers) if workers is not None else None)
+    result = run_sweep(spec, workers=params["workers"])
 
     for (np_r, nf_r), msg in sorted(result.point_errors.items()):
         print(f"sweep: grid point np_over_m={np_r} nf_over_m={nf_r} failed: {msg}", file=sys.stderr)
 
-    out = _out_dir(args)
-    csv_path = out / "sweep.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["np_over_m", "nf_over_m", "n_p", "n_f", "n_effective"]
-        for name in result.metrics:
-            header += [name, f"{name}_se"]
-        w.writerow(header)
-        for row in result.rows:
-            rec = [_g17(row.np_over_m), _g17(row.nf_over_m), row.n_p, row.n_f, row.n_effective]
-            for name in result.metrics:
-                rec += [_g17(row.means[name]), _g17(row.standard_errors[name])]
-            w.writerow(rec)
-    paths = ["sweep.csv"]
-
-    if args.plot and result.rows:
-        xs = [r.np_over_m for r in result.rows]
-        series = []
-        for name in ("test_error", "train_error", "bias_sq", "variance"):
-            if name in result.metrics:
-                series.append({"label": name, "x": xs, "y": [r.means[name] for r in result.rows]})
-        svg.line_chart(out / "sweep.svg", series, x_label="N_p / M", y_label="error", title="error vs N_p/M", log_y=True)
-        paths.append("sweep.svg")
-
-    _write_manifest(
-        out, "sweep", params, base.seed, paths + ["manifest.json"],
-        extra={
-            "elapsed_seconds": result.elapsed_seconds,
-            "point_errors": {f"{k[0]},{k[1]}": v for k, v in result.point_errors.items()},
-        },
+    outputs = _Outputs(out, "sweep", params)
+    header = ["np_over_m", "nf_over_m", "n_p", "n_f", "n_effective"]
+    header += [col for name in ALL_METRICS for col in (name, f"{name}_se")]
+    outputs.write_csv(
+        "sweep.csv",
+        header,
+        (
+            [row.np_over_m, row.nf_over_m, row.n_p, row.n_f, row.n_effective]
+            + [v for name in ALL_METRICS for v in (row.means[name], row.standard_errors[name])]
+            for row in result.rows
+        ),
     )
-    if not result.rows:
-        return 2
-    return 0
+    if params["plot"] and result.rows:
+        outputs.error_chart(
+            "sweep.svg",
+            "error vs N_p/M",
+            [r.np_over_m for r in result.rows],
+            {name: [r.means[name] for r in result.rows] for name in ("test_error", "train_error", "bias_sq", "variance")},
+        )
+    outputs.manifest(
+        elapsed_seconds=result.elapsed_seconds,
+        point_errors={f"{k[0]},{k[1]}": v for k, v in result.point_errors.items()},
+    )
+    return 0 if result.rows else 2
 
 
-def cmd_bias_variance(args) -> int:
-    params = _resolve(args)
-    grid = _parse_grid(params["np_grid"])
-    m = int(params["m"])
-    replicas = int(params["replicas"])
-    normalize = bool(params["normalize"])
+def cmd_bias_variance(params: dict, out: str) -> int:
     header = ["np_over_m", "nf_over_m", *_PAIRED_METRICS, *(f"se_{c}" for c in _PAIRED_METRICS)]
     attrs = _PAIRED_METRICS.values()  # the BiasVarianceEstimate field behind each column
 
     rows = []
-    failures = []
-    for gidx, np_r in enumerate(grid):
+    failures = {}
+    for gidx, np_r in enumerate(params["np_grid"]):
         try:
-            cfg = _base_config(params, n_p=ratio_to_count(np_r, m))
-            est = bias_variance_mc(cfg, replicas, grid_idx=gidx)
+            cfg = _config(params, np_r)
+            est = bias_variance_mc(cfg, params["replicas"], grid_idx=gidx)
         except ConfigurationError as exc:
-            if replicas < 2:
+            if params["replicas"] < 2:
                 raise  # estimator precondition, not a per-point problem
-            failures.append((np_r, str(exc)))
+            failures[str(np_r)] = str(exc)
             print(f"bias-variance: grid point np_over_m={np_r} failed: {exc}", file=sys.stderr)
             continue
-        scale = cfg.sigma_y_sq if normalize else 1.0
+        scale = cfg.sigma_y_sq if params["normalize"] else 1.0
         values = [getattr(est, a) for a in attrs] + [est.standard_errors[a] for a in attrs]
-        rows.append(dict(zip(header, [np_r, cfg.n_f / m] + [v / scale for v in values])))
+        rows.append(dict(zip(header, [np_r, cfg.n_f / cfg.m] + [v / scale for v in values])))
 
-    out = _out_dir(args)
-    with open(out / "bias_variance.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([_g17(v) for v in rec.values()] for rec in rows)
-    paths = ["bias_variance.csv"]
-
-    if args.plot and rows:
-        xs = [r["np_over_m"] for r in rows]
-        series = [
-            {"label": c, "x": xs, "y": [r[c] for r in rows]}
-            for c in ("geom_error", "bias_sq", "variance", "test_error")
-        ]
-        svg.line_chart(out / "bias_variance.svg", series, x_label="N_p / M", y_label="error", title="bias-variance decomposition", log_y=True)
-        paths.append("bias_variance.svg")
-
-    _write_manifest(
-        out, "bias-variance", params, int(params["seed"]), paths + ["manifest.json"],
-        extra={"point_errors": {str(k): v for k, v in failures}},
-    )
+    outputs = _Outputs(out, "bias-variance", params)
+    outputs.write_csv("bias_variance.csv", header, (rec.values() for rec in rows))
+    if params["plot"] and rows:
+        outputs.error_chart(
+            "bias_variance.svg",
+            "bias-variance decomposition",
+            [r["np_over_m"] for r in rows],
+            {c: [r[c] for r in rows] for c in ("geom_error", "bias_sq", "variance", "test_error")},
+        )
+    outputs.manifest(point_errors=failures)
     return 0 if rows else 2
 
 
-def cmd_angles(args) -> int:
-    params = _resolve(args)
-    m = int(params["m"])
-    config = _base_config(params, n_p=ratio_to_count(float(params["np_ratio"]), m))
-    teacher, fmap, data, model = _single_point_model(config)
-    p_f = feature_operator_from_model(model, data.X)
-    analysis = analyze_operator(p_f)
-
-    out = _out_dir(args)
-    (out / "angles.json").write_text(json.dumps(analysis_to_json_dict(analysis), indent=2) + "\n")
-    _write_manifest(out, "angles", params, config.seed, ["angles.json", "manifest.json"])
+def cmd_angles(params: dict, out: str) -> int:
+    _, _, _, analysis = _single_point(params)
+    outputs = _Outputs(out, "angles", params)
+    outputs.write_json("angles.json", analysis_to_json_dict(analysis))
+    outputs.manifest()
     return 0
 
 
-def cmd_perturb(args) -> int:
-    params = _resolve(args)
-    m = int(params["m"])
-    config = _base_config(params, n_p=ratio_to_count(float(params["np_ratio"]), m))
-    teacher, fmap, data, model = _single_point_model(config)
-    p_f = feature_operator_from_model(model, data.X)
-    analysis = analyze_operator(p_f)
+def cmd_perturb(params: dict, out: str) -> int:
+    config, teacher, model, analysis = _single_point(params)
     x0 = stream_rng(config.seed, (0, 0, STREAM_TEST)).normal(
         0.0, config.sigma_x / np.sqrt(config.n_f), config.n_f
     )
     records, summary = perturbation_experiment(
-        model,
-        teacher,
-        analysis,
-        x0,
-        config,
-        n_pairs=int(params["pairs"]),
-        eta=float(params["eta"]),
-        stream_tag=(0, 0, STREAM_PERTURB),
+        model, teacher, analysis, x0, config,
+        n_pairs=params["pairs"], eta=params["eta"], stream_tag=(0, 0, STREAM_PERTURB),
     )
 
-    out = _out_dir(args)
-    with open(out / "perturb.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "d_y_true", "d_y_pred"])
-        for rec in records:
-            w.writerow([rec.kind, _g17(rec.d_y_true), _g17(rec.d_y_pred)])
-    summary_out = dict(summary)
-    summary_out.update({"eta": float(params["eta"]), "n_pairs": int(params["pairs"])})
-    (out / "perturb_summary.json").write_text(json.dumps(summary_out, indent=2) + "\n")
-    paths = ["perturb.csv", "perturb_summary.json"]
-
-    if args.plot:
-        groups = []
-        for kind, color in (("adversarial", "#1f77b4"), ("invariant", "#ff7f0e")):
-            recs = [r for r in records if r.kind == kind]
-            groups.append(
-                {
-                    "label": kind,
-                    "x": [r.d_y_true for r in recs],
-                    "y": [r.d_y_pred for r in recs],
-                    "color": color,
-                    "slope": summary.get(f"slope_{kind}"),
-                }
-            )
-        svg.scatter_chart(out / "perturb.svg", groups, x_label="dy/deta (true)", y_label="dyhat/deta (model)", title="perturbation response")
-        paths.append("perturb.svg")
-
-    _write_manifest(out, "perturb", params, config.seed, paths + ["manifest.json"])
+    outputs = _Outputs(out, "perturb", params)
+    outputs.write_csv("perturb.csv", ["kind", "d_y_true", "d_y_pred"], ([r.kind, r.d_y_true, r.d_y_pred] for r in records))
+    outputs.write_json("perturb_summary.json", {**summary, "eta": params["eta"], "n_pairs": params["pairs"]})
+    if params["plot"]:
+        groups = [
+            {
+                "label": kind,
+                "x": [r.d_y_true for r in records if r.kind == kind],
+                "y": [r.d_y_pred for r in records if r.kind == kind],
+                "color": color,
+                "slope": summary.get(f"slope_{kind}"),
+            }
+            for kind, color in (("adversarial", "#1f77b4"), ("invariant", "#ff7f0e"))
+        ]
+        svg.scatter_chart(outputs.path("perturb.svg"), groups, x_label="dy/deta (true)", y_label="dyhat/deta (model)", title="perturbation response")
+    outputs.manifest()
     return 0
 
 
 # ------------------------------------------------------------------ main
 
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON parameter file (flags override it)")
-    p.add_argument("--preset", choices=sorted(PRESETS), help="named parameter bundle")
-    p.add_argument("--model", choices=("identity", "linear", "relu"), help="feature family")
-    p.add_argument("--m", type=int, help="training-set size M")
-    p.add_argument("--nf-ratio", dest="nf_ratio", type=float, help="N_f / M")
-    p.add_argument("--lambda", dest="lam", type=float, help="ridge parameter")
-    p.add_argument("--snr", type=float, help="label signal-to-noise ratio")
-    p.add_argument("--seed", type=int, help="base RNG seed")
-    p.add_argument("--out", required=True, help="output directory")
+_COMMON = ("model", "m", "nf_ratio", "lam", "snr", "seed")
+# command -> (function, help, the record keys it takes as flags beyond _COMMON)
+_COMMANDS = {
+    "sweep": (cmd_sweep, "double-descent sweep over N_p/M", ("np_grid", "replicas", "normalize", "workers", "plot")),
+    "bias-variance": (cmd_bias_variance, "paired-replica bias/variance decomposition", ("np_grid", "replicas", "normalize", "plot")),
+    "angles": (cmd_angles, "singular values and angles of one fitted operator", ("np_ratio",)),
+    "perturb": (cmd_perturb, "adversarial vs invariant perturbation responses", ("np_ratio", "pairs", "eta", "plot")),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="georeg", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep", help="double-descent sweep over N_p/M")
-    _add_common(p)
-    p.add_argument("--np-grid", dest="np_grid", help="comma-separated N_p/M ratios")
-    p.add_argument("--replicas", type=int, help="replicas per grid point")
-    p.add_argument("--normalize", action="store_const", const=True, help="report errors in units of sigma_y^2")
-    p.add_argument("--workers", type=int, help="parallel workers (default $GEOREG_WORKERS or 1)")
-    p.add_argument("--plot", action="store_true", help="also write an SVG chart")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("bias-variance", help="paired-replica bias/variance decomposition")
-    _add_common(p)
-    p.add_argument("--np-grid", dest="np_grid", help="comma-separated N_p/M ratios")
-    p.add_argument("--replicas", type=int, help="replicas per grid point")
-    p.add_argument("--normalize", action="store_const", const=True, help="report errors in units of sigma_y^2")
-    p.add_argument("--plot", action="store_true", help="also write an SVG chart")
-    p.set_defaults(func=cmd_bias_variance)
-
-    p = sub.add_parser("angles", help="singular values and angles of one fitted operator")
-    _add_common(p)
-    p.add_argument("--np-ratio", dest="np_ratio", type=float, help="N_p / M")
-    p.set_defaults(func=cmd_angles)
-
-    p = sub.add_parser("perturb", help="adversarial vs invariant perturbation responses")
-    _add_common(p)
-    p.add_argument("--np-ratio", dest="np_ratio", type=float, help="N_p / M")
-    p.add_argument("--pairs", type=int, help="number of perturbation pairs")
-    p.add_argument("--eta", type=float, help="finite-difference step")
-    p.add_argument("--plot", action="store_true", help="also write an SVG scatter")
-    p.set_defaults(func=cmd_perturb)
+    for command, (func, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON parameter file (flags override it)")
+        p.add_argument("--preset", choices=sorted(PRESETS), help="named parameter bundle")
+        p.add_argument("--out", required=True, help="output directory")
+        for key in _COMMON + keys:
+            _, kind, flag_help = _PARAMS[key]
+            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            # a switch is store_const, so an absent flag leaves the file's value standing
+            switch = {"action": "store_const", "const": True} if kind is _switch else {}
+            p.add_argument(flag, dest=key, help=flag_help, **switch)
+        p.set_defaults(func=func)
     return ap
 
 
@@ -375,7 +365,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(_resolve(args), args.out)
     except ConfigurationError as exc:
         print(f"georeg: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -166,10 +166,8 @@ _PAIRED_METRICS = {
 }
 
 
-def _paired_metrics(
-    draw: PairedDraw, symmetric: bool, wanted: frozenset = frozenset(_PAIRED_METRICS)
-) -> dict:
-    """The paired-product metrics of one replica that are named in ``wanted``.
+def _paired_metrics(draw: PairedDraw, symmetric: bool) -> dict:
+    """The paired-product metrics of one replica, keyed as in _PAIRED_METRICS.
 
     symmetric=False is the one-sided reduction (every metric but bias_sq from
     the D1 fit); symmetric=True averages each over both fits.  bias_sq is the
@@ -181,23 +179,15 @@ def _paired_metrics(
     def reduce(per_fit):
         return 0.5 * (per_fit(0) + per_fit(1)) if symmetric else per_fit(0)
 
-    out = {}
-    if "train_error" in wanted:
-        out["train_error"] = reduce(lambda k: training_error(models[k], trains[k]))
-    if "test_error" in wanted:
-        z_t = apply_features(draw.feature_map, draw.test.X)
-        out["test_error"] = reduce(
-            lambda k: np.mean((draw.test.y - z_t @ models[k].w_hat) ** 2)
-        )
-    if wanted & {"geom_error", "bias_sq", "variance"}:
-        t, *a = paired_projections(draw)
-        if "geom_error" in wanted:
-            out["geom_error"] = reduce(lambda k: np.mean((t - a[k]) ** 2))
-        if "bias_sq" in wanted:
-            out["bias_sq"] = np.mean((t - a[0]) * (t - a[1]))
-        if "variance" in wanted:
-            out["variance"] = reduce(lambda k: np.mean(a[k] ** 2)) - np.mean(a[0] * a[1])
-    return out
+    z_t = apply_features(draw.feature_map, draw.test.X)
+    t, *a = paired_projections(draw)
+    return {
+        "train_error": reduce(lambda k: training_error(models[k], trains[k])),
+        "test_error": reduce(lambda k: np.mean((draw.test.y - z_t @ models[k].w_hat) ** 2)),
+        "geom_error": reduce(lambda k: np.mean((t - a[k]) ** 2)),
+        "bias_sq": np.mean((t - a[0]) * (t - a[1])),
+        "variance": reduce(lambda k: np.mean(a[k] ** 2)) - np.mean(a[0] * a[1]),
+    }
 
 
 # ------------------------------------------------------------ estimator
@@ -230,16 +220,24 @@ def bias_variance_mc(
     """
     if n_replicas < 2:
         raise ConfigurationError(f"n_replicas must be >= 2, got {n_replicas}")
-    per = {attr: np.empty(n_replicas) for attr in _PAIRED_METRICS.values()}
-    for r in range(n_replicas):
-        draw = draw_paired_replica(config, grid_idx, r)
-        for name, value in _paired_metrics(draw, symmetric=False).items():
-            per[_PAIRED_METRICS[name]][r] = value
+    per = [
+        _paired_metrics(draw_paired_replica(config, grid_idx, r), symmetric=False)
+        for r in range(n_replicas)
+    ]
+    stats = {attr: summarize([p[name] for p in per]) for name, attr in _PAIRED_METRICS.items()}
     return BiasVarianceEstimate(
-        **{attr: float(v.mean()) for attr, v in per.items()},
+        **{attr: mean for attr, (mean, _) in stats.items()},
         n_replicas=n_replicas,
         n_test_points=config.effective_m_test,
-        standard_errors={
-            attr: float(v.std(ddof=1) / np.sqrt(n_replicas)) for attr, v in per.items()
-        },
+        standard_errors={attr: se for attr, (_, se) in stats.items()},
     )
+
+
+def summarize(values) -> tuple[float, float]:
+    """(mean, standard error); standard error is 0 for a single value."""
+    arr = np.asarray(list(values), dtype=float)
+    if arr.size == 0:
+        raise ConfigurationError("summarize needs at least one value")
+    if arr.size == 1:
+        return float(arr[0]), 0.0
+    return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))

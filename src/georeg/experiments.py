@@ -2,8 +2,8 @@
 
 A sweep walks a grid of (N_p/M, N_f/M) ratios.  Each grid point runs
 n_replicas independent paired replicas (fresh teacher, weights, and data —
-see decomposition.draw_paired_replica) and records per-replica values of the
-requested metrics:
+see decomposition.draw_paired_replica) and records per-replica values of
+every metric in ALL_METRICS:
 
     train_error, test_error      mean squared residuals (fresh test noise)
     geom_error, bias_sq, variance   geometric decomposition on the test set
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig, ratio_to_count
-from .decomposition import _paired_metrics, draw_paired_replica
+from .decomposition import _paired_metrics, draw_paired_replica, summarize
 from .errors import ConfigurationError, NumericError, ShapeError
 from .geometry import _frob_complement, analyze_operator
 from .linreg_core import _spectral_filter
@@ -56,27 +56,23 @@ NORMALIZED_METRICS = frozenset(
     {"train_error", "test_error", "geom_error", "bias_sq", "variance"}
 )
 
-_ANGLE_METRICS = frozenset({"sigma_max", "theta_max_deg", "delta_phi_max_deg"})
-
 
 # ---------------------------------------------------------- sweep definition
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: base config, ratio grids, replication, and metrics."""
+    """What to sweep: base config, ratio grids, and replication."""
 
     base_config: ExperimentConfig
     np_over_m_grid: tuple
     nf_over_m_grid: tuple = ()  # empty: keep base_config.n_f fixed
     n_replicas: int = 100
-    metrics: tuple = ALL_METRICS
     normalize: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "np_over_m_grid", tuple(self.np_over_m_grid))
         object.__setattr__(self, "nf_over_m_grid", tuple(self.nf_over_m_grid))
-        object.__setattr__(self, "metrics", tuple(self.metrics))
         if not self.np_over_m_grid:
             raise ConfigurationError("np_over_m_grid must not be empty")
         for r in self.np_over_m_grid + self.nf_over_m_grid:
@@ -84,9 +80,6 @@ class SweepSpec:
                 raise ConfigurationError(f"grid ratios must be positive, got {r}")
         if self.n_replicas < 1:
             raise ConfigurationError(f"n_replicas must be >= 1, got {self.n_replicas}")
-        unknown = set(self.metrics) - set(ALL_METRICS)
-        if unknown:
-            raise ConfigurationError(f"unknown metrics: {sorted(unknown)}")
 
     def grid_points(self) -> list[tuple[int, float, float]]:
         """(grid index, np_over_m, nf_over_m) in deterministic order."""
@@ -120,28 +113,17 @@ class SweepResult:
     point_errors: dict = field(default_factory=dict)
     n_replicas: int = 0
     elapsed_seconds: float = 0.0
-    metrics: tuple = ALL_METRICS
     normalized: bool = False
 
 
 # ------------------------------------------------------------- plumbing
 
 
-def summarize(values) -> tuple[float, float]:
-    """(mean, standard error); standard error is 0 for a single value."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ConfigurationError("summarize needs at least one value")
-    if arr.size == 1:
-        return float(arr[0]), 0.0
-    return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
-
-
 def metric_frobenius_complements(p_l: np.ndarray, p_f: np.ndarray) -> tuple[float, float]:
     """(|I - P_l|_F, |I - P_f|_F)."""
     out = []
     for name, p in (("P_l", p_l), ("P_f", p_f)):
-        p = np.asarray(getattr(p, "p_l", p), dtype=float)
+        p = np.asarray(p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ShapeError(f"{name} must be square, got shape {p.shape}")
         out.append(_frob_complement(p))
@@ -161,49 +143,29 @@ def _frob_complement_from_fit(model) -> float:
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def _replica_metrics(
-    config: ExperimentConfig, grid_idx: int, replica_idx: int, metrics: frozenset
-) -> dict | None:
-    """All requested metrics for one paired replica; None if degenerate."""
+def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict | None:
+    """Every metric in ALL_METRICS for one paired replica; None if degenerate."""
     try:
-        return _replica_metrics_inner(config, grid_idx, replica_idx, metrics)
+        draw = draw_paired_replica(config, grid_idx, replica_idx)
+        models = (draw.model_1, draw.model_2)
+        out = _paired_metrics(draw, symmetric=True)
+        per_fit = {
+            "sigma_Z_min": [m.sigma_z_min for m in models],
+            "frob_I_minus_Pl": [_frob_complement_from_fit(m) for m in models],
+            "frob_I_minus_Pf": [_frob_complement(p) for p in draw.p_fs],
+        }
+        analyses = [analyze_operator(p) for p in draw.p_fs]
     except (NumericError, np.linalg.LinAlgError):
         return None
-
-
-def _replica_metrics_inner(
-    config: ExperimentConfig, grid_idx: int, replica_idx: int, metrics: frozenset
-) -> dict | None:
-    draw = draw_paired_replica(config, grid_idx, replica_idx)
-    models = (draw.model_1, draw.model_2)
-    out = _paired_metrics(draw, symmetric=True, wanted=metrics)
-
-    if "sigma_Z_min" in metrics:
-        out["sigma_Z_min"] = 0.5 * (models[0].sigma_z_min + models[1].sigma_z_min)
-    if "frob_I_minus_Pl" in metrics:
-        out["frob_I_minus_Pl"] = 0.5 * (
-            _frob_complement_from_fit(models[0]) + _frob_complement_from_fit(models[1])
-        )
-    if "frob_I_minus_Pf" in metrics:
-        out["frob_I_minus_Pf"] = 0.5 * (
-            _frob_complement(draw.p_fs[0]) + _frob_complement(draw.p_fs[1])
-        )
-    if metrics & _ANGLE_METRICS:
-        analyses = [analyze_operator(p) for p in draw.p_fs]
-        if any(a.rank == 0 for a in analyses):
-            return None
-        for name in metrics & _ANGLE_METRICS:
-            out[name] = 0.5 * (getattr(analyses[0], name) + getattr(analyses[1], name))
-
-    vals = np.array([out[k] for k in out], dtype=float)
+    if any(a.rank == 0 for a in analyses):
+        return None
+    for name in ("sigma_max", "theta_max_deg", "delta_phi_max_deg"):
+        per_fit[name] = [getattr(a, name) for a in analyses]
+    out.update({name: 0.5 * (v1 + v2) for name, (v1, v2) in per_fit.items()})
+    vals = np.array(list(out.values()), dtype=float)
     if not np.all(np.isfinite(vals)):
         return None
     return {k: float(v) for k, v in out.items()}
-
-
-def _replica_task(args) -> tuple[int, int, dict | None]:
-    config, grid_idx, replica_idx, metrics = args
-    return grid_idx, replica_idx, _replica_metrics(config, grid_idx, replica_idx, metrics)
 
 
 # ------------------------------------------------------------------ run
@@ -228,7 +190,6 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     t0 = time.perf_counter()
     base = spec.base_config
     m = base.m
-    metric_set = frozenset(spec.metrics)
 
     configs: dict[int, tuple[float, float, ExperimentConfig]] = {}
     point_errors: dict[tuple[float, float], str] = {}
@@ -242,20 +203,18 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
             continue
         configs[gidx] = (np_r, nf_r, cfg)
 
-    tasks = [
-        (cfg, gidx, r, metric_set)
-        for gidx, (_, _, cfg) in sorted(configs.items())
-        for r in range(spec.n_replicas)
-    ]
-    per_point: dict[int, list] = {gidx: [] for gidx in configs}
-    if workers > 1 and len(tasks) > 1:
+    # one task per (grid point, replica), as three parallel argument columns
+    gidxs = [gidx for gidx in sorted(configs) for _ in range(spec.n_replicas)]
+    replica_idxs = [r for _ in configs for r in range(spec.n_replicas)]
+    cfgs = [configs[gidx][2] for gidx in gidxs]
+    if workers > 1 and len(gidxs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for gidx, _, res in pool.map(_replica_task, tasks, chunksize=4):
-                per_point[gidx].append(res)
+            replicas = list(pool.map(_replica_metrics, cfgs, gidxs, replica_idxs, chunksize=4))
     else:
-        for task in tasks:
-            gidx, _, res = _replica_task(task)
-            per_point[gidx].append(res)
+        replicas = list(map(_replica_metrics, cfgs, gidxs, replica_idxs))
+    per_point: dict[int, list] = {gidx: [] for gidx in configs}
+    for gidx, res in zip(gidxs, replicas):
+        per_point[gidx].append(res)
 
     scale = base.sigma_y_sq if spec.normalize else 1.0
     rows = []
@@ -269,7 +228,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
             )
             continue
         means, ses = {}, {}
-        for name in spec.metrics:
+        for name in ALL_METRICS:
             mean, se = summarize([r[name] for r in results])
             if name in NORMALIZED_METRICS:
                 mean, se = mean / scale, se / scale
@@ -292,6 +251,5 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         point_errors=point_errors,
         n_replicas=spec.n_replicas,
         elapsed_seconds=time.perf_counter() - t0,
-        metrics=spec.metrics,
         normalized=spec.normalize,
     )

@@ -74,6 +74,44 @@ class TestResolve:
             _resolve(self._ns(config=str(cfg), model="relu"))
 
 
+@pytest.mark.parametrize(
+    "content",
+    ['{"replicas": "abc"}', '{"lam": null}', "5", '["m"]', '{"m": 16.7}', '{"lam": NaN}'],
+    ids=["non-numeric", "null", "scalar", "list", "non-integral", "nan"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(content)
+    argv = ["sweep", "--model", "relu", "--np-grid", "1", "--replicas", "2",
+            "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+# each command with its plot flag where it has one, at a small M
+_RERUNS = {
+    "sweep": ["--model", "relu", "--np-grid", "0.5,1", "--replicas", "4", "--normalize", "--plot"],
+    "bias-variance": ["--model", "relu", "--np-grid", "0.5,1", "--replicas", "4", "--plot"],
+    "angles": ["--model", "linear", "--np-ratio", "2"],
+    "perturb": ["--model", "relu", "--nf-ratio", "1.5", "--np-ratio", "3", "--pairs", "20", "--plot"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RERUNS))
+def test_manifest_reproduces_every_output(tmp_path, command):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([command, "--m", "32", *_RERUNS[command], "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    cfg = tmp_path / "resolved.json"
+    cfg.write_text(json.dumps(manifest["resolved_config"]))
+    assert main([command, "--config", str(cfg), "--out", str(again)]) == 0
+    names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in again.iterdir() if p.name != "manifest.json")
+    assert len(names) == len(manifest["output_paths"]) - 1
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
 class TestSweepCommand:
     def test_outputs_and_manifest(self, tmp_path):
         assert _run(*_sweep_args(tmp_path)) == 0

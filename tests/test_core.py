@@ -365,3 +365,14 @@ class TestCsvRoundtrip:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigurationError):
             load_dataset_csv(path)
+
+
+def test_public_api_names_resolve():
+    import types
+
+    import georeg
+
+    assert "fit" in georeg.__all__ and "run_sweep" in georeg.__all__
+    for name in georeg.__all__:
+        assert not name.startswith("_")
+        assert not isinstance(getattr(georeg, name), types.ModuleType), name
