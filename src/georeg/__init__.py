@@ -71,19 +71,16 @@ from .linreg_core import (
     TeacherModel,
     apply_features,
     fit,
-    load_dataset_csv,
     make_feature_map,
     predict,
     pseudoinverse,
     sample_dataset,
     sample_teacher,
-    save_dataset_csv,
     training_error,
 )
 from .perturbation import (
     PerturbationRecord,
     decompose_perturbation,
-    directional_derivative,
     perturbation_experiment,
 )
 

@@ -83,11 +83,13 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
         if self.m_test is not None and (not isinstance(self.m_test, (int, np.integer)) or self.m_test < 1):
             raise ConfigurationError(f"m_test must be a positive integer, got {self.m_test!r}")
+        # written as "not v > 0" so that NaN, which fails every comparison,
+        # is rejected too
         for name in ("sigma_x", "sigma_beta"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be > 0")
         for name in ("sigma_eps", "sigma_w", "lam"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigurationError(f"{name} must be >= 0")
         if self.activation == "identity" and self.n_p != self.n_f:
             raise ConfigurationError(
@@ -119,7 +121,7 @@ class ExperimentConfig:
 
 def sigma_eps_for_snr(snr: float, sigma_x: float = 1.0, sigma_beta: float = 1.0) -> float:
     """Noise scale that realizes a target signal-to-noise ratio."""
-    if snr <= 0:
+    if not snr > 0:
         raise ConfigurationError(f"snr must be > 0, got {snr}")
     return (sigma_x**2 * sigma_beta**2 / snr) ** 0.5
 
@@ -130,8 +132,8 @@ def ratio_to_count(ratio: float, m: int) -> int:
     The 1e-9 nudge keeps decimal-intent ratios (0.3 * 640 = 191.99999999999997
     in binary) from rounding down one short; it never changes an exact product.
     """
-    if ratio <= 0:
-        raise ConfigurationError(f"grid ratio must be > 0, got {ratio}")
+    if not 0 < ratio < np.inf:
+        raise ConfigurationError(f"grid ratio must be finite and > 0, got {ratio}")
     return max(1, int(np.floor(ratio * m + 1e-9)))
 
 

@@ -175,7 +175,7 @@ def analyze_operator(p_f: np.ndarray, rank_tol: float = 1e-10) -> FeatureOperato
     p_f = np.asarray(p_f, dtype=float)
     if p_f.ndim != 2 or p_f.shape[0] != p_f.shape[1]:
         raise ShapeError(f"P_f must be square, got shape {p_f.shape}")
-    if rank_tol <= 0:
+    if not rank_tol > 0:
         raise ConfigurationError(f"rank_tol must be positive, got {rank_tol}")
     if not np.all(np.isfinite(p_f)):
         raise NumericError("analyze_operator input has non-finite entries")

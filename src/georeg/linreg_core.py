@@ -23,7 +23,6 @@ algebraic identities between the operators hold to round-off on either path.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -80,7 +79,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     eps: np.ndarray | None
-    config_snapshot: ExperimentConfig
 
     def __post_init__(self):
         if self.X.shape[0] != self.y.shape[0]:
@@ -109,7 +107,7 @@ def sample_dataset(
     X = rng.normal(0.0, config.sigma_x / np.sqrt(config.n_f), (m, config.n_f))
     eps = rng.normal(0.0, config.sigma_eps, m)
     y = teacher.y_star(X) + eps
-    return Dataset(X=X, y=y, eps=eps, config_snapshot=config)
+    return Dataset(X=X, y=y, eps=eps)
 
 
 # ---------------------------------------------------------------- features
@@ -207,7 +205,7 @@ def _spectral_filter(s: np.ndarray, lam: float, rel_tol: float) -> tuple:
     filter factors f = s/(s^2 + lam) on every mode for lam > 0 and f = 1/s
     on the kept modes for lam = 0.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ConfigurationError(f"lam must be >= 0, got {lam}")
     keep = s > rel_tol * (s[0] if s.size else 0.0)
     # modes is a mask, not a slice: indexing with it copies the kept columns
@@ -324,36 +322,3 @@ def training_error(model: FittedModel, data: Dataset) -> float:
             raise ShapeError("dataset size does not match the model's features")
     r = data.y - Z @ model.w_hat
     return float(np.mean(r * r))
-
-
-# ---------------------------------------------------------------- CSV io
-
-
-def save_dataset_csv(data: Dataset, path) -> None:
-    """Write columns x_0..x_{n_f-1}, y with 17-significant-digit doubles."""
-    n_f = data.X.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x_{j}" for j in range(n_f)] + ["y"])
-        for i in range(data.X.shape[0]):
-            w.writerow([f"{v:.17g}" for v in data.X[i]] + [f"{data.y[i]:.17g}"])
-
-
-def load_dataset_csv(path, config: ExperimentConfig | None = None) -> Dataset:
-    """Read a dataset written by save_dataset_csv.
-
-    The schema carries no noise column, so eps is None on import and the
-    y = y* + eps invariant is only enforceable for datasets built in-process.
-    """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][-1] != "y":
-        raise ConfigurationError(f"{path} is not a dataset CSV (missing header)")
-    n_f = len(rows[0]) - 1
-    body = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
-    if body.shape[1] != n_f + 1:
-        raise ShapeError("ragged dataset CSV")
-    snapshot = config if config is not None else ExperimentConfig(
-        m=body.shape[0], n_f=n_f, n_p=n_f, activation="identity"
-    )
-    return Dataset(X=body[:, :n_f], y=body[:, n_f], eps=None, config_snapshot=snapshot)

@@ -313,7 +313,7 @@ class TestPredictionDecomposition:
         teacher, data, fmap, model = _fitted(cfg)
         from georeg import Dataset
 
-        stripped = Dataset(X=data.X, y=data.y, eps=None, config_snapshot=cfg)
+        stripped = Dataset(X=data.X, y=data.y, eps=None)
         with pytest.raises(ConfigurationError):
             prediction_decomposition(model, teacher, stripped, np.zeros(4))
 

@@ -1,4 +1,4 @@
-"""Perturbation split, finite differences, and the paired experiment.
+"""Perturbation split and the batched paired experiment.
 
 The split only has two non-degenerate sides when the row space of P_f is a
 proper subspace of the input space, i.e. fewer training rows than input
@@ -13,12 +13,14 @@ from georeg import (
     DegenerateDirectionError,
     ExperimentConfig,
     ExperimentError,
+    NumericError,
     PerturbationRecord,
+    STREAM_PERTURB,
     STREAM_TRAIN,
+    TeacherModel,
     analyze_operator,
     apply_features,
     decompose_perturbation,
-    directional_derivative,
     feature_operator_from_model,
     fit,
     make_feature_map,
@@ -26,6 +28,7 @@ from georeg import (
     predict,
     sample_dataset,
     sample_teacher,
+    stream_rng,
 )
 
 
@@ -82,26 +85,56 @@ class TestDecompose:
             decompose_perturbation(np.array([1.0, 0.0]), an)
 
 
-class TestDirectionalDerivative:
-    def test_linear_function_exact(self):
-        g = np.array([2.0, -1.0, 0.5])
-        f = lambda v: float(g @ v)
-        x = np.array([0.3, 0.1, -0.2])
-        e = np.array([0.0, 1.0, 0.0])
-        assert directional_derivative(f, x, e, 1e-2) == pytest.approx(-1.0, rel=1e-10)
+class TestBatchedResponses:
+    """The batched experiment against the one-direction definitions."""
 
-    def test_constant_function_is_zero(self):
-        assert directional_derivative(lambda v: 7.0, np.zeros(3), np.ones(3) / np.sqrt(3), 1e-3) == 0.0
+    @pytest.mark.parametrize("activation", ["identity", "linear", "relu"])
+    def test_records_match_per_direction_oracles(self, activation):
+        # the identity family needs n_p = n_f
+        cfg, teacher, data, model, an = _setup(activation=activation, n_p=24 if activation == "identity" else 48)
+        x = np.random.default_rng(34).normal(0.0, cfg.sigma_x / np.sqrt(cfg.n_f), cfg.n_f)
+        eta = 1e-2
+        records, summary = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=12, eta=eta)
+        assert summary["skipped_degenerate"] == 0
+        rng = stream_rng(cfg.seed, (0, 0, STREAM_PERTURB))
+        scale = cfg.sigma_x / np.sqrt(cfg.n_f)
+        expected = []
+        for _ in range(12):
+            e_par, e_perp = decompose_perturbation(rng.normal(0.0, scale, cfg.n_f), an)
+            expected += [("adversarial", e_par), ("invariant", e_perp)]
+        assert [r.kind for r in records] == [kind for kind, _ in expected]
+        for r, (_, d) in zip(records, expected):
+            assert np.allclose(r.direction, d, rtol=0.0, atol=1e-15)
+            fd = (predict(model, x + eta * r.direction) - predict(model, x)) / eta
+            assert abs(r.d_y_pred - fd) <= 1e-12
+            assert r.d_y_true == teacher.beta @ r.direction
+            assert r.eta == eta
 
-    def test_quadratic_oracle(self):
-        f = lambda v: float(v @ v)
-        x = np.array([1.0, 0.0])
-        e = np.array([1.0, 0.0])
-        assert directional_derivative(f, x, e, 1e-2) == pytest.approx(2.01, rel=1e-12)
+    def test_quadratic_teacher_oracle(self):
+        # y*(v) = beta.v + v_0^2, so the one-sided difference at eta is
+        # beta.d + 2 x_0 d_0 + eta d_0^2 exactly in real arithmetic
+        cfg, teacher, data, model, an = _setup()
+        quad = TeacherModel(teacher.beta, teacher.sigma_eps, lambda v: v[0] ** 2)
+        x = np.full(cfg.n_f, 0.3)
+        eta = 1e-2
+        records, _ = perturbation_experiment(model, quad, an, x, cfg, n_pairs=10, eta=eta)
+        for r in records:
+            d = r.direction
+            oracle = teacher.beta @ d + 2 * x[0] * d[0] + eta * d[0] ** 2
+            assert r.d_y_true == pytest.approx(oracle, rel=0.0, abs=1e-12)
 
-    def test_rejects_bad_eta(self):
+    @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
+    def test_rejects_bad_eta(self, eta):
+        cfg, teacher, data, model, an = _setup()
         with pytest.raises(ConfigurationError):
-            directional_derivative(lambda v: 0.0, np.zeros(2), np.zeros(2), 0.0)
+            perturbation_experiment(model, teacher, an, np.zeros(cfg.n_f), cfg, n_pairs=4, eta=eta)
+
+    def test_non_finite_labels_raise(self):
+        cfg, teacher, data, model, an = _setup()
+        # finite at the base point x = 0, infinite at every moved point
+        bad = TeacherModel(teacher.beta, teacher.sigma_eps, lambda v: np.inf if v.any() else 0.0)
+        with pytest.raises(NumericError):
+            perturbation_experiment(model, bad, an, np.zeros(cfg.n_f), cfg, n_pairs=4)
 
 
 class TestRepresentationInvariance:
