@@ -76,7 +76,6 @@ from .linreg_core import (
     pseudoinverse,
     sample_dataset,
     sample_teacher,
-    training_error,
 )
 from .perturbation import (
     PerturbationRecord,

@@ -85,7 +85,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"m_test must be a positive integer, got {self.m_test!r}")
         # written as "not v > 0" so that NaN, which fails every comparison,
         # is rejected too
-        for name in ("sigma_x", "sigma_beta"):
+        for name in ("sigma_x", "sigma_beta", "relu_c"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be > 0")
         for name in ("sigma_eps", "sigma_w", "lam"):

@@ -53,7 +53,6 @@ from .linreg_core import (
     predict,
     sample_dataset,
     sample_teacher,
-    training_error,
 )
 
 # ------------------------------------------------------------ per-point
@@ -174,7 +173,6 @@ def _paired_metrics(draw: PairedDraw, symmetric: bool) -> dict:
     cross product (T - A1).(T - A2) either way.
     """
     models = (draw.model_1, draw.model_2)
-    trains = (draw.train_1, draw.train_2)
 
     def reduce(per_fit):
         return 0.5 * (per_fit(0) + per_fit(1)) if symmetric else per_fit(0)
@@ -182,7 +180,7 @@ def _paired_metrics(draw: PairedDraw, symmetric: bool) -> dict:
     z_t = apply_features(draw.feature_map, draw.test.X)
     t, *a = paired_projections(draw)
     return {
-        "train_error": reduce(lambda k: training_error(models[k], trains[k])),
+        "train_error": reduce(lambda k: models[k].train_error),
         "test_error": reduce(lambda k: np.mean((draw.test.y - z_t @ models[k].w_hat) ** 2)),
         "geom_error": reduce(lambda k: np.mean((t - a[k]) ** 2)),
         "bias_sq": np.mean((t - a[0]) * (t - a[1])),

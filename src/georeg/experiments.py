@@ -17,7 +17,8 @@ exchangeable, so this changes no mean, but per-replica bias_sq + variance
 then telescopes exactly to geom_error, and reported standard errors shrink.
 The five error metrics are the symmetric reduction of decomposition's
 paired-replica kernel, the same per-replica products that bias_variance_mc
-reduces one-sidedly; the P_f metrics read the replica's cached operators.
+reduces one-sidedly; the P_f metrics read the replica's cached operators;
+sigma_Z_min and frob_I_minus_Pl read each fit's stored factorization of Z.
 
 RNG streams are keyed by (grid-point index, replica index), so results do
 not depend on execution order or worker count.
@@ -35,7 +36,6 @@ from .config import ExperimentConfig, ratio_to_count
 from .decomposition import _paired_metrics, draw_paired_replica, summarize
 from .errors import ConfigurationError, NumericError, ShapeError
 from .geometry import _frob_complement, analyze_operator
-from .linreg_core import _spectral_filter
 
 ALL_METRICS = (
     "train_error",
@@ -131,15 +131,13 @@ def metric_frobenius_complements(p_l: np.ndarray, p_f: np.ndarray) -> tuple[floa
 
 
 def _frob_complement_from_fit(model) -> float:
-    """|I - P_l|_F via the Gram identity, reusing the fit's SVD.
+    """|I - P_l|_F via the Gram identity, from the fit's kept modes.
 
-    |I - U U^T|_F^2 = M - 2 |U|_F^2 + |U^T U|_F^2 for the retained columns U,
-    which measures the same matrix without forming it.
+    |I - U U^T|_F^2 = M - 2 |U|_F^2 + |U^T U|_F^2 for the kept columns U of
+    Z's factorization, which measures the same matrix without forming it.
     """
-    u, s, _ = model.svd
-    ur = u[:, _spectral_filter(s, 0.0, model.rel_tol)[0]]
-    m = u.shape[0]
-    sq = m - 2.0 * np.sum(ur * ur) + np.sum((ur.T @ ur) ** 2)
+    ur = model.factors.U_k
+    sq = ur.shape[0] - 2.0 * np.sum(ur * ur) + np.sum((ur.T @ ur) ** 2)
     return float(np.sqrt(max(sq, 0.0)))
 
 

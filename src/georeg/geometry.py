@@ -22,6 +22,9 @@ oblique operator with small nonzero delta_phi away from the degenerate
 directions.  theta_max and delta_phi_max refer to the angles paired with the
 LARGEST singular value, i.e. those of the leading mode.
 
+Every SVD here, of Z and of P_f, is a linreg_core.factorize, and the model
+route takes G from the fit's stored factorization.
+
 Angles are evaluated with the chord form theta = 2 atan2(|u - v|, |u + v|),
 which is exact where arccos of a dot product loses six digits, so the
 identity family reports theta at the 1e-12-degree level rather than 1e-6.
@@ -32,16 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ShapeError
+from .errors import ConfigurationError, ShapeError
 from .linreg_core import (
     Dataset,
     FeatureMap,
     FittedModel,
     TeacherModel,
-    _effective_inverse,
-    _spectral_filter,
-    _thin_svd,
     apply_features,
+    factorize,
 )
 
 # ------------------------------------------------------------- projectors
@@ -61,10 +62,20 @@ def label_projector(Z: np.ndarray, rel_tol: float | None = None) -> LabelProject
     When rank(Z) = M this is the identity on label space and the model can
     interpolate any label vector.
     """
-    (U, s, _), tol = _thin_svd(np.asarray(Z, dtype=float), rel_tol, "label_projector")
-    keep = _spectral_filter(s, 0.0, tol)[0]
-    Ur = U[:, keep]
-    return LabelProjector(p_l=Ur @ Ur.T, rank=int(np.count_nonzero(keep)))
+    factors = factorize(Z, rel_tol=rel_tol, caller="label_projector")
+    return LabelProjector(p_l=factors.U_k @ factors.U_k.T, rank=factors.rank)
+
+
+def _operator(feature_map: FeatureMap, G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """P_f = (W G X)^T for the N_p x M effective inverse G of a fit's Z."""
+    X = np.asarray(X, dtype=float)
+    W = feature_map.W
+    n_p, m = G.shape
+    if W.shape[1] != n_p:
+        raise ShapeError(f"W is {W.shape} but Z has {n_p} feature columns")
+    if X.shape != (m, W.shape[0]):
+        raise ShapeError(f"X is {X.shape}, expected ({m}, {W.shape[0]})")
+    return (W @ G @ X).T
 
 
 def feature_operator(
@@ -73,36 +84,22 @@ def feature_operator(
     X: np.ndarray,
     lam: float = 0.0,
     rel_tol: float | None = None,
-    z_inverse: np.ndarray | None = None,
 ) -> np.ndarray:
     """The feature-space operator P_f = (W G X)^T, shape N_f x N_f.
 
     G is Z^+ for lam = 0 and the ridge-filtered inverse V diag(s/(s^2+lam)) U^T
     for lam > 0, so operator diagnostics describe the same estimator that was
-    actually fitted.  ``z_inverse`` lets callers reuse a FittedModel's
-    effective inverse instead of redoing the SVD.
+    actually fitted.
     """
-    Z = np.asarray(Z, dtype=float)
-    X = np.asarray(X, dtype=float)
-    W = feature_map.W
-    m, n_p = Z.shape
-    if W.shape[1] != n_p:
-        raise ShapeError(f"W is {W.shape} but Z has {n_p} feature columns")
-    if X.shape != (m, W.shape[0]):
-        raise ShapeError(f"X is {X.shape}, expected ({m}, {W.shape[0]})")
-    if z_inverse is None:
-        svd, tol = _thin_svd(Z, rel_tol, "feature_operator")
-        z_inverse = _effective_inverse(svd, lam, tol)
-    return (W @ z_inverse @ X).T
+    G = factorize(Z, lam, rel_tol, caller="feature_operator").effective_inverse()
+    return _operator(feature_map, G, X)
 
 
 def feature_operator_from_model(model: FittedModel, X: np.ndarray) -> np.ndarray:
-    """P_f for a fitted model, reusing its stored SVD."""
+    """P_f for a fitted model, from the effective inverse of its factorization."""
     if model.feature_map is None:
         raise ConfigurationError("model has no feature map attached")
-    return feature_operator(
-        model.feature_map, model.Z, X, lam=model.lam, z_inverse=model.effective_inverse()
-    )
+    return _operator(model.feature_map, model.effective_inverse(), X)
 
 
 # ----------------------------------------------------------- SVD analysis
@@ -175,15 +172,8 @@ def analyze_operator(p_f: np.ndarray, rank_tol: float = 1e-10) -> FeatureOperato
     p_f = np.asarray(p_f, dtype=float)
     if p_f.ndim != 2 or p_f.shape[0] != p_f.shape[1]:
         raise ShapeError(f"P_f must be square, got shape {p_f.shape}")
-    if not rank_tol > 0:
-        raise ConfigurationError(f"rank_tol must be positive, got {rank_tol}")
-    if not np.all(np.isfinite(p_f)):
-        raise NumericError("analyze_operator input has non-finite entries")
-    u, sv, vt = np.linalg.svd(p_f)
-    keep = _spectral_filter(sv, 0.0, rank_tol)[0]
-    sig = sv[keep]
-    U = u[:, keep]
-    V = vt[keep, :].T
+    factors = factorize(p_f, rel_tol=rank_tol, caller="analyze_operator")
+    sig, U, V = factors.s_k, factors.U_k, factors.Vt_k.T
     th_deg, dphi_deg = _stable_angles(sig, U, V)
     return FeatureOperatorAnalysis(
         p_f=p_f,
@@ -286,10 +276,7 @@ def prediction_decomposition(
     G = model.effective_inverse()  # N_p x M
     z = apply_features(model.feature_map, x)
     dz_nl = z - W.T @ x
-    if teacher.nonlinear_label_fn is None:
-        dy_nl = np.zeros(data.X.shape[0])
-    else:
-        dy_nl = np.array([teacher.nonlinear_label_fn(row) for row in data.X])
+    dy_nl = teacher.y_star(data.X) - data.X @ teacher.beta
 
     x_hat_dot_beta = float(x @ (W @ (G @ (data.X @ teacher.beta))))
     delta_y_hat = float(dz_nl @ (G @ data.y) + x @ (W @ (G @ (dy_nl + data.eps))))

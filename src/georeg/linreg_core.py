@@ -13,17 +13,18 @@ the feature map under Gaussian inputs (Stein's identity), which the geometric
 diagnostics rely on.
 
 Fitting minimizes |Z w - y|^2 + lam |w|^2 through the effective inverse
-G = V diag(f) U^T of the thin SVD Z = U diag(s) V^T.  One private kernel,
-_spectral_filter, owns the package's singular-value rule: rank(Z) counts
-s > rel_tol * s_max, and the filter factors are f = 1/s on those modes for
-lam = 0 (the minimum-norm what = Z^+ y) or f = s/(s^2 + lam) on every mode
-for lam > 0.  fit, FittedModel.effective_inverse and pseudoinverse build w
-and G from it, and geometry takes its cut and its G from the same place, so
-algebraic identities between the operators hold to round-off on either path.
+G = V diag(f) U^T of the thin SVD Z = U diag(s) V^T.  factorize holds the
+package's only SVD and singular-value rule: its Factorization keeps the
+modes s > rel_tol * s_max (rank(Z) counts them), with filter factors
+f = 1/s on those modes for lam = 0 (the minimum-norm what = Z^+ y) or
+f = s/(s^2 + lam) on every mode for lam > 0.  A FittedModel keeps the
+Factorization of Z; pseudoinverse, geometry and the sweep read rank, kept
+modes and G from one, so identities between the operators hold to round-off.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -43,11 +44,12 @@ from .errors import ConfigurationError, NumericError, ShapeError
 
 @dataclass(frozen=True)
 class TeacherModel:
-    """Ground-truth label generator y*(x) = x.beta [+ nonlinear_label_fn(x)]."""
+    """Ground-truth label generator y*(x) = x.beta [+ nonlinear_label_fn(x)];
+    nonlinear_label_fn maps the 2-D array of input rows to one value per row."""
 
     beta: np.ndarray
     sigma_eps: float
-    nonlinear_label_fn: Callable[[np.ndarray], float] | None = None
+    nonlinear_label_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def y_star(self, X: np.ndarray) -> np.ndarray:
         """Noiseless labels for each row of X."""
@@ -57,9 +59,12 @@ class TeacherModel:
                 f"X has {X.shape[1]} columns but beta has length {self.beta.shape[0]}"
             )
         out = X @ self.beta
-        if self.nonlinear_label_fn is not None:
-            out = out + np.array([self.nonlinear_label_fn(row) for row in X])
-        return out
+        if self.nonlinear_label_fn is None:
+            return out
+        nl = np.asarray(self.nonlinear_label_fn(X), dtype=float)
+        if nl.shape != out.shape:
+            raise ShapeError(f"nonlinear_label_fn gave shape {nl.shape} for {X.shape[0]} rows")
+        return out + nl
 
 
 def sample_teacher(config: ExperimentConfig, stream_tag: StreamTag = (0, 0, STREAM_TEACHER)) -> TeacherModel:
@@ -197,39 +202,75 @@ def apply_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- fitting
 
 
-def _spectral_filter(s: np.ndarray, lam: float, rel_tol: float) -> tuple:
-    """The package's one singular-value rule: (keep, modes, f).
+@dataclass(frozen=True)
+class Factorization:
+    """The thin SVD A = U diag(s) Vt, the mask keep of the modes that pass the
+    cut, and the ridge lam that sets the filter factors of G = V diag(f) U^T."""
 
-    keep masks the kept modes, s > rel_tol * s_max; rank(Z) counts them.
-    The effective inverse is G = V[:, modes] diag(f) U[:, modes]^T with the
-    filter factors f = s/(s^2 + lam) on every mode for lam > 0 and f = 1/s
-    on the kept modes for lam = 0.
-    """
+    U: np.ndarray = field(repr=False)
+    s: np.ndarray
+    Vt: np.ndarray = field(repr=False)
+    lam: float
+    keep: np.ndarray
+
+    # The kept modes are copied with the boolean mask, not sliced, and G is
+    # built from them for lam = 0 but from the unsliced factors for lam > 0:
+    # the products' round-off, hence the last digits of every reported
+    # number, depends on that layout.
+    @cached_property
+    def U_k(self) -> np.ndarray:
+        return self.U[:, self.keep]
+
+    @cached_property
+    def s_k(self) -> np.ndarray:
+        return self.s[self.keep]
+
+    @cached_property
+    def Vt_k(self) -> np.ndarray:
+        return self.Vt[self.keep]
+
+    @property
+    def rank(self) -> int:
+        return int(self.s_k.size)
+
+    @property
+    def sigma_min(self) -> float:
+        return float(self.s_k.min()) if self.rank else 0.0
+
+    @cached_property
+    def _filtered(self) -> tuple:  # (U, f, Vt) with G = Vt^T diag(f) U^T
+        if self.lam > 0:
+            return self.U, self.s / (self.s**2 + self.lam), self.Vt
+        return self.U_k, 1.0 / self.s_k, self.Vt_k
+
+    def effective_inverse(self) -> np.ndarray:
+        """G = V diag(f) U^T, shape (columns of A) x (rows of A)."""
+        U, f, Vt = self._filtered
+        return Vt.T @ (f[:, None] * U.T)
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """G y without forming G."""
+        U, f, Vt = self._filtered
+        return Vt.T @ (f * (U.T @ y))
+
+
+def factorize(
+    A: np.ndarray, lam: float = 0.0, rel_tol: float | None = None, *, caller: str = "factorize"
+) -> Factorization:
+    """Thin SVD of a finite 2-D A for the ridge lam >= 0, keeping s > rel_tol * s_max
+    (rel_tol > 0, default default_rel_tol(A.shape)); errors name ``caller``."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ShapeError(f"{caller} input must be 2-D, got shape {A.shape}")
     if not lam >= 0:
         raise ConfigurationError(f"lam must be >= 0, got {lam}")
-    keep = s > rel_tol * (s[0] if s.size else 0.0)
-    # modes is a mask, not a slice: indexing with it copies the kept columns
-    # of the SVD factors into C order, and the products' round-off, hence the
-    # last digits of every reported number, depends on that layout.
-    if lam > 0:
-        return keep, slice(None), s / (s**2 + lam)
-    return keep, keep, 1.0 / s[keep]
-
-
-def _thin_svd(A: np.ndarray, rel_tol: float | None, caller: str) -> tuple[tuple, float]:
-    """Thin SVD (U, s, Vt) of a finite matrix, with the cutoff to apply to it
-    (default_rel_tol(A.shape) when rel_tol is None)."""
+    tol = default_rel_tol(A.shape) if rel_tol is None else float(rel_tol)
+    if not tol > 0:
+        raise ConfigurationError(f"{caller}: the relative cutoff must be > 0, got {rel_tol}")
     if not np.all(np.isfinite(A)):
         raise NumericError(f"{caller} input has non-finite entries")
-    tol = default_rel_tol(A.shape) if rel_tol is None else float(rel_tol)
-    return np.linalg.svd(A, full_matrices=False), tol
-
-
-def _effective_inverse(svd: tuple, lam: float, rel_tol: float) -> np.ndarray:
-    """G = V diag(f) U^T from an SVD of Z, with f from _spectral_filter."""
-    U, s, Vt = svd
-    _, modes, f = _spectral_filter(s, lam, rel_tol)
-    return Vt[modes].T @ (f[:, None] * U[:, modes].T)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    return Factorization(U, s, Vt, float(lam), keep=s > tol * (s[0] if s.size else 0.0))
 
 
 def pseudoinverse(A: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
@@ -237,28 +278,36 @@ def pseudoinverse(A: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
 
     rel_tol defaults to 1e-10 * max(A.shape).
     """
-    svd, tol = _thin_svd(np.asarray(A, dtype=float), rel_tol, "pseudoinverse")
-    return _effective_inverse(svd, 0.0, tol)
+    return factorize(A, rel_tol=rel_tol, caller="pseudoinverse").effective_inverse()
 
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Result of one least-squares/ridge fit, with its SVD kept for reuse."""
+    """Result of one least-squares/ridge fit, with its factorization kept for reuse."""
 
     w_hat: np.ndarray
-    lam: float
     feature_map: FeatureMap | None
     Z: np.ndarray = field(repr=False)
-    rank_z: int
-    sigma_z_min: float
-    svd: tuple = field(repr=False)  # (U, s, Vt) of Z
-    rel_tol: float
+    factors: Factorization = field(repr=False)
+    train_error: float  # mean((y - Z w_hat)^2) on the training set
+
+    @property
+    def lam(self) -> float:
+        return self.factors.lam
+
+    @property
+    def rank_z(self) -> int:
+        return self.factors.rank
+
+    @property
+    def sigma_z_min(self) -> float:
+        return self.factors.sigma_min
 
     def effective_inverse(self) -> np.ndarray:
         """The matrix G with what = G y: truncated Z^+ for lam = 0, the
         ridge-filtered inverse for lam > 0.  Downstream operators built from
         G satisfy their algebraic identities to round-off for either path."""
-        return _effective_inverse(self.svd, self.lam, self.rel_tol)
+        return self.factors.effective_inverse()
 
 
 def fit(
@@ -273,28 +322,23 @@ def fit(
     lam = 0: minimum-norm solution what = Z^+ y (SVD truncation at
     rel_tol * sigma_max, default rel_tol = 1e-10 * max(M, n_p)).
     lam > 0: ridge solution through filter factors sigma/(sigma^2 + lam).
-    Also records rank(Z) and the smallest retained singular value.
+    Also records rank(Z), the smallest retained singular value and the train error.
     """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
-    if Z.ndim != 2:
-        raise ShapeError(f"Z must be 2-D, got shape {Z.shape}")
+    factors = factorize(Z, lam, rel_tol, caller="fit")
     if Z.shape[0] != y.shape[0]:
         raise ShapeError(f"Z has {Z.shape[0]} rows but y has length {y.shape[0]}")
     if not np.all(np.isfinite(y)):
         raise NumericError("fit input has non-finite entries")
-    (U, s, Vt), rel_tol = _thin_svd(Z, rel_tol, "fit")
-    keep, modes, f = _spectral_filter(s, lam, rel_tol)
-    rank = int(np.count_nonzero(keep))
+    w_hat = factors.solve(y)
+    r = y - Z @ w_hat
     return FittedModel(
-        w_hat=Vt[modes].T @ (f * (U[:, modes].T @ y)),
-        lam=float(lam),
+        w_hat=w_hat,
         feature_map=feature_map,
         Z=Z,
-        rank_z=rank,
-        sigma_z_min=float(s[keep].min()) if rank else 0.0,
-        svd=(U, s, Vt),
-        rel_tol=rel_tol,
+        factors=factors,
+        train_error=float(np.mean(r * r)),
     )
 
 
@@ -306,19 +350,3 @@ def predict(model: FittedModel, x: np.ndarray) -> float:
     if z.ndim != 1:
         raise ShapeError("predict expects a single input vector")
     return float(z @ model.w_hat)
-
-
-def training_error(model: FittedModel, data: Dataset) -> float:
-    """Mean squared residual (1/M) |y - Z what|^2 on ``data``.
-
-    When ``data`` is the model's own training set and lam = 0 this equals
-    (1/M) |(I - P_l) y|^2 by the projector identity.
-    """
-    if model.feature_map is not None:
-        Z = apply_features(model.feature_map, data.X)
-    else:
-        Z = model.Z
-        if Z.shape[0] != data.y.shape[0]:
-            raise ShapeError("dataset size does not match the model's features")
-    r = data.y - Z @ model.w_hat
-    return float(np.mean(r * r))

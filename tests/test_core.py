@@ -13,7 +13,9 @@ from georeg import (
     analyze_operator,
     apply_features,
     default_rel_tol,
+    feature_operator,
     fit,
+    label_projector,
     make_feature_map,
     predict,
     pseudoinverse,
@@ -22,7 +24,6 @@ from georeg import (
     sample_teacher,
     sigma_eps_for_snr,
     stream_rng,
-    training_error,
 )
 
 
@@ -94,6 +95,7 @@ NAN, INF = float("nan"), float("inf")
         lambda: ExperimentConfig(sigma_beta=NAN),
         lambda: ExperimentConfig(sigma_eps=NAN),
         lambda: ExperimentConfig(sigma_w=NAN),
+        lambda: ExperimentConfig(relu_c=NAN),
         lambda: fit(np.eye(4), np.ones(4), lam=NAN),
         lambda: analyze_operator(np.eye(3), rank_tol=NAN),
         lambda: sigma_eps_for_snr(NAN),
@@ -102,13 +104,41 @@ NAN, INF = float("nan"), float("inf")
     ],
     ids=[
         "config-lam", "config-sigma_x", "config-sigma_beta", "config-sigma_eps", "config-sigma_w",
-        "fit-lam", "analyze-rank_tol", "snr", "ratio-nan", "ratio-inf",
+        "config-relu_c", "fit-lam", "analyze-rank_tol", "snr", "ratio-nan", "ratio-inf",
     ],
 )
 def test_nan_and_inf_rejected(call):
     # NaN fails every comparison, so a range check written as "v < 0" lets it through
     with pytest.raises(ConfigurationError):
         call()
+
+
+def _rank_deficient_z():
+    # 6 x 5 with a zero column: one singular value is exactly 0
+    Z = np.random.default_rng(4).normal(size=(6, 5))
+    Z[:, 2] = 0.0
+    return Z
+
+
+@pytest.mark.parametrize("rel_tol", [NAN, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda Z, t: fit(Z, np.ones(6), rel_tol=t),
+        lambda Z, t: pseudoinverse(Z, rel_tol=t),
+        lambda Z, t: label_projector(Z, rel_tol=t),
+        lambda Z, t: feature_operator(
+            make_feature_map(ExperimentConfig(m=6, n_f=3, n_p=5, activation="linear")),
+            Z, np.zeros((6, 3)), rel_tol=t,
+        ),
+    ],
+    ids=["fit", "pseudoinverse", "label_projector", "feature_operator"],
+)
+def test_bad_rel_tol_rejected(call, rel_tol):
+    # NaN kept no mode and a negative cutoff kept the zero singular value
+    # (an all-NaN w_hat); both must raise instead
+    with pytest.raises(ConfigurationError):
+        call(_rank_deficient_z(), rel_tol)
 
 
 class TestStreams:
@@ -165,9 +195,15 @@ class TestSampling:
 
     def test_nonlinear_teacher_labels(self):
         beta = np.array([1.0, -2.0])
-        teacher = TeacherModel(beta=beta, sigma_eps=0.0, nonlinear_label_fn=lambda v: v[0] ** 2)
+        teacher = TeacherModel(beta=beta, sigma_eps=0.0, nonlinear_label_fn=lambda X: X[:, 0] ** 2)
         X = np.array([[1.0, 1.0], [2.0, 0.0]])
         assert np.allclose(teacher.y_star(X), [1.0 - 2.0 + 1.0, 2.0 + 4.0])
+
+    def test_nonlinear_label_fn_must_return_one_value_per_row(self):
+        # a per-row function under the array contract would return a row
+        teacher = TeacherModel(beta=np.ones(2), sigma_eps=0.0, nonlinear_label_fn=lambda v: v[0] ** 2)
+        with pytest.raises(ShapeError):
+            teacher.y_star(np.ones((3, 2)))
 
     def test_dataset_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -345,7 +381,7 @@ class TestPredictAndError:
         z = apply_features(fmap, x)
         assert predict(model, x) == pytest.approx(float(z @ model.w_hat))
 
-    def test_training_error_is_projector_residual(self):
+    def test_train_error_is_projector_residual(self):
         rng = np.random.default_rng(12)
         cfg = ExperimentConfig(m=20, n_f=6, n_p=30, lam=0.0)
         teacher = sample_teacher(cfg)
@@ -354,15 +390,15 @@ class TestPredictAndError:
         Z = apply_features(fmap, data.X)
         model = fit(Z, data.y, feature_map=fmap)
         resid = data.y - Z @ pseudoinverse(Z) @ data.y
-        assert training_error(model, data) == pytest.approx(np.mean(resid**2), abs=1e-12)
+        assert model.train_error == pytest.approx(np.mean(resid**2), abs=1e-12)
 
-    def test_training_error_zero_at_interpolation(self):
+    def test_train_error_zero_at_interpolation(self):
         cfg = ExperimentConfig(m=16, n_f=8, n_p=64, lam=0.0)
         teacher = sample_teacher(cfg)
         data = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
         fmap = make_feature_map(cfg)
         model = fit(apply_features(fmap, data.X), data.y, feature_map=fmap)
-        assert training_error(model, data) <= 1e-12 * cfg.sigma_y_sq
+        assert model.train_error <= 1e-12 * cfg.sigma_y_sq
 
 
 def test_public_api_names_resolve():

@@ -9,6 +9,8 @@ from georeg import (
     ShapeError,
     SweepSpec,
     bias_variance_mc,
+    draw_paired_replica,
+    label_projector,
     metric_frobenius_complements,
     run_sweep,
     summarize,
@@ -51,6 +53,22 @@ class TestFrobeniusComplements:
     def test_rejects_nonsquare(self):
         with pytest.raises(ShapeError):
             metric_frobenius_complements(np.zeros((2, 3)), np.eye(2))
+
+    def test_sweep_label_complement(self):
+        # relu Z has full column rank N_p: below the threshold |I - P_l|_F is
+        # sqrt(M - N_p) exactly; past it P_l = I and only round-off remains
+        base = ExperimentConfig(m=32, n_f=8, n_p=32)
+        under, over = run_sweep(SweepSpec(base, np_over_m_grid=(0.5, 2.0), n_replicas=2)).rows
+        draws = [draw_paired_replica(base.with_updates(n_p=under.n_p), 0, r) for r in range(2)]
+        formed = np.mean([
+            np.linalg.norm(np.eye(base.m) - label_projector(model.Z).p_l)
+            for d in draws
+            for model in (d.model_1, d.model_2)
+        ])
+        value = under.means["frob_I_minus_Pl"]
+        assert value == pytest.approx(np.sqrt(base.m - under.n_p), rel=1e-12)
+        assert value == pytest.approx(formed, rel=1e-12)
+        assert over.means["frob_I_minus_Pl"] <= 1e-6
 
 
 class TestSweepSpec:

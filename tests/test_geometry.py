@@ -298,7 +298,7 @@ class TestPredictionDecomposition:
         from georeg import TeacherModel
 
         teacher = TeacherModel(
-            beta=base.beta, sigma_eps=cfg.sigma_eps, nonlinear_label_fn=lambda v: 0.3 * v[0] ** 2
+            beta=base.beta, sigma_eps=cfg.sigma_eps, nonlinear_label_fn=lambda X: 0.3 * X[:, 0] ** 2
         )
         data = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
         fmap = make_feature_map(cfg)

@@ -114,7 +114,7 @@ class TestBatchedResponses:
         # y*(v) = beta.v + v_0^2, so the one-sided difference at eta is
         # beta.d + 2 x_0 d_0 + eta d_0^2 exactly in real arithmetic
         cfg, teacher, data, model, an = _setup()
-        quad = TeacherModel(teacher.beta, teacher.sigma_eps, lambda v: v[0] ** 2)
+        quad = TeacherModel(teacher.beta, teacher.sigma_eps, lambda X: X[:, 0] ** 2)
         x = np.full(cfg.n_f, 0.3)
         eta = 1e-2
         records, _ = perturbation_experiment(model, quad, an, x, cfg, n_pairs=10, eta=eta)
@@ -132,7 +132,9 @@ class TestBatchedResponses:
     def test_non_finite_labels_raise(self):
         cfg, teacher, data, model, an = _setup()
         # finite at the base point x = 0, infinite at every moved point
-        bad = TeacherModel(teacher.beta, teacher.sigma_eps, lambda v: np.inf if v.any() else 0.0)
+        bad = TeacherModel(
+            teacher.beta, teacher.sigma_eps, lambda X: np.where(X.any(axis=1), np.inf, 0.0)
+        )
         with pytest.raises(NumericError):
             perturbation_experiment(model, bad, an, np.zeros(cfg.n_f), cfg, n_pairs=4)
 

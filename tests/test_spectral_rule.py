@@ -6,7 +6,7 @@ the zero matrix), at scales far from 1 so that the relative cutoff matters.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from georeg import fit, label_projector, pseudoinverse
+from georeg import analyze_operator, fit, label_projector, pseudoinverse
 
 
 @st.composite
@@ -34,3 +34,13 @@ def test_fit_and_label_projector_share_the_rank(case):
     rank = fit(Z, y).rank_z
     assert rank == label_projector(Z).rank
     assert rank == r
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(planted_rank(), st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]))
+def test_analyze_operator_and_label_projector_share_the_cut(case, tol):
+    Z, _, _ = case
+    # zero-padded to a square: the same nonzero singular values
+    A = np.zeros((max(Z.shape),) * 2)
+    A[: Z.shape[0], : Z.shape[1]] = Z
+    assert analyze_operator(A, rank_tol=tol).rank == label_projector(A, rel_tol=tol).rank
