@@ -381,7 +381,7 @@ class TestPredictAndError:
         z = apply_features(fmap, x)
         assert predict(model, x) == pytest.approx(float(z @ model.w_hat))
 
-    def test_train_error_is_projector_residual(self):
+    def test_training_error_is_projector_residual(self):
         rng = np.random.default_rng(12)
         cfg = ExperimentConfig(m=20, n_f=6, n_p=30, lam=0.0)
         teacher = sample_teacher(cfg)
@@ -392,7 +392,7 @@ class TestPredictAndError:
         resid = data.y - Z @ pseudoinverse(Z) @ data.y
         assert model.train_error == pytest.approx(np.mean(resid**2), abs=1e-12)
 
-    def test_train_error_zero_at_interpolation(self):
+    def test_training_error_zero_at_interpolation(self):
         cfg = ExperimentConfig(m=16, n_f=8, n_p=64, lam=0.0)
         teacher = sample_teacher(cfg)
         data = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
