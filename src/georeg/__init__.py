@@ -48,7 +48,6 @@ from .experiments import (
     SweepResult,
     SweepRow,
     SweepSpec,
-    metric_frobenius_complements,
     run_sweep,
 )
 from .geometry import (
@@ -58,7 +57,6 @@ from .geometry import (
     analysis_to_json_dict,
     analyze_operator,
     angles_from_vectors,
-    feature_operator,
     feature_operator_from_model,
     internal_representation,
     label_projector,

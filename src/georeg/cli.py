@@ -263,6 +263,8 @@ def cmd_bias_variance(params: dict, out: str) -> int:
     header = ["np_over_m", "nf_over_m", *_PAIRED_METRICS, *(f"se_{c}" for c in _PAIRED_METRICS)]
     attrs = _PAIRED_METRICS.values()  # the BiasVarianceEstimate field behind each column
 
+    if params["replicas"] < 2:  # estimator precondition, not a per-point problem
+        raise ConfigurationError(f"replicas must be >= 2, got {params['replicas']}")
     rows = []
     failures = {}
     for gidx, np_r in enumerate(params["np_grid"]):
@@ -270,8 +272,6 @@ def cmd_bias_variance(params: dict, out: str) -> int:
             cfg = _config(params, np_r)
             est = bias_variance_mc(cfg, params["replicas"], grid_idx=gidx)
         except ConfigurationError as exc:
-            if params["replicas"] < 2:
-                raise  # estimator precondition, not a per-point problem
             failures[str(np_r)] = str(exc)
             print(f"bias-variance: grid point np_over_m={np_r} failed: {exc}", file=sys.stderr)
             continue

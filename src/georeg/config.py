@@ -91,12 +91,14 @@ class ExperimentConfig:
         for name in ("sigma_eps", "sigma_w", "lam"):
             if not getattr(self, name) >= 0:
                 raise ConfigurationError(f"{name} must be >= 0")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigurationError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.activation == "identity" and self.n_p != self.n_f:
             raise ConfigurationError(
                 f"identity activation requires n_p == n_f, got n_p={self.n_p}, n_f={self.n_f}"
             )
-        if self.seed < 0 or self.seed > 2**64 - 1:
-            raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed <= 2**64 - 1:
+            raise ConfigurationError(f"seed must be an integer that fits in 64 unsigned bits, got {self.seed!r}")
 
     # -- derived quantities -------------------------------------------------
 

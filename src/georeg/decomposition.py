@@ -216,8 +216,8 @@ def bias_variance_mc(
     come from the D1 fit.  Returns means over replicas with standard errors
     for every field.
     """
-    if n_replicas < 2:
-        raise ConfigurationError(f"n_replicas must be >= 2, got {n_replicas}")
+    if not isinstance(n_replicas, (int, np.integer)) or n_replicas < 2:
+        raise ConfigurationError(f"n_replicas must be an integer >= 2, got {n_replicas!r}")
     per = [
         _paired_metrics(draw_paired_replica(config, grid_idx, r), symmetric=False)
         for r in range(n_replicas)

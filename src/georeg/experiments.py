@@ -1,9 +1,9 @@
 """Double-descent sweeps: replicate, measure, and aggregate diagnostics.
 
-A sweep walks a grid of (N_p/M, N_f/M) ratios.  Each grid point runs
-n_replicas independent paired replicas (fresh teacher, weights, and data —
-see decomposition.draw_paired_replica) and records per-replica values of
-every metric in ALL_METRICS:
+A sweep walks a grid of N_p/M ratios at the base config's N_f.  Each grid
+point runs n_replicas independent paired replicas (fresh teacher, weights,
+and data — see decomposition.draw_paired_replica) and records per-replica
+values of every metric in ALL_METRICS:
 
     train_error, test_error      mean squared residuals (fresh test noise)
     geom_error, bias_sq, variance   geometric decomposition on the test set
@@ -17,8 +17,9 @@ exchangeable, so this changes no mean, but per-replica bias_sq + variance
 then telescopes exactly to geom_error, and reported standard errors shrink.
 The five error metrics are the symmetric reduction of decomposition's
 paired-replica kernel, the same per-replica products that bias_variance_mc
-reduces one-sidedly; the P_f metrics read the replica's cached operators;
-sigma_Z_min and frob_I_minus_Pl read each fit's stored factorization of Z.
+reduces one-sidedly; the P_f metrics, frob_I_minus_Pf among them, are
+properties of each cached operator's analysis; sigma_Z_min and
+frob_I_minus_Pl read each fit's stored factorization of Z.
 
 RNG streams are keyed by (grid-point index, replica index), so results do
 not depend on execution order or worker count.
@@ -34,8 +35,8 @@ import numpy as np
 
 from .config import ExperimentConfig, ratio_to_count
 from .decomposition import _paired_metrics, draw_paired_replica, summarize
-from .errors import ConfigurationError, NumericError, ShapeError
-from .geometry import _frob_complement, analyze_operator
+from .errors import ConfigurationError, NumericError
+from .geometry import analyze_operator
 
 ALL_METRICS = (
     "train_error",
@@ -62,35 +63,22 @@ NORMALIZED_METRICS = frozenset(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: base config, ratio grids, and replication."""
+    """What to sweep: base config, N_p/M grid, and replication."""
 
     base_config: ExperimentConfig
     np_over_m_grid: tuple
-    nf_over_m_grid: tuple = ()  # empty: keep base_config.n_f fixed
     n_replicas: int = 100
     normalize: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "np_over_m_grid", tuple(self.np_over_m_grid))
-        object.__setattr__(self, "nf_over_m_grid", tuple(self.nf_over_m_grid))
         if not self.np_over_m_grid:
             raise ConfigurationError("np_over_m_grid must not be empty")
-        for r in self.np_over_m_grid + self.nf_over_m_grid:
-            if r <= 0:
-                raise ConfigurationError(f"grid ratios must be positive, got {r}")
-        if self.n_replicas < 1:
-            raise ConfigurationError(f"n_replicas must be >= 1, got {self.n_replicas}")
-
-    def grid_points(self) -> list[tuple[int, float, float]]:
-        """(grid index, np_over_m, nf_over_m) in deterministic order."""
-        m = self.base_config.m
-        nf_grid = self.nf_over_m_grid or (self.base_config.n_f / m,)
-        return [
-            (i, np_r, nf_r)
-            for i, (np_r, nf_r) in enumerate(
-                (a, b) for a in self.np_over_m_grid for b in nf_grid
-            )
-        ]
+        for r in self.np_over_m_grid:
+            if not 0 < r < np.inf:
+                raise ConfigurationError(f"grid ratios must be finite and > 0, got {r}")
+        if not isinstance(self.n_replicas, (int, np.integer)) or self.n_replicas < 1:
+            raise ConfigurationError(f"n_replicas must be a positive integer, got {self.n_replicas!r}")
 
 
 @dataclass(frozen=True)
@@ -119,17 +107,6 @@ class SweepResult:
 # ------------------------------------------------------------- plumbing
 
 
-def metric_frobenius_complements(p_l: np.ndarray, p_f: np.ndarray) -> tuple[float, float]:
-    """(|I - P_l|_F, |I - P_f|_F)."""
-    out = []
-    for name, p in (("P_l", p_l), ("P_f", p_f)):
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ShapeError(f"{name} must be square, got shape {p.shape}")
-        out.append(_frob_complement(p))
-    return out[0], out[1]
-
-
 def _frob_complement_from_fit(model) -> float:
     """|I - P_l|_F via the Gram identity, from the fit's kept modes.
 
@@ -150,14 +127,13 @@ def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) 
         per_fit = {
             "sigma_Z_min": [m.sigma_z_min for m in models],
             "frob_I_minus_Pl": [_frob_complement_from_fit(m) for m in models],
-            "frob_I_minus_Pf": [_frob_complement(p) for p in draw.p_fs],
         }
         analyses = [analyze_operator(p) for p in draw.p_fs]
     except (NumericError, np.linalg.LinAlgError):
         return None
     if any(a.rank == 0 for a in analyses):
         return None
-    for name in ("sigma_max", "theta_max_deg", "delta_phi_max_deg"):
+    for name in ("frob_I_minus_Pf", "sigma_max", "theta_max_deg", "delta_phi_max_deg"):
         per_fit[name] = [getattr(a, name) for a in analyses]
     out.update({name: 0.5 * (v1 + v2) for name, (v1, v2) in per_fit.items()})
     vals = np.array(list(out.values()), dtype=float)
@@ -188,23 +164,22 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     t0 = time.perf_counter()
     base = spec.base_config
     m = base.m
+    nf_r = base.n_f / m
 
-    configs: dict[int, tuple[float, float, ExperimentConfig]] = {}
-    point_errors: dict[tuple[float, float], str] = {}
-    for gidx, np_r, nf_r in spec.grid_points():
+    configs: dict[int, tuple[float, ExperimentConfig]] = {}
+    point_errors: dict[tuple[float, float], str] = {}  # keyed (np_over_m, nf_over_m)
+    for gidx, np_r in enumerate(spec.np_over_m_grid):
         try:
-            cfg = base.with_updates(
-                n_p=ratio_to_count(np_r, m), n_f=ratio_to_count(nf_r, m)
-            )
+            cfg = base.with_updates(n_p=ratio_to_count(np_r, m))
         except ConfigurationError as exc:
             point_errors[(np_r, nf_r)] = str(exc)
             continue
-        configs[gidx] = (np_r, nf_r, cfg)
+        configs[gidx] = (np_r, cfg)
 
     # one task per (grid point, replica), as three parallel argument columns
     gidxs = [gidx for gidx in sorted(configs) for _ in range(spec.n_replicas)]
     replica_idxs = [r for _ in configs for r in range(spec.n_replicas)]
-    cfgs = [configs[gidx][2] for gidx in gidxs]
+    cfgs = [configs[gidx][1] for gidx in gidxs]
     if workers > 1 and len(gidxs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             replicas = list(pool.map(_replica_metrics, cfgs, gidxs, replica_idxs, chunksize=4))
@@ -217,7 +192,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     scale = base.sigma_y_sq if spec.normalize else 1.0
     rows = []
     for gidx in sorted(configs):
-        np_r, nf_r, cfg = configs[gidx]
+        np_r, cfg = configs[gidx]
         results = [r for r in per_point[gidx] if r is not None]
         n_dropped = spec.n_replicas - len(results)
         if n_dropped > 0.1 * spec.n_replicas:

@@ -22,8 +22,9 @@ oblique operator with small nonzero delta_phi away from the degenerate
 directions.  theta_max and delta_phi_max refer to the angles paired with the
 LARGEST singular value, i.e. those of the leading mode.
 
-Every SVD here, of Z and of P_f, is a linreg_core.factorize, and the model
-route takes G from the fit's stored factorization.
+Every SVD here, of Z and of P_f, is a linreg_core.factorize.  P_f has one
+route, feature_operator_from_model, which takes G from the fit's stored
+factorization; |I - P_f|_F is a property of the operator's analysis.
 
 Angles are evaluated with the chord form theta = 2 atan2(|u - v|, |u + v|),
 which is exact where arccos of a dot product loses six digits, so the
@@ -38,7 +39,6 @@ import numpy as np
 from .errors import ConfigurationError, ShapeError
 from .linreg_core import (
     Dataset,
-    FeatureMap,
     FittedModel,
     TeacherModel,
     apply_features,
@@ -66,40 +66,25 @@ def label_projector(Z: np.ndarray, rel_tol: float | None = None) -> LabelProject
     return LabelProjector(p_l=factors.U_k @ factors.U_k.T, rank=factors.rank)
 
 
-def _operator(feature_map: FeatureMap, G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """P_f = (W G X)^T for the N_p x M effective inverse G of a fit's Z."""
+def feature_operator_from_model(model: FittedModel, X: np.ndarray) -> np.ndarray:
+    """The feature-space operator P_f = (W G X)^T of a fit, shape N_f x N_f.
+
+    X holds the M training inputs the fit's Z was featurized from, and G is
+    the fit's effective inverse: Z^+ for lam = 0 and the ridge-filtered
+    inverse V diag(s/(s^2+lam)) U^T for lam > 0, so operator diagnostics
+    describe the same estimator that was actually fitted.
+    """
+    if model.feature_map is None:
+        raise ConfigurationError("model has no feature map attached")
     X = np.asarray(X, dtype=float)
-    W = feature_map.W
+    W = model.feature_map.W
+    G = model.effective_inverse()
     n_p, m = G.shape
     if W.shape[1] != n_p:
         raise ShapeError(f"W is {W.shape} but Z has {n_p} feature columns")
     if X.shape != (m, W.shape[0]):
         raise ShapeError(f"X is {X.shape}, expected ({m}, {W.shape[0]})")
     return (W @ G @ X).T
-
-
-def feature_operator(
-    feature_map: FeatureMap,
-    Z: np.ndarray,
-    X: np.ndarray,
-    lam: float = 0.0,
-    rel_tol: float | None = None,
-) -> np.ndarray:
-    """The feature-space operator P_f = (W G X)^T, shape N_f x N_f.
-
-    G is Z^+ for lam = 0 and the ridge-filtered inverse V diag(s/(s^2+lam)) U^T
-    for lam > 0, so operator diagnostics describe the same estimator that was
-    actually fitted.
-    """
-    G = factorize(Z, lam, rel_tol, caller="feature_operator").effective_inverse()
-    return _operator(feature_map, G, X)
-
-
-def feature_operator_from_model(model: FittedModel, X: np.ndarray) -> np.ndarray:
-    """P_f for a fitted model, from the effective inverse of its factorization."""
-    if model.feature_map is None:
-        raise ConfigurationError("model has no feature map attached")
-    return _operator(model.feature_map, model.effective_inverse(), X)
 
 
 # ----------------------------------------------------------- SVD analysis
@@ -141,6 +126,11 @@ class FeatureOperatorAnalysis:
     @property
     def delta_phi_max_deg(self) -> float | None:
         return float(self.delta_phis_deg[0]) if self.rank else None
+
+    @property
+    def frob_I_minus_Pf(self) -> float:
+        """|I - P_f|_F."""
+        return float(np.linalg.norm(np.eye(self.p_f.shape[0]) - self.p_f))
 
 
 def _stable_angles(sig: np.ndarray, U: np.ndarray, V: np.ndarray):
@@ -286,11 +276,6 @@ def prediction_decomposition(
 # ------------------------------------------------------------- reporting
 
 
-def _frob_complement(p: np.ndarray) -> float:
-    """|I - P|_F of a square operator P."""
-    return float(np.linalg.norm(np.eye(p.shape[0]) - p))
-
-
 def analysis_to_json_dict(analysis: FeatureOperatorAnalysis) -> dict:
     """Plain-types view of an analysis, e.g. for the CLI's angles command."""
     return {
@@ -300,5 +285,5 @@ def analysis_to_json_dict(analysis: FeatureOperatorAnalysis) -> dict:
         "sigma_max": analysis.sigma_max,
         "theta_max_deg": analysis.theta_max_deg,
         "delta_phi_max_deg": analysis.delta_phi_max_deg,
-        "frob_I_minus_Pf": _frob_complement(analysis.p_f),
+        "frob_I_minus_Pf": analysis.frob_I_minus_Pf,
     }

@@ -6,7 +6,7 @@ features z(x) come from one of three families:
 
     identity   z(x) = x                      (n_p = n_f)
     linear     z(x) = W^T x                  W random n_f x n_p
-    nonlinear  z(x) = C.phi(W^T x)           elementwise activation
+    relu       z(x) = C max(0, W^T x)        elementwise, C = config.relu_c
 
 For relu the prefactor C = 2 makes W the exact effective linear component of
 the feature map under Gaussian inputs (Stein's identity), which the geometric
@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .config import (
+    ACTIVATIONS,
     ExperimentConfig,
     StreamTag,
     STREAM_TEACHER,
@@ -120,67 +121,34 @@ def sample_dataset(
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """One of the three basis families with its effective linear component W."""
+    """One of the three basis families, named by kind (one of ACTIVATIONS),
+    with its effective linear component W and the relu prefactor C."""
 
-    kind: str  # identity | linear | nonlinear
+    kind: str
     W: np.ndarray  # n_f x n_p
-    activation: Callable[[np.ndarray], np.ndarray] | None = None
     normalization_c: float = 1.0
-    activation_name: str = ""
+
+    def __post_init__(self):
+        if self.kind not in ACTIVATIONS:
+            raise ConfigurationError(f"kind must be one of {ACTIVATIONS}, got {self.kind!r}")
 
 
 def make_feature_map(
-    config: ExperimentConfig,
-    stream_tag: StreamTag = (0, 0, STREAM_WEIGHTS),
-    activation_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    normalization_c: float | None = None,
+    config: ExperimentConfig, stream_tag: StreamTag = (0, 0, STREAM_WEIGHTS)
 ) -> FeatureMap:
     """Build the feature map named by config.activation.
 
-    identity: W = I and z(x) = x.  linear/nonlinear: W entries i.i.d.
-    N(0, sigma_w^2/n_p).  relu uses z = C max(0, W^T x) with C = 2, exact for
-    Gaussian inputs.  A custom activation must supply ``activation_fn`` and
-    ``normalization_c``; W is then only an approximation of the true effective
-    linear component, which is the caller's responsibility to account for.
+    identity: W = I and z(x) = x.  linear/relu: W entries i.i.d.
+    N(0, sigma_w^2/n_p).  relu uses z = C max(0, W^T x) with C = config.relu_c,
+    whose default 2 is exact for Gaussian inputs.
     """
-    kind = config.activation
-    if kind == "identity":
-        if config.n_p != config.n_f:
-            raise ConfigurationError("identity feature map requires n_p == n_f")
-        return FeatureMap(kind="identity", W=np.eye(config.n_f), activation_name="identity")
-
+    if config.activation == "identity":
+        return FeatureMap(kind="identity", W=np.eye(config.n_f))
     rng = stream_rng(config.seed, stream_tag)
     W = rng.normal(0.0, config.sigma_w / np.sqrt(config.n_p), (config.n_f, config.n_p))
-    if kind == "linear":
-        return FeatureMap(kind="linear", W=W, activation_name="linear")
-    if kind == "relu":
-        c = config.relu_c if normalization_c is None else float(normalization_c)
-        return FeatureMap(
-            kind="nonlinear",
-            W=W,
-            activation=lambda a: np.maximum(0.0, a),
-            normalization_c=c,
-            activation_name="relu",
-        )
-    if activation_fn is None:
-        raise ConfigurationError(
-            f"activation {kind!r} needs an explicit activation_fn and normalization_c"
-        )
-    if normalization_c is None:
-        raise ConfigurationError(f"custom activation {kind!r} needs normalization_c")
-    import warnings
-
-    warnings.warn(
-        f"custom activation {kind!r}: W is only an approximate effective linear component",
-        stacklevel=2,
-    )
-    return FeatureMap(
-        kind="nonlinear",
-        W=W,
-        activation=activation_fn,
-        normalization_c=float(normalization_c),
-        activation_name=kind,
-    )
+    if config.activation == "linear":
+        return FeatureMap(kind="linear", W=W)
+    return FeatureMap(kind="relu", W=W, normalization_c=config.relu_c)
 
 
 def apply_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
@@ -195,7 +163,7 @@ def apply_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
     elif fmap.kind == "linear":
         Z = X2 @ fmap.W
     else:
-        Z = fmap.normalization_c * fmap.activation(X2 @ fmap.W)
+        Z = fmap.normalization_c * np.maximum(0.0, X2 @ fmap.W)
     return Z[0] if one_d else Z
 
 
@@ -287,7 +255,6 @@ class FittedModel:
 
     w_hat: np.ndarray
     feature_map: FeatureMap | None
-    Z: np.ndarray = field(repr=False)
     factors: Factorization = field(repr=False)
     train_error: float  # mean((y - Z w_hat)^2) on the training set
 
@@ -336,7 +303,6 @@ def fit(
     return FittedModel(
         w_hat=w_hat,
         feature_map=feature_map,
-        Z=Z,
         factors=factors,
         train_error=float(np.mean(r * r)),
     )

@@ -9,11 +9,11 @@ from georeg import (
     NumericError,
     ShapeError,
     STREAM_TRAIN,
+    SweepSpec,
     TeacherModel,
     analyze_operator,
     apply_features,
     default_rel_tol,
-    feature_operator,
     fit,
     label_projector,
     make_feature_map,
@@ -54,6 +54,7 @@ class TestConfig:
             dict(lam=-1e-8),
             dict(seed=-1),
             dict(seed=2**64),
+            dict(seed=2.5),
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -101,10 +102,14 @@ NAN, INF = float("nan"), float("inf")
         lambda: sigma_eps_for_snr(NAN),
         lambda: ratio_to_count(NAN, 256),
         lambda: ratio_to_count(INF, 256),
+        lambda: ExperimentConfig(seed=NAN),
+        lambda: SweepSpec(ExperimentConfig(), np_over_m_grid=(NAN,)),
+        lambda: SweepSpec(ExperimentConfig(), np_over_m_grid=(INF,)),
     ],
     ids=[
         "config-lam", "config-sigma_x", "config-sigma_beta", "config-sigma_eps", "config-sigma_w",
         "config-relu_c", "fit-lam", "analyze-rank_tol", "snr", "ratio-nan", "ratio-inf",
+        "config-seed", "sweep-ratio-nan", "sweep-ratio-inf",
     ],
 )
 def test_nan_and_inf_rejected(call):
@@ -127,12 +132,8 @@ def _rank_deficient_z():
         lambda Z, t: fit(Z, np.ones(6), rel_tol=t),
         lambda Z, t: pseudoinverse(Z, rel_tol=t),
         lambda Z, t: label_projector(Z, rel_tol=t),
-        lambda Z, t: feature_operator(
-            make_feature_map(ExperimentConfig(m=6, n_f=3, n_p=5, activation="linear")),
-            Z, np.zeros((6, 3)), rel_tol=t,
-        ),
     ],
-    ids=["fit", "pseudoinverse", "label_projector", "feature_operator"],
+    ids=["fit", "pseudoinverse", "label_projector"],
 )
 def test_bad_rel_tol_rejected(call, rel_tol):
     # NaN kept no mode and a negative cutoff kept the zero singular value
@@ -233,13 +234,7 @@ class TestFeatureMaps:
     def test_relu_prefactor_and_cancellation(self):
         from georeg import FeatureMap
 
-        fmap = FeatureMap(
-            kind="nonlinear",
-            W=np.array([[1.0], [-1.0]]),
-            activation=lambda a: np.maximum(0.0, a),
-            normalization_c=2.0,
-            activation_name="relu",
-        )
+        fmap = FeatureMap(kind="relu", W=np.array([[1.0], [-1.0]]), normalization_c=2.0)
         # w^T x = 0 stays 0 through the activation
         assert apply_features(fmap, np.array([1.0, 1.0]))[0] == 0.0
         assert apply_features(fmap, np.array([3.0, 1.0]))[0] == pytest.approx(4.0)  # 2*max(0,2)
@@ -250,16 +245,15 @@ class TestFeatureMaps:
         assert fmap.W.std() == pytest.approx(2.0 / np.sqrt(1000), rel=0.05)
         assert fmap.normalization_c == 2.0
 
-    def test_custom_activation_needs_fn(self):
-        cfg = ExperimentConfig(activation="tanh")
-        with pytest.raises(ConfigurationError):
-            make_feature_map(cfg)
-        with pytest.raises(ConfigurationError):
-            make_feature_map(cfg, activation_fn=np.tanh)  # still no C
-        with pytest.warns(UserWarning):
-            fmap = make_feature_map(cfg, activation_fn=np.tanh, normalization_c=1.0)
-        x = np.zeros(cfg.n_f)
-        assert apply_features(fmap, x).shape == (cfg.n_p,)
+    def test_unknown_activation_rejected(self):
+        # the family is checked where it is named, before any draw
+        from georeg import FeatureMap
+
+        for name in ("tanh", "Relu", "nonlinear"):
+            with pytest.raises(ConfigurationError):
+                ExperimentConfig(activation=name)
+            with pytest.raises(ConfigurationError):
+                FeatureMap(kind=name, W=np.eye(2))
 
     def test_wrong_input_width(self):
         cfg = ExperimentConfig(n_f=4, n_p=6)

@@ -167,6 +167,8 @@ class TestBiasVarianceMC:
         cfg = ExperimentConfig(m=16, n_f=4, n_p=24)
         with pytest.raises(ConfigurationError):
             bias_variance_mc(cfg, n_replicas=1)
+        with pytest.raises(ConfigurationError):
+            bias_variance_mc(cfg, n_replicas=2.5)
 
     def test_variance_peaks_at_interpolation(self):
         # classic double-descent variance spike at n_p = m

@@ -8,10 +8,11 @@ from georeg import (
     ExperimentConfig,
     ShapeError,
     SweepSpec,
+    analyze_operator,
+    apply_features,
     bias_variance_mc,
     draw_paired_replica,
     label_projector,
-    metric_frobenius_complements,
     run_sweep,
     summarize,
 )
@@ -38,21 +39,20 @@ class TestSummarize:
 
 class TestFrobeniusComplements:
     def test_identity_is_zero(self):
-        fl, ff = metric_frobenius_complements(np.eye(4), np.eye(6))
-        assert fl == 0.0 and ff == 0.0
+        assert analyze_operator(np.eye(4)).frob_I_minus_Pf == 0.0
+        assert analyze_operator(np.eye(6)).frob_I_minus_Pf == 0.0
 
     def test_zero_matrix_is_sqrt_n(self):
-        fl, ff = metric_frobenius_complements(np.zeros((9, 9)), np.zeros((4, 4)))
-        assert fl == pytest.approx(3.0)
-        assert ff == pytest.approx(2.0)
+        # rank 0 keeps no mode, but |I - P_f|_F still measures the operator
+        assert analyze_operator(np.zeros((9, 9))).frob_I_minus_Pf == pytest.approx(3.0)
+        assert analyze_operator(np.zeros((4, 4))).frob_I_minus_Pf == pytest.approx(2.0)
 
     def test_rank_one_oracle(self):
-        fl, _ = metric_frobenius_complements(np.diag([1.0, 0.0]), np.eye(2))
-        assert fl == pytest.approx(1.0)
+        assert analyze_operator(np.diag([1.0, 0.0])).frob_I_minus_Pf == pytest.approx(1.0)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ShapeError):
-            metric_frobenius_complements(np.zeros((2, 3)), np.eye(2))
+            analyze_operator(np.zeros((2, 3))).frob_I_minus_Pf
 
     def test_sweep_label_complement(self):
         # relu Z has full column rank N_p: below the threshold |I - P_l|_F is
@@ -61,9 +61,9 @@ class TestFrobeniusComplements:
         under, over = run_sweep(SweepSpec(base, np_over_m_grid=(0.5, 2.0), n_replicas=2)).rows
         draws = [draw_paired_replica(base.with_updates(n_p=under.n_p), 0, r) for r in range(2)]
         formed = np.mean([
-            np.linalg.norm(np.eye(base.m) - label_projector(model.Z).p_l)
+            np.linalg.norm(np.eye(base.m) - label_projector(apply_features(d.feature_map, train.X)).p_l)
             for d in draws
-            for model in (d.model_1, d.model_2)
+            for train in (d.train_1, d.train_2)
         ])
         value = under.means["frob_I_minus_Pl"]
         assert value == pytest.approx(np.sqrt(base.m - under.n_p), rel=1e-12)
@@ -76,9 +76,8 @@ class TestSweepSpec:
         return ExperimentConfig(m=32, n_f=8, n_p=32, **kw)
 
     def test_coerces_grids_to_tuples(self):
-        spec = SweepSpec(self._base(), np_over_m_grid=[0.5, 1.0], nf_over_m_grid=[0.25])
+        spec = SweepSpec(self._base(), np_over_m_grid=[0.5, 1.0])
         assert spec.np_over_m_grid == (0.5, 1.0)
-        assert spec.nf_over_m_grid == (0.25,)
 
     def test_empty_np_grid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -89,23 +88,17 @@ class TestSweepSpec:
             SweepSpec(self._base(), np_over_m_grid=(0.5, -1.0))
 
     def test_zero_replicas_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepSpec(self._base(), np_over_m_grid=(1.0,), n_replicas=0)
+        for n in (0, 2.5):
+            with pytest.raises(ConfigurationError):
+                SweepSpec(self._base(), np_over_m_grid=(1.0,), n_replicas=n)
 
     def test_grid_points_np_major_with_default_nf(self):
-        spec = SweepSpec(
-            self._base(), np_over_m_grid=(0.5, 1.0), nf_over_m_grid=(0.25, 0.5)
-        )
-        pts = spec.grid_points()
-        assert [p[0] for p in pts] == [0, 1, 2, 3]
-        assert [(p[1], p[2]) for p in pts] == [
-            (0.5, 0.25),
-            (0.5, 0.5),
-            (1.0, 0.25),
-            (1.0, 0.5),
+        # rows follow the N_p/M grid in its given order, at the base N_f/M
+        rows = run_sweep(SweepSpec(self._base(), np_over_m_grid=(2.0, 0.5), n_replicas=2)).rows
+        assert [(r.np_over_m, r.nf_over_m, r.n_p, r.n_f) for r in rows] == [
+            (2.0, 8 / 32, 64, 8),
+            (0.5, 8 / 32, 16, 8),
         ]
-        solo = SweepSpec(self._base(), np_over_m_grid=(2.0,))
-        assert solo.grid_points() == [(0, 2.0, 8 / 32)]
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,6 @@ from georeg import (
     analyze_operator,
     angles_from_vectors,
     apply_features,
-    feature_operator,
     feature_operator_from_model,
     fit,
     internal_representation,
@@ -75,49 +74,42 @@ class TestLabelProjector:
             label_projector(np.array([[np.inf]]))
 
 
+def _p_f(fmap, Z, X):
+    """P_f of the minimum-norm fit of Z (the labels do not enter P_f)."""
+    return feature_operator_from_model(fit(Z, np.zeros(len(Z)), lam=0.0, feature_map=fmap), X)
+
+
 class TestFeatureOperator:
     def test_identity_map_square_design(self):
         cfg = ExperimentConfig(m=5, n_f=5, n_p=5, activation="identity", lam=0.0)
         rng = np.random.default_rng(4)
         X = rng.normal(size=(5, 5)) + 2 * np.eye(5)
         fmap = make_feature_map(cfg)
-        p_f = feature_operator(fmap, X, X, lam=0.0)
+        p_f = _p_f(fmap, X, X)
         assert np.allclose(p_f, np.eye(5), atol=1e-10)
 
     def test_identity_map_row_design(self):
         cfg = ExperimentConfig(m=1, n_f=2, n_p=2, activation="identity", lam=0.0)
         fmap = make_feature_map(cfg)
         X = np.array([[1.0, 0.0]])
-        p_f = feature_operator(fmap, X, X, lam=0.0)
+        p_f = _p_f(fmap, X, X)
         assert np.allclose(p_f, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_linear_map_hand_oracle(self):
         W = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-        fmap = FeatureMap(kind="linear", W=W, activation_name="linear")
+        fmap = FeatureMap(kind="linear", W=W)
         X = np.array([[1.0, 0.0]])
         Z = X @ W
-        p_f = feature_operator(fmap, Z, X, lam=0.0)
+        p_f = _p_f(fmap, Z, X)
         assert np.allclose(p_f, [[1.0, 1.0], [0.0, 0.0]], atol=1e-12)
 
     def test_shape_errors(self):
         cfg = ExperimentConfig(m=4, n_f=3, n_p=5)
         fmap = make_feature_map(cfg)
         with pytest.raises(ShapeError):
-            feature_operator(fmap, np.zeros((4, 6)), np.zeros((4, 3)))
+            _p_f(fmap, np.zeros((4, 6)), np.zeros((4, 3)))
         with pytest.raises(ShapeError):
-            feature_operator(fmap, np.zeros((4, 5)), np.zeros((3, 3)))
-
-    def test_model_route_matches_direct(self):
-        # relu: Z has full rank 20; linear: Z = X W has rank n_f = 6 < 20, so
-        # the lam = 0 route depends on the truncation rule.
-        for activation, rank in (("relu", 20), ("linear", 6)):
-            for lam in (0.0, 1e-8):
-                cfg = ExperimentConfig(m=20, n_f=6, n_p=30, lam=lam, activation=activation)
-                _, data, fmap, model = _fitted(cfg)
-                assert model.rank_z == rank
-                direct = feature_operator(fmap, model.Z, data.X, lam=cfg.lam)
-                via_model = feature_operator_from_model(model, data.X)
-                assert np.array_equal(direct, via_model), (activation, lam)
+            _p_f(fmap, np.zeros((4, 5)), np.zeros((3, 3)))
 
     def test_non_finite_z_raises(self):
         cfg = ExperimentConfig(m=4, n_f=3, n_p=5)
@@ -125,7 +117,7 @@ class TestFeatureOperator:
         Z = np.ones((4, 5))
         Z[2, 1] = np.nan
         with pytest.raises(NumericError):
-            feature_operator(fmap, Z, np.zeros((4, 3)))
+            _p_f(fmap, Z, np.zeros((4, 3)))
 
 
 class TestAnalyzeOperator:
