@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,7 +36,7 @@ from .config import (
 )
 from .decomposition import _PAIRED_METRICS, bias_variance_mc
 from .errors import ConfigurationError, ExperimentError, NumericError
-from .experiments import ALL_METRICS, SweepSpec, run_sweep
+from .experiments import _BLAS_THREAD_VARS, ALL_METRICS, SweepSpec, _resolve_workers, _usable_cpus, run_sweep
 from .geometry import analysis_to_json_dict, analyze_operator, feature_operator_from_model
 from .linreg_core import fit, apply_features, make_feature_map, sample_dataset, sample_teacher
 from .perturbation import perturbation_experiment
@@ -97,7 +98,7 @@ _PARAMS = {
     "eta": (1e-2, _real, "finite-difference step"),
     "normalize": (False, _switch, "report errors in units of sigma_y^2"),
     "plot": (False, _switch, "also write an SVG chart"),
-    "workers": (None, _integer, "parallel workers (default $GEOREG_WORKERS or 1)"),
+    "workers": (None, _integer, "parallel workers (default $GEOREG_WORKERS or the usable CPU count)"),
     "sigma_x": (1.0, _real, None),
     "sigma_beta": (1.0, _real, None),
     "sigma_w": (1.0, _real, None),
@@ -228,7 +229,8 @@ def cmd_sweep(params: dict, out: str) -> int:
         n_replicas=params["replicas"],
         normalize=params["normalize"],
     )
-    result = run_sweep(spec, workers=params["workers"])
+    workers = _resolve_workers(params["workers"], fallback=_usable_cpus())
+    result = run_sweep(spec, workers=workers)
 
     for (np_r, nf_r), msg in sorted(result.point_errors.items()):
         print(f"sweep: grid point np_over_m={np_r} nf_over_m={nf_r} failed: {msg}", file=sys.stderr)
@@ -255,6 +257,9 @@ def cmd_sweep(params: dict, out: str) -> int:
     outputs.manifest(
         elapsed_seconds=result.elapsed_seconds,
         point_errors={f"{k[0]},{k[1]}": v for k, v in result.point_errors.items()},
+        workers=workers,
+        blas_thread_vars={name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
+        worker_blas_threads=result.worker_blas_threads,
     )
     return 0 if result.rows else 2
 

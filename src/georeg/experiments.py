@@ -21,21 +21,30 @@ reduces one-sidedly; the P_f metrics, frob_I_minus_Pf among them, are
 properties of each cached operator's analysis; sigma_Z_min and
 frob_I_minus_Pl read each fit's stored factorization of Z.
 
-RNG streams are keyed by (grid-point index, replica index), so results do
-not depend on execution order or worker count.
+RNG streams are keyed by (grid-point index, replica index), and results are
+reduced in replica-index order, so they do not depend on execution order.
+With workers > 1 the replicas run in a pool of spawned processes whose BLAS
+is pinned to one thread; the serial path uses the BLAS the caller loaded.
+Outputs are therefore identical across worker counts when the caller's BLAS
+also runs one thread (OPENBLAS_NUM_THREADS=1).  A spawned worker re-imports
+the caller's __main__, so a script that sweeps with workers > 1 needs an
+``if __name__ == "__main__":`` guard and cannot be read from stdin.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import ExperimentConfig, ratio_to_count
 from .decomposition import _paired_metrics, draw_paired_replica, summarize
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, ExperimentError, NumericError
 from .geometry import analyze_operator
 
 ALL_METRICS = (
@@ -56,6 +65,9 @@ ALL_METRICS = (
 NORMALIZED_METRICS = frozenset(
     {"train_error", "test_error", "geom_error", "bias_sq", "variance"}
 )
+
+# thread-count variables read by OpenBLAS, OpenMP and MKL when they load
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ---------------------------------------------------------- sweep definition
@@ -102,6 +114,7 @@ class SweepResult:
     n_replicas: int = 0
     elapsed_seconds: float = 0.0
     normalized: bool = False
+    worker_blas_threads: int | None = None  # 1 in pool workers; None when run in-process
 
 
 # ------------------------------------------------------------- plumbing
@@ -145,22 +158,84 @@ def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) 
 # ------------------------------------------------------------------ run
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _resolve_workers(workers: int | None, fallback: int) -> int:
+    """workers if given, else $GEOREG_WORKERS if set and non-empty, else fallback."""
+    if workers is None:
+        env = os.environ.get("GEOREG_WORKERS", "")
+        try:
+            workers = int(env) if env else fallback
+        except ValueError:
+            raise ConfigurationError(f"GEOREG_WORKERS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
+@contextmanager
+def _blas_pinned_env():
+    """Set the BLAS thread variables to 1 for processes started inside; restore them after.
+
+    os.environ belongs to the whole process, so other threads see the pinned
+    values while the block runs.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    try:
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _run_pooled(tasks: list, workers: int) -> list:
+    """_replica_metrics of every (config, grid_idx, replica_idx) task, in task order.
+
+    One task per replica, submitted costliest (largest n_p) first so that the
+    last tasks to finish are short.  Every worker starts while the BLAS
+    variables are pinned: BLAS reads them once, when the worker imports numpy.
+    """
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0].n_p)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        with _blas_pinned_env():
+            futures = {i: pool.submit(_replica_metrics, *tasks[i]) for i in order}
+        return [futures[i].result() for i in range(len(tasks))]
+    except BrokenProcessPool as exc:
+        raise ExperimentError(
+            "the sweep's worker pool died. Each worker re-imports the calling script, so "
+            "a script that calls run_sweep with workers > 1 must do so under "
+            '`if __name__ == "__main__":` and cannot be read from stdin; workers=1 runs '
+            "in-process"
+        ) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Execute the sweep; infeasible points are recorded, not fatal.
 
     A grid point fails (recorded in point_errors) if its config is invalid or
     if more than 10% of its replicas come back degenerate.  Aggregation is an
-    ordered reduction over replica indices, so output is identical for any
-    worker count.
+    ordered reduction over replica indices, so output does not depend on the
+    order in which replicas finish.
+
+    workers defaults to $GEOREG_WORKERS, else 1.  There is one task per
+    (grid point, replica); when min(workers, tasks) > 1 they run in a pool of
+    that many spawned processes with BLAS pinned to one thread, and a pool
+    that dies raises ExperimentError.
     """
-    if workers is None:
-        env = os.environ.get("GEOREG_WORKERS", "1") or "1"
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigurationError(f"GEOREG_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    workers = _resolve_workers(workers, fallback=1)
     t0 = time.perf_counter()
     base = spec.base_config
     m = base.m
@@ -176,17 +251,14 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
             continue
         configs[gidx] = (np_r, cfg)
 
-    # one task per (grid point, replica), as three parallel argument columns
-    gidxs = [gidx for gidx in sorted(configs) for _ in range(spec.n_replicas)]
-    replica_idxs = [r for _ in configs for r in range(spec.n_replicas)]
-    cfgs = [configs[gidx][1] for gidx in gidxs]
-    if workers > 1 and len(gidxs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            replicas = list(pool.map(_replica_metrics, cfgs, gidxs, replica_idxs, chunksize=4))
+    tasks = [(configs[gidx][1], gidx, r) for gidx in sorted(configs) for r in range(spec.n_replicas)]
+    workers = min(workers, len(tasks))
+    if workers > 1:
+        replicas = _run_pooled(tasks, workers)
     else:
-        replicas = list(map(_replica_metrics, cfgs, gidxs, replica_idxs))
+        replicas = [_replica_metrics(*task) for task in tasks]
     per_point: dict[int, list] = {gidx: [] for gidx in configs}
-    for gidx, res in zip(gidxs, replicas):
+    for (_, gidx, _), res in zip(tasks, replicas):
         per_point[gidx].append(res)
 
     scale = base.sigma_y_sq if spec.normalize else 1.0
@@ -225,4 +297,5 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         n_replicas=spec.n_replicas,
         elapsed_seconds=time.perf_counter() - t0,
         normalized=spec.normalize,
+        worker_blas_threads=1 if workers > 1 else None,
     )

@@ -2,9 +2,14 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import georeg
 from georeg.cli import _DEFAULTS, _resolve, main
 
 
@@ -166,6 +171,36 @@ class TestSweepCommand:
         assert "20" + "26" not in text  # no dates baked in
         manifest = json.loads((a / "manifest.json").read_text())
         assert "sweep.svg" in manifest["output_paths"]
+
+    def test_manifest_records_workers(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GEOREG_WORKERS", raising=False)
+        assert _run(*_sweep_args(tmp_path / "default")) == 0
+        manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert manifest["workers"] == cpus
+        assert manifest["worker_blas_threads"] == (1 if cpus > 1 else None)
+        assert manifest["blas_thread_vars"] == {
+            name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        assert manifest["resolved_config"]["workers"] is None  # a rerun resolves it afresh
+
+        monkeypatch.setenv("GEOREG_WORKERS", "1")
+        assert _run(*_sweep_args(tmp_path / "serial")) == 0
+        manifest = json.loads((tmp_path / "serial" / "manifest.json").read_text())
+        assert manifest["workers"] == 1
+        assert manifest["worker_blas_threads"] is None
+
+    def test_outputs_identical_across_worker_counts(self, tmp_path):
+        # pool workers run BLAS at one thread, so the serial run must too
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(georeg.__file__).resolve().parents[1])}
+        for workers in ("1", "2"):
+            argv = _sweep_args(tmp_path / workers, **{"--workers": workers, "--plot": None})
+            subprocess.run([sys.executable, "-m", "georeg.cli", *argv], env=env, check=True,
+                           capture_output=True, timeout=120)
+        assert json.loads((tmp_path / "2" / "manifest.json").read_text())["worker_blas_threads"] == 1
+        for name in ("sweep.csv", "sweep.svg"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 class TestBiasVarianceCommand:

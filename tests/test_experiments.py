@@ -1,11 +1,19 @@
 """Sweep machinery: aggregation, grid handling, determinism, and workers."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import georeg
 from georeg import (
     ALL_METRICS,
     ConfigurationError,
     ExperimentConfig,
+    ExperimentError,
     ShapeError,
     SweepSpec,
     analyze_operator,
@@ -16,6 +24,18 @@ from georeg import (
     run_sweep,
     summarize,
 )
+from georeg import experiments
+
+
+def _exit_worker(*task):
+    """Stands in for the replica kernel: the pool worker that runs it dies."""
+    os._exit(1)
+
+
+def _blas_pinned_probe(*task):
+    """Stands in for the replica kernel: every metric is 1.0 iff BLAS is pinned to one thread here."""
+    pinned = all(os.environ.get(name) == "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    return dict.fromkeys(ALL_METRICS, float(pinned))
 
 
 class TestSummarize:
@@ -173,6 +193,44 @@ class TestRunSweep:
         assert res.rows[0].np_over_m == 0.25
         assert (1.0, 0.25) in res.point_errors
         assert "identity" in res.point_errors[(1.0, 0.25)]
+
+    def test_pooled_run_leaves_environ_unchanged(self, monkeypatch):
+        spec = SweepSpec(ExperimentConfig(m=16, n_f=4, n_p=16), np_over_m_grid=(1.0,), n_replicas=2)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert run_sweep(spec, workers=2).worker_blas_threads == 1
+        assert dict(os.environ) == before
+        monkeypatch.setattr(experiments, "_replica_metrics", _exit_worker)
+        with pytest.raises(ExperimentError):
+            run_sweep(spec, workers=2)
+        assert dict(os.environ) == before
+
+    def test_pool_workers_start_with_blas_pinned(self, monkeypatch):
+        spec = SweepSpec(ExperimentConfig(m=16, n_f=4, n_p=16), np_over_m_grid=(1.0, 2.0), n_replicas=2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.setattr(experiments, "_replica_metrics", _blas_pinned_probe)
+        for row in run_sweep(spec, workers=2).rows:
+            assert set(row.means.values()) == {1.0}
+
+    def test_unguarded_script_gets_a_typed_error(self, tmp_path):
+        # a spawned worker re-imports the script, whose unguarded sweep then
+        # fails in the worker and breaks the pool
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent("""
+            from georeg import ExperimentConfig, ExperimentError, SweepSpec, run_sweep
+            spec = SweepSpec(ExperimentConfig(m=16, n_f=4, n_p=16), np_over_m_grid=(1.0,), n_replicas=2)
+            try:
+                run_sweep(spec, workers=2)
+            except ExperimentError as exc:
+                print("ExperimentError:", exc)
+        """))
+        src = Path(georeg.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert "ExperimentError:" in proc.stdout, proc.stderr
+        assert 'if __name__ == "__main__":' in proc.stdout
 
     def test_bad_worker_count(self, small_result):
         spec, _ = small_result
