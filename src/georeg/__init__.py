@@ -13,7 +13,6 @@ from types import ModuleType as _ModuleType
 from .config import (
     ACTIVATIONS,
     ExperimentConfig,
-    PRESETS,
     STREAM_PERTURB,
     STREAM_TEACHER,
     STREAM_TEST,

@@ -1,7 +1,7 @@
 """Command-line front end: sweep | bias-variance | angles | perturb.
 
 Parameter resolution order, lowest to highest precedence: built-in defaults,
---preset values, the JSON object given by --config, then explicit flags.
+the JSON object given by --config, then explicit flags.
 Every value, whatever its source, is typed and checked by one per-key table
 (_PARAMS) into one record.  Every command writes its outputs plus a
 manifest.json recording that record, so a run can be reproduced from the
@@ -24,8 +24,6 @@ import numpy as np
 from .config import (
     ACTIVATIONS,
     ExperimentConfig,
-    PRESETS,
-    STREAM_PERTURB,
     STREAM_TEACHER,
     STREAM_TEST,
     STREAM_TRAIN,
@@ -36,7 +34,7 @@ from .config import (
 )
 from .decomposition import _PAIRED_METRICS, bias_variance_mc
 from .errors import ConfigurationError, ExperimentError, NumericError
-from .experiments import _BLAS_THREAD_VARS, ALL_METRICS, SweepSpec, _resolve_workers, _usable_cpus, run_sweep
+from .experiments import _BLAS_THREAD_VARS, ALL_METRICS, SweepSpec, _usable_cpus, run_sweep
 from .geometry import analysis_to_json_dict, analyze_operator, feature_operator_from_model
 from .linreg_core import fit, apply_features, make_feature_map, sample_dataset, sample_teacher
 from .perturbation import perturbation_experiment
@@ -83,7 +81,7 @@ def _grid(v) -> tuple:
 
 
 # key -> (default, type, flag help).  The type coerces flag strings and checks
-# preset and config-file values alike; a key with no help has no flag.
+# config-file values alike.
 _PARAMS = {
     "model": (None, _family, "feature family: identity, linear or relu"),
     "m": (256, _integer, "training-set size M"),
@@ -98,11 +96,7 @@ _PARAMS = {
     "eta": (1e-2, _real, "finite-difference step"),
     "normalize": (False, _switch, "report errors in units of sigma_y^2"),
     "plot": (False, _switch, "also write an SVG chart"),
-    "workers": (None, _integer, "parallel workers (default $GEOREG_WORKERS or the usable CPU count)"),
-    "sigma_x": (1.0, _real, None),
-    "sigma_beta": (1.0, _real, None),
-    "sigma_w": (1.0, _real, None),
-    "m_test": (None, _integer, None),
+    "workers": (None, _integer, "parallel workers (default: the usable CPU count)"),
 }
 _DEFAULTS = {key: default for key, (default, _, _) in _PARAMS.items()}
 
@@ -118,14 +112,12 @@ def _typed(key: str, value):
 
 
 def _resolve(args) -> dict:
-    """Merge defaults, preset, JSON config, and flags into one typed record.
+    """Merge defaults, JSON config, and flags into one typed record.
 
     Every value of every layer is typed, so a malformed file fails even where
     a flag overrides it.
     """
     layers = [_DEFAULTS]
-    if getattr(args, "preset", None):
-        layers.append(PRESETS[args.preset])
     if getattr(args, "config", None):
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -154,11 +146,7 @@ def _config(params: dict, np_ratio: float) -> ExperimentConfig:
         m=m,
         n_f=ratio_to_count(params["nf_ratio"], m),
         n_p=ratio_to_count(np_ratio, m),
-        m_test=params["m_test"],
-        sigma_x=params["sigma_x"],
-        sigma_eps=sigma_eps_for_snr(params["snr"], params["sigma_x"], params["sigma_beta"]),
-        sigma_beta=params["sigma_beta"],
-        sigma_w=params["sigma_w"],
+        sigma_eps=sigma_eps_for_snr(params["snr"]),
         lam=params["lam"],
         activation=params["model"],
         seed=params["seed"],
@@ -229,7 +217,7 @@ def cmd_sweep(params: dict, out: str) -> int:
         n_replicas=params["replicas"],
         normalize=params["normalize"],
     )
-    workers = _resolve_workers(params["workers"], fallback=_usable_cpus())
+    workers = _usable_cpus() if params["workers"] is None else params["workers"]
     result = run_sweep(spec, workers=workers)
 
     for (np_r, nf_r), msg in sorted(result.point_errors.items()):
@@ -312,7 +300,7 @@ def cmd_perturb(params: dict, out: str) -> int:
     )
     records, summary = perturbation_experiment(
         model, teacher, analysis, x0, config,
-        n_pairs=params["pairs"], eta=params["eta"], stream_tag=(0, 0, STREAM_PERTURB),
+        n_pairs=params["pairs"], eta=params["eta"],
     )
 
     outputs = _Outputs(out, "perturb", params)
@@ -352,7 +340,6 @@ def _parser() -> argparse.ArgumentParser:
     for command, (func, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON parameter file (flags override it)")
-        p.add_argument("--preset", choices=sorted(PRESETS), help="named parameter bundle")
         p.add_argument("--out", required=True, help="output directory")
         for key in _COMMON + keys:
             _, kind, flag_help = _PARAMS[key]

@@ -74,7 +74,6 @@ class ExperimentConfig:
     lam: float = 1e-8
     activation: str = "relu"
     seed: int = 2
-    relu_c: float = 2.0
 
     def __post_init__(self):
         for name in ("m", "n_f", "n_p"):
@@ -83,14 +82,14 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
         if self.m_test is not None and (not isinstance(self.m_test, (int, np.integer)) or self.m_test < 1):
             raise ConfigurationError(f"m_test must be a positive integer, got {self.m_test!r}")
-        # written as "not v > 0" so that NaN, which fails every comparison,
-        # is rejected too
-        for name in ("sigma_x", "sigma_beta", "relu_c"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be > 0")
+        # written as "not lo < v < inf" so that NaN, which fails every
+        # comparison, is rejected too
+        for name in ("sigma_x", "sigma_beta"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0")
         for name in ("sigma_eps", "sigma_w", "lam"):
-            if not getattr(self, name) >= 0:
-                raise ConfigurationError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0")
         if self.activation not in ACTIVATIONS:
             raise ConfigurationError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.activation == "identity" and self.n_p != self.n_f:
@@ -137,15 +136,6 @@ def ratio_to_count(ratio: float, m: int) -> int:
     if not 0 < ratio < np.inf:
         raise ConfigurationError(f"grid ratio must be finite and > 0, got {ratio}")
     return max(1, int(np.floor(ratio * m + 1e-9)))
-
-
-# presets -------------------------------------------------------------------
-# "desk" keeps a full sweep in the tens of seconds; "paper" is the
-# full-resolution scale for figures worth keeping.
-PRESETS = {
-    "desk": {"m": 256, "replicas": 100, "lam": 1e-8, "snr": 10.0},
-    "paper": {"m": 512, "replicas": 500, "lam": 1e-8, "snr": 10.0},
-}
 
 
 def default_rel_tol(shape: tuple) -> float:

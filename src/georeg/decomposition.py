@@ -80,8 +80,8 @@ def error_reduction_check(
 
     total = (y*(x) - yhat(x))^2 against the noiseless teacher label, and
     geometric = ((x - P_f x) . beta)^2.  The gap collapses to round-off when
-    the noise, label nonlinearity, and feature nonlinearity all vanish; for
-    a nonlinear map or noisy labels it is reported as-is.
+    the noise and the feature nonlinearity both vanish; for a nonlinear map
+    or noisy labels it is reported as-is.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (teacher.beta.shape[0],):

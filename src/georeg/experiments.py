@@ -23,11 +23,13 @@ frob_I_minus_Pl read each fit's stored factorization of Z.
 
 RNG streams are keyed by (grid-point index, replica index), and results are
 reduced in replica-index order, so they do not depend on execution order.
-With workers > 1 the replicas run in a pool of spawned processes whose BLAS
-is pinned to one thread; the serial path uses the BLAS the caller loaded.
-Outputs are therefore identical across worker counts when the caller's BLAS
-also runs one thread (OPENBLAS_NUM_THREADS=1).  A spawned worker re-imports
-the caller's __main__, so a script that sweeps with workers > 1 needs an
+run_sweep's workers defaults to 1, in-process; georeg sweep passes
+--workers, else the usable CPU count.  With workers > 1 the replicas run in
+a pool of spawned processes whose BLAS is pinned to one thread; the serial
+path uses the BLAS the caller loaded.  Outputs are therefore identical
+across worker counts when the caller's BLAS also runs one thread
+(OPENBLAS_NUM_THREADS=1).  A spawned worker re-imports the caller's
+__main__, so a script that sweeps with workers > 1 needs an
 ``if __name__ == "__main__":`` guard and cannot be read from stdin.
 """
 from __future__ import annotations
@@ -166,19 +168,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _resolve_workers(workers: int | None, fallback: int) -> int:
-    """workers if given, else $GEOREG_WORKERS if set and non-empty, else fallback."""
-    if workers is None:
-        env = os.environ.get("GEOREG_WORKERS", "")
-        try:
-            workers = int(env) if env else fallback
-        except ValueError:
-            raise ConfigurationError(f"GEOREG_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
 @contextmanager
 def _blas_pinned_env():
     """Set the BLAS thread variables to 1 for processes started inside; restore them after.
@@ -222,7 +211,7 @@ def _run_pooled(tasks: list, workers: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute the sweep; infeasible points are recorded, not fatal.
 
     A grid point fails (recorded in point_errors) if its config is invalid or
@@ -230,12 +219,13 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     ordered reduction over replica indices, so output does not depend on the
     order in which replicas finish.
 
-    workers defaults to $GEOREG_WORKERS, else 1.  There is one task per
-    (grid point, replica); when min(workers, tasks) > 1 they run in a pool of
-    that many spawned processes with BLAS pinned to one thread, and a pool
-    that dies raises ExperimentError.
+    workers is an integer >= 1.  There is one task per (grid point,
+    replica); when min(workers, tasks) > 1 they run in a pool of that many
+    spawned processes with BLAS pinned to one thread, and a pool that dies
+    raises ExperimentError.
     """
-    workers = _resolve_workers(workers, fallback=1)
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
     t0 = time.perf_counter()
     base = spec.base_config
     m = base.m

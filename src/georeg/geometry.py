@@ -100,7 +100,6 @@ class FeatureOperatorAnalysis:
     f_w: np.ndarray = field(repr=False)  # columns f_W_i
     thetas_deg: np.ndarray
     delta_phis_deg: np.ndarray
-    rank_tol: float
 
     @property
     def rank(self) -> int:
@@ -172,7 +171,6 @@ def analyze_operator(p_f: np.ndarray, rank_tol: float = 1e-10) -> FeatureOperato
         f_w=V,
         thetas_deg=th_deg,
         delta_phis_deg=dphi_deg,
-        rank_tol=float(rank_tol),
     )
 
 
@@ -244,10 +242,10 @@ def prediction_decomposition(
 ) -> tuple[float, float]:
     """Split predict(model, x) into (x_hat . beta, delta_y_hat).
 
-    delta_y_hat(x) = dz_NL(x)^T G y + x^T W G (dy*_NL + eps), where G is the
-    model's effective inverse, dz_NL(x) = z(x) - W^T x is the nonlinear
-    feature remainder, and dy*_NL the teacher's nonlinear label remainder on
-    the training rows.  The two terms sum to the prediction exactly, because
+    delta_y_hat(x) = dz_NL(x)^T G y + x^T W G eps, where G is the model's
+    effective inverse, dz_NL(x) = z(x) - W^T x is the nonlinear feature
+    remainder, and eps the training noise.  The two terms sum to the
+    prediction exactly, because the training labels are y = X beta + eps, so
     z(x)^T G y expands into them plus x^T W G X beta = x_hat . beta.
     """
     if model.feature_map is None:
@@ -266,10 +264,9 @@ def prediction_decomposition(
     G = model.effective_inverse()  # N_p x M
     z = apply_features(model.feature_map, x)
     dz_nl = z - W.T @ x
-    dy_nl = teacher.y_star(data.X) - data.X @ teacher.beta
 
     x_hat_dot_beta = float(x @ (W @ (G @ (data.X @ teacher.beta))))
-    delta_y_hat = float(dz_nl @ (G @ data.y) + x @ (W @ (G @ (dy_nl + data.eps))))
+    delta_y_hat = float(dz_nl @ (G @ data.y) + x @ (W @ (G @ data.eps)))
     return x_hat_dot_beta, delta_y_hat
 
 

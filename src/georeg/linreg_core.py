@@ -1,14 +1,14 @@
 """Data generation, feature-map families, and minimum-norm/ridge fitting.
 
-The teacher produces labels y(x) = y*(x) + eps with y*(x) = x.beta plus an
-optional nonlinear part.  A student predicts yhat(x) = z(x).what, where the
+The teacher produces labels y(x) = y*(x) + eps with the linear
+y*(x) = x.beta.  A student predicts yhat(x) = z(x).what, where the
 features z(x) come from one of three families:
 
     identity   z(x) = x                      (n_p = n_f)
     linear     z(x) = W^T x                  W random n_f x n_p
-    relu       z(x) = C max(0, W^T x)        elementwise, C = config.relu_c
+    relu       z(x) = 2 max(0, W^T x)        elementwise
 
-For relu the prefactor C = 2 makes W the exact effective linear component of
+For relu the prefactor 2 makes W the exact effective linear component of
 the feature map under Gaussian inputs (Stein's identity), which the geometric
 diagnostics rely on.
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -45,12 +44,10 @@ from .errors import ConfigurationError, NumericError, ShapeError
 
 @dataclass(frozen=True)
 class TeacherModel:
-    """Ground-truth label generator y*(x) = x.beta [+ nonlinear_label_fn(x)];
-    nonlinear_label_fn maps the 2-D array of input rows to one value per row."""
+    """Ground-truth linear label generator y*(x) = x.beta."""
 
     beta: np.ndarray
     sigma_eps: float
-    nonlinear_label_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def y_star(self, X: np.ndarray) -> np.ndarray:
         """Noiseless labels for each row of X."""
@@ -59,13 +56,7 @@ class TeacherModel:
             raise ShapeError(
                 f"X has {X.shape[1]} columns but beta has length {self.beta.shape[0]}"
             )
-        out = X @ self.beta
-        if self.nonlinear_label_fn is None:
-            return out
-        nl = np.asarray(self.nonlinear_label_fn(X), dtype=float)
-        if nl.shape != out.shape:
-            raise ShapeError(f"nonlinear_label_fn gave shape {nl.shape} for {X.shape[0]} rows")
-        return out + nl
+        return X @ self.beta
 
 
 def sample_teacher(config: ExperimentConfig, stream_tag: StreamTag = (0, 0, STREAM_TEACHER)) -> TeacherModel:
@@ -106,9 +97,9 @@ def sample_dataset(
     stream_tag) always reproduces the same bytes: X is drawn first, then eps,
     from the single stream named by the tag.
     """
-    m = config.m if n_rows is None else int(n_rows)
-    if m < 1:
-        raise ConfigurationError(f"n_rows must be >= 1, got {m}")
+    m = config.m if n_rows is None else n_rows
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ConfigurationError(f"n_rows must be a positive integer, got {m!r}")
     rng = stream_rng(config.seed, stream_tag)
     X = rng.normal(0.0, config.sigma_x / np.sqrt(config.n_f), (m, config.n_f))
     eps = rng.normal(0.0, config.sigma_eps, m)
@@ -118,15 +109,19 @@ def sample_dataset(
 
 # ---------------------------------------------------------------- features
 
+# Stein's identity: for Gaussian x, E[x c max(0, w.x)] = (c/2) E[x x^T] w, so
+# c = 2 makes W the exact linear component of the relu features, which P_f
+# and every diagnostic built on it rely on.
+RELU_PREFACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class FeatureMap:
     """One of the three basis families, named by kind (one of ACTIVATIONS),
-    with its effective linear component W and the relu prefactor C."""
+    with its effective linear component W."""
 
     kind: str
     W: np.ndarray  # n_f x n_p
-    normalization_c: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ACTIVATIONS:
@@ -139,16 +134,13 @@ def make_feature_map(
     """Build the feature map named by config.activation.
 
     identity: W = I and z(x) = x.  linear/relu: W entries i.i.d.
-    N(0, sigma_w^2/n_p).  relu uses z = C max(0, W^T x) with C = config.relu_c,
-    whose default 2 is exact for Gaussian inputs.
+    N(0, sigma_w^2/n_p).  relu uses z = 2 max(0, W^T x).
     """
     if config.activation == "identity":
         return FeatureMap(kind="identity", W=np.eye(config.n_f))
     rng = stream_rng(config.seed, stream_tag)
     W = rng.normal(0.0, config.sigma_w / np.sqrt(config.n_p), (config.n_f, config.n_p))
-    if config.activation == "linear":
-        return FeatureMap(kind="linear", W=W)
-    return FeatureMap(kind="relu", W=W, normalization_c=config.relu_c)
+    return FeatureMap(kind=config.activation, W=W)
 
 
 def apply_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
@@ -163,7 +155,7 @@ def apply_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
     elif fmap.kind == "linear":
         Z = X2 @ fmap.W
     else:
-        Z = fmap.normalization_c * np.maximum(0.0, X2 @ fmap.W)
+        Z = RELU_PREFACTOR * np.maximum(0.0, X2 @ fmap.W)
     return Z[0] if one_d else Z
 
 
@@ -225,16 +217,17 @@ class Factorization:
 def factorize(
     A: np.ndarray, lam: float = 0.0, rel_tol: float | None = None, *, caller: str = "factorize"
 ) -> Factorization:
-    """Thin SVD of a finite 2-D A for the ridge lam >= 0, keeping s > rel_tol * s_max
-    (rel_tol > 0, default default_rel_tol(A.shape)); errors name ``caller``."""
+    """Thin SVD of a finite 2-D A for the finite ridge lam >= 0, keeping
+    s > rel_tol * s_max (0 < rel_tol < 1, default default_rel_tol(A.shape));
+    errors name ``caller``."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ShapeError(f"{caller} input must be 2-D, got shape {A.shape}")
-    if not lam >= 0:
-        raise ConfigurationError(f"lam must be >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise ConfigurationError(f"lam must be finite and >= 0, got {lam}")
     tol = default_rel_tol(A.shape) if rel_tol is None else float(rel_tol)
-    if not tol > 0:
-        raise ConfigurationError(f"{caller}: the relative cutoff must be > 0, got {rel_tol}")
+    if not 0 < tol < 1:
+        raise ConfigurationError(f"{caller}: the relative cutoff must lie in (0, 1), got {rel_tol}")
     if not np.all(np.isfinite(A)):
         raise NumericError(f"{caller} input has non-finite entries")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)

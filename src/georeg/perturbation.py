@@ -10,9 +10,9 @@ P_f e_perp = 0, so moving along e_perp leaves the internal representation
 x_hat — and with it the geometric part of the prediction — unchanged, while
 e_par changes the prediction without necessarily changing the true label
 much.  The experiment draws all its random directions as one array, splits
-them with one projection, and measures one-sided finite differences of the
-true label and the prediction per kind with one featurization of the moved
-points, then correlates the two per kind.
+them with one projection, and per kind takes the linear teacher's exact
+label response beta . e and the prediction's one-sided finite difference,
+with one featurization of the moved points, then correlates the two.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, STREAM_PERTURB, StreamTag, stream_rng
+from .config import ExperimentConfig, STREAM_PERTURB, stream_rng
 from .errors import (
     ConfigurationError,
     DegenerateDirectionError,
@@ -56,13 +56,15 @@ class PerturbationRecord:
 
 
 def _input_vector(v: np.ndarray, analysis: FeatureOperatorAnalysis, name: str) -> np.ndarray:
-    """v as a float vector in P_f's input space; P_f must not be null."""
+    """v as a finite float vector in P_f's input space; P_f must not be null."""
     if analysis.rank < 1:
         raise ConfigurationError("analysis has no SVD triples; P_f is null")
     v = np.asarray(v, dtype=float)
     n_f = analysis.p_f.shape[0]
     if v.shape != (n_f,):
         raise ShapeError(f"{name} must have shape ({n_f},), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise NumericError(f"{name} has non-finite entries")
     return v
 
 
@@ -130,27 +132,26 @@ def perturbation_experiment(
     config: ExperimentConfig,
     n_pairs: int = 200,
     eta: float = 1e-2,
-    stream_tag: StreamTag = (0, 0, STREAM_PERTURB),
 ) -> tuple[list[PerturbationRecord], dict]:
     """Measure label responses along random adversarial/invariant directions.
 
-    Draws n_pairs perturbations e from the input distribution (normal with
-    the same per-entry scale as x), splits each, and records dy/d_eta and
-    dyhat/d_eta for both components at the base point x.  For a purely linear
-    teacher dy/d_eta is beta . e_hat, the exact value of the finite
-    difference at any eta; with a nonlinear label term the one-sided
-    difference at the given eta is used.  Degenerate splits are skipped and
-    counted.  Returns the records, adversarial then invariant per kept pair,
-    plus per-kind correlations and OLS slopes.
+    Draws n_pairs perturbations e on the (0, 0, STREAM_PERTURB) stream from
+    the input distribution (normal with the same per-entry scale as x),
+    splits each, and records dy/d_eta and dyhat/d_eta for both components at
+    the base point x.  The teacher is linear, so dy/d_eta is beta . e_hat,
+    the exact value of the finite difference at any eta; dyhat/d_eta is the
+    one-sided difference at the given eta.  Degenerate splits are skipped
+    and counted.  Returns the records, adversarial then invariant per kept
+    pair, plus per-kind correlations and OLS slopes.
     """
-    if n_pairs < 2:
-        raise ConfigurationError(f"n_pairs must be >= 2, got {n_pairs}")
-    if not eta > 0:
-        raise ConfigurationError(f"eta must be positive, got {eta}")
+    if not isinstance(n_pairs, (int, np.integer)) or n_pairs < 2:
+        raise ConfigurationError(f"n_pairs must be an integer >= 2, got {n_pairs!r}")
+    if not 0 < eta < np.inf:
+        raise ConfigurationError(f"eta must be finite and positive, got {eta}")
     if model.feature_map is None:
         raise ConfigurationError("model has no feature map attached; cannot featurize x")
     x = _input_vector(x, analysis, "x")
-    rng = stream_rng(config.seed, stream_tag)
+    rng = stream_rng(config.seed, (0, 0, STREAM_PERTURB))
     E = rng.normal(0.0, config.sigma_x / np.sqrt(config.n_f), (n_pairs, x.shape[0]))
     par, perp, ok_par, ok_perp = _split(E, analysis.f_w)
     kept = ok_par & ok_perp
@@ -159,19 +160,15 @@ def perturbation_experiment(
         raise ExperimentError(f"all {n_pairs} perturbation pairs were degenerate")
 
     y_pred_x = apply_features(model.feature_map, x) @ model.w_hat
-    y_true_x = teacher.y_star(x)[0]
     responses = {}
     # one block of directions per kind: a single block of both kinds holds
     # twice the featurized rows in memory at once
     for kind, D in zip(KINDS, (par[kept], perp[kept])):
         moved = x + eta * D
         d_pred = (apply_features(model.feature_map, moved) @ model.w_hat - y_pred_x) / eta
-        if teacher.nonlinear_label_fn is None:
-            # a stack of 1 x n_f rows: each product is the vector dot
-            # beta . e_hat itself, where D @ beta would sum in another order
-            d_true = (D[:, None, :] @ teacher.beta)[:, 0]
-        else:
-            d_true = (teacher.y_star(moved) - y_true_x) / eta
+        # a stack of 1 x n_f rows: each product is the vector dot
+        # beta . e_hat itself, where D @ beta would sum in another order
+        d_true = (D[:, None, :] @ teacher.beta)[:, 0]
         if not (np.all(np.isfinite(d_true)) and np.all(np.isfinite(d_pred))):
             raise NumericError(f"{kind} label responses are not finite")
         responses[kind] = (D, d_true, d_pred)

@@ -38,23 +38,12 @@ def _sweep_args(out, **over):
 
 class TestResolve:
     def _ns(self, **kw):
-        ns = argparse.Namespace(preset=None, config=None)
+        ns = argparse.Namespace(config=None)
         for key in _DEFAULTS:
             setattr(ns, key, None)
         for k, v in kw.items():
             setattr(ns, k, v)
         return ns
-
-    def test_paper_preset(self):
-        p = _resolve(self._ns(preset="paper", model="relu"))
-        assert p["m"] == 512
-        assert p["replicas"] == 500
-        assert p["lam"] == 1e-8
-        assert p["snr"] == 10.0
-
-    def test_flag_overrides_preset(self):
-        p = _resolve(self._ns(preset="desk", model="relu", m=64))
-        assert p["m"] == 64
 
     def test_missing_model_is_usage_error(self):
         from georeg import ConfigurationError
@@ -81,8 +70,8 @@ class TestResolve:
 
 @pytest.mark.parametrize(
     "content",
-    ['{"replicas": "abc"}', '{"lam": null}', "5", '["m"]', '{"m": 16.7}', '{"lam": NaN}'],
-    ids=["non-numeric", "null", "scalar", "list", "non-integral", "nan"],
+    ['{"replicas": "abc"}', '{"lam": null}', "5", '["m"]', '{"m": 16.7}', '{"lam": NaN}', '{"lam": Infinity}'],
+    ids=["non-numeric", "null", "scalar", "list", "non-integral", "nan", "inf-lambda"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, content):
     cfg = tmp_path / "params.json"
@@ -91,6 +80,16 @@ def test_malformed_config_exits_2(tmp_path, capsys, content):
             "--config", str(cfg), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config-sigma_x", "preset"])
+def test_removed_parameter_sources_exit_2(tmp_path, source):
+    # sigma_x, sigma_beta, sigma_w and m_test have no key, and there are no presets
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"sigma_x": 1.0}))
+    extra = ["--config", str(cfg)] if source == "config-sigma_x" else ["--preset", "desk"]
+    argv = ["angles", "--model", "linear", "--m", "16", *extra, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
 
 
 # each command with its plot flag where it has one, at a small M
@@ -172,8 +171,7 @@ class TestSweepCommand:
         manifest = json.loads((a / "manifest.json").read_text())
         assert "sweep.svg" in manifest["output_paths"]
 
-    def test_manifest_records_workers(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("GEOREG_WORKERS", raising=False)
+    def test_manifest_records_workers(self, tmp_path):
         assert _run(*_sweep_args(tmp_path / "default")) == 0
         manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -184,8 +182,7 @@ class TestSweepCommand:
         }
         assert manifest["resolved_config"]["workers"] is None  # a rerun resolves it afresh
 
-        monkeypatch.setenv("GEOREG_WORKERS", "1")
-        assert _run(*_sweep_args(tmp_path / "serial")) == 0
+        assert _run(*_sweep_args(tmp_path / "serial", **{"--workers": "1"})) == 0
         manifest = json.loads((tmp_path / "serial" / "manifest.json").read_text())
         assert manifest["workers"] == 1
         assert manifest["worker_blas_threads"] is None

@@ -10,7 +10,6 @@ from georeg import (
     ShapeError,
     STREAM_TRAIN,
     SweepSpec,
-    TeacherModel,
     analyze_operator,
     apply_features,
     default_rel_tol,
@@ -96,9 +95,15 @@ NAN, INF = float("nan"), float("inf")
         lambda: ExperimentConfig(sigma_beta=NAN),
         lambda: ExperimentConfig(sigma_eps=NAN),
         lambda: ExperimentConfig(sigma_w=NAN),
-        lambda: ExperimentConfig(relu_c=NAN),
+        lambda: ExperimentConfig(lam=INF),
+        lambda: ExperimentConfig(sigma_x=INF),
+        lambda: ExperimentConfig(sigma_beta=INF),
+        lambda: ExperimentConfig(sigma_eps=INF),
+        lambda: ExperimentConfig(sigma_w=INF),
         lambda: fit(np.eye(4), np.ones(4), lam=NAN),
+        lambda: fit(np.eye(4), np.ones(4), lam=INF),
         lambda: analyze_operator(np.eye(3), rank_tol=NAN),
+        lambda: analyze_operator(np.eye(3), rank_tol=INF),
         lambda: sigma_eps_for_snr(NAN),
         lambda: ratio_to_count(NAN, 256),
         lambda: ratio_to_count(INF, 256),
@@ -108,7 +113,9 @@ NAN, INF = float("nan"), float("inf")
     ],
     ids=[
         "config-lam", "config-sigma_x", "config-sigma_beta", "config-sigma_eps", "config-sigma_w",
-        "config-relu_c", "fit-lam", "analyze-rank_tol", "snr", "ratio-nan", "ratio-inf",
+        "config-lam-inf", "config-sigma_x-inf", "config-sigma_beta-inf", "config-sigma_eps-inf",
+        "config-sigma_w-inf", "fit-lam", "fit-lam-inf", "analyze-rank_tol", "analyze-rank_tol-inf",
+        "snr", "ratio-nan", "ratio-inf",
         "config-seed", "sweep-ratio-nan", "sweep-ratio-inf",
     ],
 )
@@ -125,7 +132,7 @@ def _rank_deficient_z():
     return Z
 
 
-@pytest.mark.parametrize("rel_tol", [NAN, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("rel_tol", [NAN, -1.0, 2.0, INF], ids=["nan", "negative", "above-one", "inf"])
 @pytest.mark.parametrize(
     "call",
     [
@@ -136,8 +143,8 @@ def _rank_deficient_z():
     ids=["fit", "pseudoinverse", "label_projector"],
 )
 def test_bad_rel_tol_rejected(call, rel_tol):
-    # NaN kept no mode and a negative cutoff kept the zero singular value
-    # (an all-NaN w_hat); both must raise instead
+    # NaN and a cutoff >= 1 kept no mode, and a negative cutoff kept the zero
+    # singular value (an all-NaN w_hat); all must raise instead
     with pytest.raises(ConfigurationError):
         call(_rank_deficient_z(), rel_tol)
 
@@ -193,18 +200,9 @@ class TestSampling:
         teacher = sample_teacher(cfg)
         d = sample_dataset(cfg, teacher, (0, 0, 4), n_rows=cfg.effective_m_test)
         assert d.X.shape == (17, 8)
-
-    def test_nonlinear_teacher_labels(self):
-        beta = np.array([1.0, -2.0])
-        teacher = TeacherModel(beta=beta, sigma_eps=0.0, nonlinear_label_fn=lambda X: X[:, 0] ** 2)
-        X = np.array([[1.0, 1.0], [2.0, 0.0]])
-        assert np.allclose(teacher.y_star(X), [1.0 - 2.0 + 1.0, 2.0 + 4.0])
-
-    def test_nonlinear_label_fn_must_return_one_value_per_row(self):
-        # a per-row function under the array contract would return a row
-        teacher = TeacherModel(beta=np.ones(2), sigma_eps=0.0, nonlinear_label_fn=lambda v: v[0] ** 2)
-        with pytest.raises(ShapeError):
-            teacher.y_star(np.ones((3, 2)))
+        for bad in (0, 2.5, NAN):
+            with pytest.raises(ConfigurationError):
+                sample_dataset(cfg, teacher, (0, 0, 4), n_rows=bad)
 
     def test_dataset_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -234,7 +232,7 @@ class TestFeatureMaps:
     def test_relu_prefactor_and_cancellation(self):
         from georeg import FeatureMap
 
-        fmap = FeatureMap(kind="relu", W=np.array([[1.0], [-1.0]]), normalization_c=2.0)
+        fmap = FeatureMap(kind="relu", W=np.array([[1.0], [-1.0]]))
         # w^T x = 0 stays 0 through the activation
         assert apply_features(fmap, np.array([1.0, 1.0]))[0] == 0.0
         assert apply_features(fmap, np.array([3.0, 1.0]))[0] == pytest.approx(4.0)  # 2*max(0,2)
@@ -243,7 +241,8 @@ class TestFeatureMaps:
         cfg = ExperimentConfig(n_f=2000, n_p=1000, sigma_w=2.0)
         fmap = make_feature_map(cfg)
         assert fmap.W.std() == pytest.approx(2.0 / np.sqrt(1000), rel=0.05)
-        assert fmap.normalization_c == 2.0
+        X = np.random.default_rng(5).normal(size=(3, 2000))
+        assert np.array_equal(apply_features(fmap, X), 2.0 * np.maximum(0.0, X @ fmap.W))
 
     def test_unknown_activation_rejected(self):
         # the family is checked where it is named, before any draw

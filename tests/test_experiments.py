@@ -236,19 +236,9 @@ class TestRunSweep:
         spec, _ = small_result
         with pytest.raises(ConfigurationError):
             run_sweep(spec, workers=0)
-
-    def test_non_integer_workers_env_is_a_configuration_error(self, monkeypatch, tmp_path):
-        from georeg.cli import main
-
-        monkeypatch.setenv("GEOREG_WORKERS", "abc")
-        spec = SweepSpec(
-            ExperimentConfig(m=16, n_f=4, n_p=16), np_over_m_grid=(1.0,), n_replicas=2
-        )
-        with pytest.raises(ConfigurationError, match="GEOREG_WORKERS"):
-            run_sweep(spec)
-        argv = ["sweep", "--model", "linear", "--m", "16", "--np-grid", "1",
-                "--replicas", "2", "--out", str(tmp_path)]
-        assert main(argv) == 2
+        # a non-integer count raises before any pool starts
+        with pytest.raises(ConfigurationError):
+            run_sweep(spec, workers=2.5)
 
     def test_sweep_and_mc_reduce_the_same_cross_product(self):
         # one grid point: the sweep's replica streams are bias_variance_mc's at

@@ -284,22 +284,6 @@ class TestPredictionDecomposition:
             xb, dy = prediction_decomposition(model, teacher, data, x)
             assert abs(y_hat - (xb + dy)) <= 1e-8 * (1.0 + abs(y_hat))
 
-    def test_nonlinear_teacher_term(self):
-        cfg = ExperimentConfig(m=20, n_f=6, n_p=25, activation="relu")
-        base = sample_teacher(cfg)
-        from georeg import TeacherModel
-
-        teacher = TeacherModel(
-            beta=base.beta, sigma_eps=cfg.sigma_eps, nonlinear_label_fn=lambda X: 0.3 * X[:, 0] ** 2
-        )
-        data = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
-        fmap = make_feature_map(cfg)
-        model = fit(apply_features(fmap, data.X), data.y, lam=cfg.lam, feature_map=fmap)
-        x = np.full(6, 0.2)
-        y_hat = predict(model, x)
-        xb, dy = prediction_decomposition(model, teacher, data, x)
-        assert abs(y_hat - (xb + dy)) <= 1e-8 * (1.0 + abs(y_hat))
-
     def test_requires_noise_vector(self):
         cfg = ExperimentConfig(m=10, n_f=4, n_p=12)
         teacher, data, fmap, model = _fitted(cfg)
