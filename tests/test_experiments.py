@@ -236,7 +236,10 @@ class TestRunSweep:
         spec, _ = small_result
         with pytest.raises(ConfigurationError):
             run_sweep(spec, workers=0)
+
+    def test_non_integer_workers_is_a_configuration_error(self, small_result):
         # a non-integer count raises before any pool starts
+        spec, _ = small_result
         with pytest.raises(ConfigurationError):
             run_sweep(spec, workers=2.5)
 
