@@ -29,8 +29,6 @@ from .decomposition import (
     PairedDraw,
     bias_variance_mc,
     draw_paired_replica,
-    error_reduction_check,
-    geometric_test_error,
     paired_projections,
     summarize,
 )
@@ -52,12 +50,9 @@ from .experiments import (
 from .geometry import (
     FeatureOperatorAnalysis,
     LabelProjector,
-    Representation,
     analysis_to_json_dict,
     analyze_operator,
-    angles_from_vectors,
     feature_operator_from_model,
-    internal_representation,
     label_projector,
     prediction_decomposition,
 )
@@ -69,7 +64,6 @@ from .linreg_core import (
     apply_features,
     fit,
     make_feature_map,
-    predict,
     pseudoinverse,
     sample_dataset,
     sample_teacher,

@@ -153,25 +153,31 @@ def _config(params: dict, np_ratio: float) -> ExperimentConfig:
     )
 
 
-def _single_point(params: dict):
-    """(config, teacher, model, analysis of P_f) at np_ratio on the (0, 0, ...) streams."""
-    config = _config(params, params["np_ratio"])
+def _single_point(config: ExperimentConfig):
+    """(teacher, model, analysis of P_f) of one fit on the (0, 0, ...) streams."""
     teacher = sample_teacher(config, (0, 0, STREAM_TEACHER))
     fmap = make_feature_map(config, (0, 0, STREAM_WEIGHTS))
     data = sample_dataset(config, teacher, (0, 0, STREAM_TRAIN))
     model = fit(apply_features(fmap, data.X), data.y, lam=config.lam, feature_map=fmap)
-    return config, teacher, model, analyze_operator(feature_operator_from_model(model, data.X))
+    return teacher, model, analyze_operator(feature_operator_from_model(model, data.X))
 
 
 # ---------------------------------------------------------------- outputs
 
 
 class _Outputs:
-    """One command's output directory; every file, then the manifest, goes through it."""
+    """One command's output directory; every file, then the manifest, goes through it.
+
+    Each command opens it before it computes anything, so an unusable --out
+    fails at once instead of after the run.
+    """
 
     def __init__(self, out: str, command: str, params: dict):
         self.dir = Path(out)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot create output directory {out}: {exc}") from None
         self.command, self.params, self.paths = command, params, []
 
     def path(self, name: str) -> Path:
@@ -217,13 +223,13 @@ def cmd_sweep(params: dict, out: str) -> int:
         n_replicas=params["replicas"],
         normalize=params["normalize"],
     )
+    outputs = _Outputs(out, "sweep", params)
     workers = _usable_cpus() if params["workers"] is None else params["workers"]
     result = run_sweep(spec, workers=workers)
 
     for (np_r, nf_r), msg in sorted(result.point_errors.items()):
         print(f"sweep: grid point np_over_m={np_r} nf_over_m={nf_r} failed: {msg}", file=sys.stderr)
 
-    outputs = _Outputs(out, "sweep", params)
     header = ["np_over_m", "nf_over_m", "n_p", "n_f", "n_effective"]
     header += [col for name in ALL_METRICS for col in (name, f"{name}_se")]
     outputs.write_csv(
@@ -258,6 +264,7 @@ def cmd_bias_variance(params: dict, out: str) -> int:
 
     if params["replicas"] < 2:  # estimator precondition, not a per-point problem
         raise ConfigurationError(f"replicas must be >= 2, got {params['replicas']}")
+    outputs = _Outputs(out, "bias-variance", params)
     rows = []
     failures = {}
     for gidx, np_r in enumerate(params["np_grid"]):
@@ -272,7 +279,6 @@ def cmd_bias_variance(params: dict, out: str) -> int:
         values = [getattr(est, a) for a in attrs] + [est.standard_errors[a] for a in attrs]
         rows.append(dict(zip(header, [np_r, cfg.n_f / cfg.m] + [v / scale for v in values])))
 
-    outputs = _Outputs(out, "bias-variance", params)
     outputs.write_csv("bias_variance.csv", header, (rec.values() for rec in rows))
     if params["plot"] and rows:
         outputs.error_chart(
@@ -286,15 +292,18 @@ def cmd_bias_variance(params: dict, out: str) -> int:
 
 
 def cmd_angles(params: dict, out: str) -> int:
-    _, _, _, analysis = _single_point(params)
+    config = _config(params, params["np_ratio"])
     outputs = _Outputs(out, "angles", params)
+    _, _, analysis = _single_point(config)
     outputs.write_json("angles.json", analysis_to_json_dict(analysis))
     outputs.manifest()
     return 0
 
 
 def cmd_perturb(params: dict, out: str) -> int:
-    config, teacher, model, analysis = _single_point(params)
+    config = _config(params, params["np_ratio"])
+    outputs = _Outputs(out, "perturb", params)
+    teacher, model, analysis = _single_point(config)
     x0 = stream_rng(config.seed, (0, 0, STREAM_TEST)).normal(
         0.0, config.sigma_x / np.sqrt(config.n_f), config.n_f
     )
@@ -303,7 +312,6 @@ def cmd_perturb(params: dict, out: str) -> int:
         n_pairs=params["pairs"], eta=params["eta"],
     )
 
-    outputs = _Outputs(out, "perturb", params)
     outputs.write_csv("perturb.csv", ["kind", "d_y_true", "d_y_pred"], ([r.kind, r.d_y_true, r.d_y_pred] for r in records))
     outputs.write_json("perturb_summary.json", {**summary, "eta": params["eta"], "n_pairs": params["pairs"]})
     if params["plot"]:

@@ -12,11 +12,15 @@ operations use grid_index 0.  Stream ids:
 Every sampling operation in the package is a pure function of
 (seed, stream tuple), so results are independent of evaluation order and
 worker count.
+
+The input, teacher and weight scales are fixed at 1: ExperimentConfig reads
+them as the class constants sigma_x, sigma_beta and sigma_w, and the noise
+scale sigma_eps is the one scale a caller sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Union
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,22 +34,17 @@ STREAM_TRAIN_PAIR = 3
 STREAM_TEST = 4
 STREAM_PERTURB = 5
 
-StreamTag = Union[int, tuple]
-
 ACTIVATIONS = ("identity", "linear", "relu")
 
 
-def stream_rng(seed: int, stream_tag: StreamTag) -> np.random.Generator:
+def stream_rng(seed: int, stream_tag: tuple) -> np.random.Generator:
     """Return the generator for one named stream under ``seed``.
 
-    ``stream_tag`` is an integer or a tuple of integers; distinct tags give
-    statistically independent streams and identical tags reproduce the same
-    draws bit-for-bit.
+    ``stream_tag`` is a tuple of integers; distinct tags give statistically
+    independent streams and identical tags reproduce the same draws
+    bit-for-bit.
     """
-    if isinstance(stream_tag, (int, np.integer)):
-        key = (int(stream_tag),)
-    else:
-        key = tuple(int(t) for t in stream_tag)
+    key = tuple(int(t) for t in stream_tag)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
@@ -58,19 +57,20 @@ class ExperimentConfig:
 
     Scales follow the sampling conventions: X entries ~ N(0, sigma_x^2/n_f),
     noise ~ N(0, sigma_eps^2), teacher beta ~ N(0, sigma_beta^2), random
-    weights W ~ N(0, sigma_w^2/n_p).  The label variance implied by a linear
-    teacher is sigma_y^2 = sigma_x^2 sigma_beta^2 + sigma_eps^2 and the
-    signal-to-noise ratio is sigma_x^2 sigma_beta^2 / sigma_eps^2.
+    weights W ~ N(0, sigma_w^2/n_p).  sigma_x, sigma_beta and sigma_w are
+    class constants fixed at 1, so the label variance implied by a linear
+    teacher is sigma_y^2 = 1 + sigma_eps^2 and the signal-to-noise ratio is
+    1 / sigma_eps^2.  Training and test sets both have m rows.
     """
+
+    sigma_x: ClassVar[float] = 1.0
+    sigma_beta: ClassVar[float] = 1.0
+    sigma_w: ClassVar[float] = 1.0
 
     m: int = 256
     n_f: int = 64
     n_p: int = 256
-    m_test: int | None = None
-    sigma_x: float = 1.0
     sigma_eps: float = 0.1 ** 0.5
-    sigma_beta: float = 1.0
-    sigma_w: float = 1.0
     lam: float = 1e-8
     activation: str = "relu"
     seed: int = 2
@@ -80,14 +80,9 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
-        if self.m_test is not None and (not isinstance(self.m_test, (int, np.integer)) or self.m_test < 1):
-            raise ConfigurationError(f"m_test must be a positive integer, got {self.m_test!r}")
-        # written as "not lo < v < inf" so that NaN, which fails every
+        # written as "not lo <= v < inf" so that NaN, which fails every
         # comparison, is rejected too
-        for name in ("sigma_x", "sigma_beta"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ConfigurationError(f"{name} must be finite and > 0")
-        for name in ("sigma_eps", "sigma_w", "lam"):
+        for name in ("sigma_eps", "lam"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigurationError(f"{name} must be finite and >= 0")
         if self.activation not in ACTIVATIONS:
@@ -102,29 +97,19 @@ class ExperimentConfig:
     # -- derived quantities -------------------------------------------------
 
     @property
-    def effective_m_test(self) -> int:
-        return self.m if self.m_test is None else self.m_test
-
-    @property
     def sigma_y_sq(self) -> float:
         """Theoretical label variance for a linear teacher."""
-        return self.sigma_x**2 * self.sigma_beta**2 + self.sigma_eps**2
-
-    @property
-    def snr(self) -> float:
-        if self.sigma_eps == 0:
-            return float("inf")
-        return self.sigma_x**2 * self.sigma_beta**2 / self.sigma_eps**2
+        return 1.0 + self.sigma_eps**2
 
     def with_updates(self, **kw) -> "ExperimentConfig":
         return replace(self, **kw)
 
 
-def sigma_eps_for_snr(snr: float, sigma_x: float = 1.0, sigma_beta: float = 1.0) -> float:
-    """Noise scale that realizes a target signal-to-noise ratio."""
+def sigma_eps_for_snr(snr: float) -> float:
+    """Noise scale that realizes a target signal-to-noise ratio 1 / sigma_eps^2."""
     if not snr > 0:
         raise ConfigurationError(f"snr must be > 0, got {snr}")
-    return (sigma_x**2 * sigma_beta**2 / snr) ** 0.5
+    return (1.0 / snr) ** 0.5
 
 
 def ratio_to_count(ratio: float, m: int) -> int:

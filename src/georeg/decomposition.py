@@ -40,8 +40,8 @@ from .config import (
     STREAM_TRAIN_PAIR,
     STREAM_WEIGHTS,
 )
-from .errors import ConfigurationError, ShapeError
-from .geometry import FeatureOperatorAnalysis, feature_operator_from_model
+from .errors import ConfigurationError
+from .geometry import feature_operator_from_model
 from .linreg_core import (
     Dataset,
     FeatureMap,
@@ -50,49 +50,9 @@ from .linreg_core import (
     apply_features,
     fit,
     make_feature_map,
-    predict,
     sample_dataset,
     sample_teacher,
 )
-
-# ------------------------------------------------------------ per-point
-
-
-def geometric_test_error(
-    analysis: FeatureOperatorAnalysis, beta: np.ndarray, x: np.ndarray
-) -> float:
-    """(delta_x . beta)^2 with delta_x = (I - P_f) x."""
-    beta = np.asarray(beta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n_f = analysis.p_f.shape[0]
-    if x.shape != (n_f,) or beta.shape != (n_f,):
-        raise ShapeError(
-            f"x and beta must have shape ({n_f},), got {x.shape} and {beta.shape}"
-        )
-    delta_x = x - analysis.p_f @ x
-    return float((delta_x @ beta) ** 2)
-
-
-def error_reduction_check(
-    model: FittedModel, teacher: TeacherModel, data: Dataset, x: np.ndarray
-) -> dict:
-    """Compare total and geometric per-point test error at x.
-
-    total = (y*(x) - yhat(x))^2 against the noiseless teacher label, and
-    geometric = ((x - P_f x) . beta)^2.  The gap collapses to round-off when
-    the noise and the feature nonlinearity both vanish; for a nonlinear map
-    or noisy labels it is reported as-is.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (teacher.beta.shape[0],):
-        raise ShapeError(f"x must have shape ({teacher.beta.shape[0]},), got {x.shape}")
-    y_true = float(teacher.y_star(x[None, :])[0])
-    y_hat = predict(model, x)
-    p_f = feature_operator_from_model(model, data.X)
-    geometric = float(((x - p_f @ x) @ teacher.beta) ** 2)
-    total = (y_true - y_hat) ** 2
-    return {"total": total, "geometric": geometric, "gap": total - geometric}
-
 
 # ------------------------------------------------------------- replicas
 
@@ -132,9 +92,7 @@ def draw_paired_replica(
     fmap = make_feature_map(config, key + (STREAM_WEIGHTS,))
     d1 = sample_dataset(config, teacher, key + (STREAM_TRAIN,))
     d2 = sample_dataset(config, teacher, key + (STREAM_TRAIN_PAIR,))
-    dt = sample_dataset(
-        config, teacher, key + (STREAM_TEST,), n_rows=config.effective_m_test
-    )
+    dt = sample_dataset(config, teacher, key + (STREAM_TEST,))
     m1 = fit(apply_features(fmap, d1.X), d1.y, lam=config.lam, feature_map=fmap)
     m2 = fit(apply_features(fmap, d2.X), d2.y, lam=config.lam, feature_map=fmap)
     return PairedDraw(
@@ -226,7 +184,7 @@ def bias_variance_mc(
     return BiasVarianceEstimate(
         **{attr: mean for attr, (mean, _) in stats.items()},
         n_replicas=n_replicas,
-        n_test_points=config.effective_m_test,
+        n_test_points=config.m,
         standard_errors={attr: se for attr, (_, se) in stats.items()},
     )
 

@@ -105,13 +105,6 @@ class FeatureOperatorAnalysis:
     def rank(self) -> int:
         return int(self.sigmas.size)
 
-    @property
-    def triples(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
-        return [
-            (float(self.sigmas[i]), self.f_x[:, i], self.f_w[:, i])
-            for i in range(self.rank)
-        ]
-
     # the *_max angles are the ones paired with sigma_max (the leading mode),
     # not maxima over modes — near-null modes carry meaningless large angles.
     @property
@@ -174,64 +167,7 @@ def analyze_operator(p_f: np.ndarray, rank_tol: float = 1e-10) -> FeatureOperato
     )
 
 
-def angles_from_vectors(
-    triple: tuple[float, np.ndarray, np.ndarray],
-) -> tuple[float, float]:
-    """Angles of one SVD triple, by the vector construction.
-
-    With x = f_W: x_hat = sigma f_X (f_W . x) = sigma f_X and x_hat_W = f_W,
-    so theta is the angle between f_X and f_W and delta_phi is 90 degrees
-    minus the angle between f_W and x_hat - x_hat_W.  Evaluated in the stable
-    atan2 form, which is the same quantity: the deviation vector has
-    component sigma cos theta - 1 along f_W and sigma sin theta across it.
-    Degenerate case |x_hat - x_hat_W| <= 1e-12 sigma returns delta_phi = 0.
-    """
-    sigma, f_x_vec, f_w_vec = triple
-    sigma = float(sigma)
-    f_x_vec = np.asarray(f_x_vec, dtype=float)
-    f_w_vec = np.asarray(f_w_vec, dtype=float)
-    if sigma <= 0:
-        raise ConfigurationError(f"sigma must be positive, got {sigma}")
-    if f_x_vec.shape != f_w_vec.shape or f_x_vec.ndim != 1:
-        raise ShapeError("f_X and f_W must be vectors of equal length")
-    for name, v in (("f_X", f_x_vec), ("f_W", f_w_vec)):
-        n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-8:
-            raise ConfigurationError(f"{name} is not a unit vector (norm {n:.3e})")
-    th_deg, dphi_deg = _stable_angles(
-        np.array([sigma]), f_x_vec[:, None], f_w_vec[:, None]
-    )
-    return float(th_deg[0]), float(dphi_deg[0])
-
-
-# -------------------------------------------------------- representations
-
-
-@dataclass(frozen=True)
-class Representation:
-    """What the model makes of one input: x_hat + delta_x = x exactly."""
-
-    x_hat: np.ndarray
-    x_hat_w: np.ndarray
-    delta_x: np.ndarray
-
-
-def internal_representation(
-    analysis: FeatureOperatorAnalysis, x: np.ndarray
-) -> Representation:
-    """x_hat = P_f x, x_hat_W = F_W F_W^T x, delta_x = x - x_hat.
-
-    x_hat_W is the intermediate stop: the part of x the model can express at
-    all.  delta_x is the component the model treats as noise — it cannot
-    influence the prediction through the fitted weights.
-    """
-    x = np.asarray(x, dtype=float)
-    n_f = analysis.p_f.shape[0]
-    if x.shape != (n_f,):
-        raise ShapeError(f"x must have shape ({n_f},), got {x.shape}")
-    x_hat = analysis.p_f @ x
-    x_hat_w = analysis.f_w @ (analysis.f_w.T @ x)
-    return Representation(x_hat=x_hat, x_hat_w=x_hat_w, delta_x=x - x_hat)
+# ------------------------------------------------------------ predictions
 
 
 def prediction_decomposition(
@@ -240,7 +176,7 @@ def prediction_decomposition(
     data: Dataset,
     x: np.ndarray,
 ) -> tuple[float, float]:
-    """Split predict(model, x) into (x_hat . beta, delta_y_hat).
+    """Split the prediction z(x) . w_hat into (x_hat . beta, delta_y_hat).
 
     delta_y_hat(x) = dz_NL(x)^T G y + x^T W G eps, where G is the model's
     effective inverse, dz_NL(x) = z(x) - W^T x is the nonlinear feature
@@ -250,10 +186,6 @@ def prediction_decomposition(
     """
     if model.feature_map is None:
         raise ConfigurationError("model has no feature map attached")
-    if data.eps is None:
-        raise ConfigurationError(
-            "prediction_decomposition needs the realized noise; this dataset has eps=None"
-        )
     x = np.asarray(x, dtype=float)
     W = model.feature_map.W
     if x.shape != (W.shape[0],):

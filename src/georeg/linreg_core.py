@@ -31,7 +31,6 @@ import numpy as np
 from .config import (
     ACTIVATIONS,
     ExperimentConfig,
-    StreamTag,
     STREAM_TEACHER,
     STREAM_WEIGHTS,
     default_rel_tol,
@@ -47,7 +46,6 @@ class TeacherModel:
     """Ground-truth linear label generator y*(x) = x.beta."""
 
     beta: np.ndarray
-    sigma_eps: float
 
     def y_star(self, X: np.ndarray) -> np.ndarray:
         """Noiseless labels for each row of X."""
@@ -59,11 +57,11 @@ class TeacherModel:
         return X @ self.beta
 
 
-def sample_teacher(config: ExperimentConfig, stream_tag: StreamTag = (0, 0, STREAM_TEACHER)) -> TeacherModel:
+def sample_teacher(config: ExperimentConfig, stream_tag: tuple = (0, 0, STREAM_TEACHER)) -> TeacherModel:
     """Draw beta with i.i.d. N(0, sigma_beta^2) entries; pure in (config, tag)."""
     rng = stream_rng(config.seed, stream_tag)
     beta = rng.normal(0.0, config.sigma_beta, config.n_f)
-    return TeacherModel(beta=beta, sigma_eps=config.sigma_eps)
+    return TeacherModel(beta=beta)
 
 
 # ---------------------------------------------------------------- datasets
@@ -71,38 +69,30 @@ def sample_teacher(config: ExperimentConfig, stream_tag: StreamTag = (0, 0, STRE
 
 @dataclass(frozen=True)
 class Dataset:
-    """A design matrix with labels and (when known) the realized noise."""
+    """A design matrix with its labels and the realized noise."""
 
     X: np.ndarray
     y: np.ndarray
-    eps: np.ndarray | None
+    eps: np.ndarray
 
     def __post_init__(self):
         if self.X.shape[0] != self.y.shape[0]:
             raise ShapeError(f"X has {self.X.shape[0]} rows but y has {self.y.shape[0]}")
-        if self.eps is not None and self.eps.shape[0] != self.y.shape[0]:
+        if self.eps.shape[0] != self.y.shape[0]:
             raise ShapeError("eps length does not match y")
 
 
-def sample_dataset(
-    config: ExperimentConfig,
-    teacher: TeacherModel,
-    stream_tag: StreamTag,
-    n_rows: int | None = None,
-) -> Dataset:
-    """Draw a dataset of ``n_rows`` (default config.m) points.
+def sample_dataset(config: ExperimentConfig, teacher: TeacherModel, stream_tag: tuple) -> Dataset:
+    """Draw a dataset of config.m points; training and test sets alike.
 
-    X entries are i.i.d. N(0, sigma_x^2/n_f), noise is i.i.d.
+    X entries are i.i.d. N(0, sigma_x^2/n_f) with sigma_x = 1, noise is i.i.d.
     N(0, sigma_eps^2), and y = y*(X) + eps.  The same (config, teacher,
     stream_tag) always reproduces the same bytes: X is drawn first, then eps,
     from the single stream named by the tag.
     """
-    m = config.m if n_rows is None else n_rows
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ConfigurationError(f"n_rows must be a positive integer, got {m!r}")
     rng = stream_rng(config.seed, stream_tag)
-    X = rng.normal(0.0, config.sigma_x / np.sqrt(config.n_f), (m, config.n_f))
-    eps = rng.normal(0.0, config.sigma_eps, m)
+    X = rng.normal(0.0, config.sigma_x / np.sqrt(config.n_f), (config.m, config.n_f))
+    eps = rng.normal(0.0, config.sigma_eps, config.m)
     y = teacher.y_star(X) + eps
     return Dataset(X=X, y=y, eps=eps)
 
@@ -129,7 +119,7 @@ class FeatureMap:
 
 
 def make_feature_map(
-    config: ExperimentConfig, stream_tag: StreamTag = (0, 0, STREAM_WEIGHTS)
+    config: ExperimentConfig, stream_tag: tuple = (0, 0, STREAM_WEIGHTS)
 ) -> FeatureMap:
     """Build the feature map named by config.activation.
 
@@ -252,10 +242,6 @@ class FittedModel:
     train_error: float  # mean((y - Z w_hat)^2) on the training set
 
     @property
-    def lam(self) -> float:
-        return self.factors.lam
-
-    @property
     def rank_z(self) -> int:
         return self.factors.rank
 
@@ -300,12 +286,3 @@ def fit(
         train_error=float(np.mean(r * r)),
     )
 
-
-def predict(model: FittedModel, x: np.ndarray) -> float:
-    """Student prediction yhat(x) = z(x).what for a single input vector."""
-    if model.feature_map is None:
-        raise ConfigurationError("model has no feature map attached; cannot featurize x")
-    z = apply_features(model.feature_map, np.asarray(x, dtype=float))
-    if z.ndim != 1:
-        raise ShapeError("predict expects a single input vector")
-    return float(z @ model.w_hat)

@@ -92,6 +92,21 @@ def test_removed_parameter_sources_exit_2(tmp_path, source):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("command", ["sweep", "bias-variance", "angles", "perturb"])
+def test_unusable_out_exits_2_before_computing(tmp_path, capsys, monkeypatch, command):
+    import georeg.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the output directory was checked")
+
+    for name in ("run_sweep", "bias_variance_mc", "fit"):
+        monkeypatch.setattr(cli, name, never)
+    taken = tmp_path / "a-file"
+    taken.write_text("")
+    assert main([command, "--model", "linear", "--m", "32", "--out", str(taken)]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
 # each command with its plot flag where it has one, at a small M
 _RERUNS = {
     "sweep": ["--model", "relu", "--np-grid", "0.5,1", "--replicas", "4", "--normalize", "--plot"],

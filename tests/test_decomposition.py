@@ -1,7 +1,11 @@
-"""Geometric test error, the error-reduction identity, and paired-draw MC.
+"""Paired draws and the Monte-Carlo bias-variance estimator.
 
-Hand oracle: P_f = diag(1, 0), beta = (1, 1), x = (3, 2).  The lost component
-is (I - P_f) x = (0, 2), so the geometric error is (0*1 + 2*1)^2 = 4.
+Closed-form oracle: a linear family with N_p >= N_f at lam = 0 has
+Z = X W with W of full row rank, so Z^+ = W^+ X^+ and P_f = (W Z^+ X)^T = I.
+The prediction x^T W Z^+ y = x^T X^+ y is then ordinary least squares on the
+N_f inputs, whose risk with X entries ~ N(0, 1/N_f) on noisy test labels is
+sigma_eps^2 (1 + N_f / (M - N_f - 1)) (Hastie et al. 2019, arXiv:1903.08560),
+and the geometric error, bias^2 and variance all vanish.
 """
 import numpy as np
 import pytest
@@ -9,77 +13,11 @@ import pytest
 from georeg import (
     ConfigurationError,
     ExperimentConfig,
-    STREAM_TRAIN,
-    analyze_operator,
-    apply_features,
     bias_variance_mc,
     draw_paired_replica,
-    error_reduction_check,
     feature_operator_from_model,
-    fit,
-    geometric_test_error,
-    make_feature_map,
     paired_projections,
-    sample_dataset,
-    sample_teacher,
 )
-
-
-class TestGeometricTestError:
-    def test_hand_oracle(self):
-        an = analyze_operator(np.diag([1.0, 0.0]))
-        err = geometric_test_error(an, np.array([1.0, 1.0]), np.array([3.0, 2.0]))
-        assert err == pytest.approx(4.0, abs=1e-12)
-
-    def test_identity_operator_loses_nothing(self):
-        an = analyze_operator(np.eye(4))
-        rng = np.random.default_rng(5)
-        err = geometric_test_error(an, rng.normal(size=4), rng.normal(size=4))
-        assert err <= 1e-20
-
-    def test_kernel_direction_loses_everything(self):
-        an = analyze_operator(np.diag([1.0, 0.0]))
-        err = geometric_test_error(an, np.array([0.0, 3.0]), np.array([0.0, 1.0]))
-        assert err == pytest.approx(9.0, abs=1e-12)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            an = analyze_operator(rng.normal(size=(5, 5)))
-            err = geometric_test_error(an, rng.normal(size=5), rng.normal(size=5))
-            assert err >= 0.0
-
-
-class TestErrorReductionCheck:
-    @pytest.mark.parametrize("activation,n_p", [("identity", 10), ("linear", 35)])
-    def test_noiseless_linear_gap_vanishes(self, activation, n_p):
-        cfg = ExperimentConfig(
-            m=20, n_f=10, n_p=n_p, activation=activation, sigma_eps=0.0, lam=0.0
-        )
-        teacher = sample_teacher(cfg)
-        data = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
-        fmap = make_feature_map(cfg)
-        model = fit(apply_features(fmap, data.X), data.y, lam=cfg.lam, feature_map=fmap)
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            x = rng.normal(0.0, cfg.sigma_x / np.sqrt(cfg.n_f), size=cfg.n_f)
-            out = error_reduction_check(model, teacher, data, x)
-            assert abs(out["gap"]) <= 1e-10 * cfg.sigma_y_sq
-            assert out["total"] == pytest.approx(out["geometric"], abs=1e-10 * cfg.sigma_y_sq)
-
-    def test_relu_gap_reported_not_zero(self):
-        # nonlinear features break the identity; the check must still report
-        # both components and their (nonzero) gap
-        cfg = ExperimentConfig(m=20, n_f=10, n_p=40, activation="relu", sigma_eps=0.0)
-        teacher = sample_teacher(cfg)
-        data = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
-        fmap = make_feature_map(cfg)
-        model = fit(apply_features(fmap, data.X), data.y, lam=cfg.lam, feature_map=fmap)
-        x = np.full(10, 0.1)
-        out = error_reduction_check(model, teacher, data, x)
-        assert set(out) == {"total", "geometric", "gap"}
-        assert out["total"] >= 0.0 and out["geometric"] >= 0.0
-        assert out["gap"] == pytest.approx(out["total"] - out["geometric"], abs=1e-14)
 
 
 class TestPairedDraw:
@@ -108,7 +46,7 @@ class TestPairedDraw:
         assert np.allclose(d.train_1.y - d.train_1.eps, d.train_1.X @ d.teacher.beta, atol=1e-12)
 
     def test_projections_shapes_and_meaning(self):
-        cfg = ExperimentConfig(m=12, n_f=5, n_p=16, m_test=33)
+        cfg = ExperimentConfig(m=33, n_f=5, n_p=16)
         d = draw_paired_replica(cfg, 0, 0)
         t, a1, a2 = paired_projections(d)
         assert t.shape == a1.shape == a2.shape == (33,)
@@ -146,7 +84,7 @@ class TestBiasVarianceMC:
         cfg = ExperimentConfig(m=16, n_f=4, n_p=24)
         est = bias_variance_mc(cfg, n_replicas=5)
         assert est.n_replicas == 5
-        assert est.n_test_points == cfg.effective_m_test
+        assert est.n_test_points == cfg.m
         for key in (
             "geometric_error",
             "bias_squared",
@@ -179,3 +117,25 @@ class TestBiasVarianceMC:
             var[ratio] = bias_variance_mc(cfg, n_replicas=60).variance
         assert var[1.0] > var[0.5]
         assert var[1.0] > var[2.0]
+
+
+@pytest.mark.parametrize("m,n_f,n_p", [(64, 16, 48), (128, 32, 96)])
+class TestLinearFamilyOracle:
+    def _config(self, m, n_f, n_p):
+        return ExperimentConfig(m=m, n_f=n_f, n_p=n_p, activation="linear", lam=0.0)
+
+    def test_feature_operator_is_identity(self, m, n_f, n_p):
+        cfg = self._config(m, n_f, n_p)
+        for r in range(20):
+            for p_f in draw_paired_replica(cfg, 0, r).p_fs:
+                assert np.linalg.norm(p_f - np.eye(n_f)) <= 1e-12
+
+    def test_risk_is_ordinary_least_squares(self, m, n_f, n_p):
+        cfg = self._config(m, n_f, n_p)
+        est = bias_variance_mc(cfg, n_replicas=300)
+        assert abs(est.geometric_error) <= 1e-12
+        assert abs(est.bias_squared) <= 1e-12
+        assert abs(est.variance) <= 1e-12
+        risk = cfg.sigma_eps**2 * (1.0 + n_f / (m - n_f - 1))
+        z = (est.total_test_error - risk) / est.standard_errors["total_test_error"]
+        assert abs(z) <= 4.0, z

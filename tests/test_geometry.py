@@ -1,4 +1,4 @@
-"""Projection operators, SVD angles, representations, and the exact split.
+"""Projection operators, SVD angles, and the exact prediction split.
 
 Hand oracles used below:
   - Z = [[1],[1]]: Z Z^+ = [[.5,.5],[.5,.5]].
@@ -7,7 +7,6 @@ Hand oracles used below:
     worked through: W Z^+ = [[1],[1]], times X gives [[1,0],[1,0]], transpose
     [[1,1],[0,0]].  SVD: sigma = sqrt2, f_X = e1, f_W = (e1+e2)/sqrt2,
     theta = 45 deg, sigma cos theta = 1 so delta_phi = 0.
-  - P_f=[[1,1],[0,0]], x=(0,1): x_hat = (1,0), x_hat_W = (.5,.5), delta_x = (-1,1).
 """
 import numpy as np
 import pytest
@@ -20,14 +19,11 @@ from georeg import (
     STREAM_TRAIN,
     analysis_to_json_dict,
     analyze_operator,
-    angles_from_vectors,
     apply_features,
     feature_operator_from_model,
     fit,
-    internal_representation,
     label_projector,
     make_feature_map,
-    predict,
     prediction_decomposition,
     sample_dataset,
     sample_teacher,
@@ -139,10 +135,18 @@ class TestAnalyzeOperator:
         assert an.theta_max_deg == pytest.approx(45.0)
         assert an.delta_phi_max_deg == pytest.approx(0.0, abs=1e-12)
 
+    def test_degenerate_convention(self):
+        # sigma f_X = f_W on every mode: the deviation angle is undefined
+        # and reported as exactly 0, like theta
+        an = analyze_operator(np.eye(3))
+        assert an.rank == 3
+        assert np.all(an.thetas_deg == 0.0)
+        assert np.all(an.delta_phis_deg == 0.0)
+
     def test_zero_matrix_has_empty_triples(self):
         an = analyze_operator(np.zeros((4, 4)))
         assert an.rank == 0
-        assert an.triples == []
+        assert an.f_x.shape == an.f_w.shape == (4, 0)
         assert an.sigma_max is None and an.theta_max_deg is None
 
     def test_reconstruction(self):
@@ -150,7 +154,7 @@ class TestAnalyzeOperator:
         _, data, fmap, model = _fitted(cfg)
         p_f = feature_operator_from_model(model, data.X)
         an = analyze_operator(p_f)
-        rebuilt = sum(s * np.outer(u, v) for s, u, v in an.triples)
+        rebuilt = (an.f_x * an.sigmas) @ an.f_w.T
         assert np.linalg.norm(rebuilt - p_f) <= 1e-8 * np.linalg.norm(p_f)
 
     def test_orthonormal_vector_sets(self):
@@ -190,75 +194,6 @@ class TestAnalyzeOperator:
         assert isinstance(d["sigma"], list)
 
 
-class TestAnglesFromVectors:
-    def test_hand_oracle(self):
-        f_x = np.array([1.0, 0.0])
-        f_w = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        theta, dphi = angles_from_vectors((np.sqrt(2.0), f_x, f_w))
-        assert theta == pytest.approx(45.0)
-        assert dphi == pytest.approx(0.0, abs=1e-12)
-
-    def test_degenerate_convention(self):
-        v = np.array([0.0, 1.0, 0.0])
-        theta, dphi = angles_from_vectors((1.0, v, v))
-        assert theta == 0.0
-        assert dphi == 0.0
-
-    def test_agrees_with_analysis_route(self):
-        cfg = ExperimentConfig(m=40, n_f=16, n_p=48)
-        _, data, fmap, model = _fitted(cfg)
-        an = analyze_operator(feature_operator_from_model(model, data.X))
-        for i, triple in enumerate(an.triples):
-            theta, dphi = angles_from_vectors(triple)
-            assert abs(theta - an.thetas_deg[i]) <= 1e-6
-            assert abs(dphi - an.delta_phis_deg[i]) <= 1e-6
-
-    def test_rejects_non_unit_vectors(self):
-        with pytest.raises(ConfigurationError):
-            angles_from_vectors((1.0, np.array([2.0, 0.0]), np.array([1.0, 0.0])))
-        with pytest.raises(ConfigurationError):
-            angles_from_vectors((-1.0, np.array([1.0, 0.0]), np.array([1.0, 0.0])))
-
-
-class TestInternalRepresentation:
-    def test_identity_operator(self):
-        an = analyze_operator(np.eye(3))
-        x = np.array([1.0, -2.0, 0.5])
-        rep = internal_representation(an, x)
-        assert np.allclose(rep.x_hat, x, atol=1e-12)
-        assert np.allclose(rep.delta_x, 0.0, atol=1e-12)
-
-    def test_hand_oracle(self):
-        an = analyze_operator(np.array([[1.0, 1.0], [0.0, 0.0]]))
-        rep = internal_representation(an, np.array([0.0, 1.0]))
-        assert np.allclose(rep.x_hat, [1.0, 0.0], atol=1e-12)
-        assert np.allclose(rep.x_hat_w, [0.5, 0.5], atol=1e-12)
-        assert np.allclose(rep.delta_x, [-1.0, 1.0], atol=1e-12)
-
-    def test_kernel_input(self):
-        an = analyze_operator(np.array([[1.0, 1.0], [0.0, 0.0]]))
-        # x orthogonal to f_W = (1,1)/sqrt2
-        rep = internal_representation(an, np.array([1.0, -1.0]))
-        assert np.allclose(rep.x_hat, 0.0, atol=1e-12)
-        assert np.allclose(rep.x_hat_w, 0.0, atol=1e-12)
-
-    def test_exact_additivity(self):
-        cfg = ExperimentConfig(m=16, n_f=6, n_p=20)
-        _, data, fmap, model = _fitted(cfg)
-        an = analyze_operator(feature_operator_from_model(model, data.X))
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            x = rng.normal(size=6)
-            rep = internal_representation(an, x)
-            resid = np.linalg.norm(rep.x_hat + rep.delta_x - x)
-            assert resid <= 1e-12 * (1.0 + np.linalg.norm(x))
-
-    def test_shape_error(self):
-        an = analyze_operator(np.eye(3))
-        with pytest.raises(ShapeError):
-            internal_representation(an, np.zeros(4))
-
-
 class TestPredictionDecomposition:
     def test_identity_noiseless_linear(self):
         cfg = ExperimentConfig(
@@ -270,7 +205,7 @@ class TestPredictionDecomposition:
             x = rng.normal(size=8)
             xb, dy = prediction_decomposition(model, teacher, data, x)
             assert abs(dy) <= 1e-10
-            assert xb == pytest.approx(predict(model, x), abs=1e-10)
+            assert xb == pytest.approx(float(apply_features(fmap, x) @ model.w_hat), abs=1e-10)
 
     @pytest.mark.parametrize("activation", ["identity", "linear", "relu"])
     def test_sum_equals_prediction(self, activation):
@@ -280,18 +215,9 @@ class TestPredictionDecomposition:
         rng = np.random.default_rng(14)
         for _ in range(10):
             x = rng.normal(size=12) / np.sqrt(12)
-            y_hat = predict(model, x)
+            y_hat = float(apply_features(fmap, x) @ model.w_hat)
             xb, dy = prediction_decomposition(model, teacher, data, x)
             assert abs(y_hat - (xb + dy)) <= 1e-8 * (1.0 + abs(y_hat))
-
-    def test_requires_noise_vector(self):
-        cfg = ExperimentConfig(m=10, n_f=4, n_p=12)
-        teacher, data, fmap, model = _fitted(cfg)
-        from georeg import Dataset
-
-        stripped = Dataset(X=data.X, y=data.y, eps=None)
-        with pytest.raises(ConfigurationError):
-            prediction_decomposition(model, teacher, stripped, np.zeros(4))
 
 
 class TestNearThresholdInvariant:

@@ -25,7 +25,6 @@ from georeg import (
     fit,
     make_feature_map,
     perturbation_experiment,
-    predict,
     sample_dataset,
     sample_teacher,
     stream_rng,
@@ -110,9 +109,13 @@ class TestBatchedResponses:
             e_par, e_perp = decompose_perturbation(rng.normal(0.0, scale, cfg.n_f), an)
             expected += [("adversarial", e_par), ("invariant", e_perp)]
         assert [r.kind for r in records] == [kind for kind, _ in expected]
+
+        def y_hat(v):
+            return float(apply_features(model.feature_map, v) @ model.w_hat)
+
         for r, (_, d) in zip(records, expected):
             assert np.allclose(r.direction, d, rtol=0.0, atol=1e-15)
-            fd = (predict(model, x + eta * r.direction) - predict(model, x)) / eta
+            fd = (y_hat(x + eta * r.direction) - y_hat(x)) / eta
             assert abs(r.d_y_pred - fd) <= 1e-12
             assert r.d_y_true == teacher.beta @ r.direction
             assert r.eta == eta
@@ -128,7 +131,7 @@ class TestBatchedResponses:
         # an infinite coefficient makes beta . e_hat non-finite on every direction
         beta = teacher.beta.copy()
         beta[0] = np.inf
-        bad = TeacherModel(beta, teacher.sigma_eps)
+        bad = TeacherModel(beta)
         with pytest.raises(NumericError):
             perturbation_experiment(model, bad, an, np.zeros(cfg.n_f), cfg, n_pairs=4)
 
