@@ -43,6 +43,9 @@ class TestConfig:
             dict(m=0),
             dict(n_f=-1),
             dict(n_p=0),
+            dict(m=2.5),
+            dict(n_f=3.0),
+            dict(activation="tanh"),
             dict(sigma_eps=-0.1),
             dict(lam=-1e-8),
             dict(seed=-1),

@@ -6,18 +6,66 @@ The prediction x^T W Z^+ y = x^T X^+ y is then ordinary least squares on the
 N_f inputs, whose risk with X entries ~ N(0, 1/N_f) on noisy test labels is
 sigma_eps^2 (1 + N_f / (M - N_f - 1)) (Hastie et al. 2019, arXiv:1903.08560),
 and the geometric error, bias^2 and variance all vanish.
+
+Hand oracle for the geometric error: identity features fitted on the single
+row x_1 = (1, 0) give P_f = diag(1, 0).  With beta = (1, 1) and test input
+x = (3, 2) the lost component is (I - P_f) x = (0, 2), so the geometric error
+is (0*1 + 2*1)^2 = 4.
 """
 import numpy as np
 import pytest
 
 from georeg import (
     ConfigurationError,
+    Dataset,
     ExperimentConfig,
+    TeacherModel,
     bias_variance_mc,
     draw_paired_replica,
     feature_operator_from_model,
+    fit,
     paired_projections,
 )
+from georeg.decomposition import PairedDraw, _paired_metrics
+from georeg.linreg_core import FeatureMap
+
+
+def _geometric_error(X_train, beta, X_test):
+    """geom_error of the sweep's reduction for identity features fitted on
+    noiseless labels of X_train, so that P_f = (X_train^+ X_train)^T."""
+    beta = np.asarray(beta, dtype=float)
+    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
+    X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
+    fmap = FeatureMap(kind="identity", W=np.eye(beta.shape[0]))
+    train = Dataset(X=X_train, y=X_train @ beta, eps=np.zeros(X_train.shape[0]))
+    test = Dataset(X=X_test, y=X_test @ beta, eps=np.zeros(X_test.shape[0]))
+    model = fit(X_train, train.y, lam=0.0, feature_map=fmap)
+    draw = PairedDraw(TeacherModel(beta), fmap, train, train, test, model, model)
+    return _paired_metrics(draw, symmetric=False)["geom_error"]
+
+
+class TestGeometricTestError:
+    def test_hand_oracle(self):
+        err = _geometric_error([[1.0, 0.0]], [1.0, 1.0], [3.0, 2.0])
+        assert err == pytest.approx(4.0, abs=1e-12)
+
+    def test_identity_operator_loses_nothing(self):
+        # a full-rank training design gives P_f = I
+        rng = np.random.default_rng(5)
+        err = _geometric_error(rng.normal(size=(4, 4)), rng.normal(size=4), rng.normal(size=4))
+        assert err <= 1e-20
+
+    def test_kernel_direction_loses_everything(self):
+        err = _geometric_error([[1.0, 0.0]], [0.0, 3.0], [0.0, 1.0])
+        assert err == pytest.approx(9.0, abs=1e-12)
+
+    def test_nonnegative(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            err = _geometric_error(
+                rng.normal(size=(3, 5)), rng.normal(size=5), rng.normal(size=(4, 5))
+            )
+            assert err >= 0.0
 
 
 class TestPairedDraw:

@@ -13,6 +13,7 @@ import pytest
 
 from georeg import (
     ConfigurationError,
+    Dataset,
     ExperimentConfig,
     NumericError,
     ShapeError,
@@ -218,6 +219,13 @@ class TestPredictionDecomposition:
             y_hat = float(apply_features(fmap, x) @ model.w_hat)
             xb, dy = prediction_decomposition(model, teacher, data, x)
             assert abs(y_hat - (xb + dy)) <= 1e-8 * (1.0 + abs(y_hat))
+
+    def test_requires_noise_vector(self):
+        # the split reads the realized noise, so a Dataset carries it always
+        cfg = ExperimentConfig(m=10, n_f=4, n_p=12)
+        _, data, _, _ = _fitted(cfg)
+        with pytest.raises(TypeError):
+            Dataset(X=data.X, y=data.y)
 
 
 class TestNearThresholdInvariant:
