@@ -8,6 +8,8 @@ manifest.json recording that record, so a run can be reproduced from the
 manifest alone.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure.
+sweep and bias-variance drop a degenerate replica, fail a grid point when
+more than 10% of its replicas drop, and exit 2 only when every point fails.
 """
 from __future__ import annotations
 
@@ -32,9 +34,9 @@ from .config import (
     sigma_eps_for_snr,
     stream_rng,
 )
-from .decomposition import _PAIRED_METRICS, bias_variance_mc
+from .decomposition import _PAIRED_METRICS
 from .errors import ConfigurationError, ExperimentError, NumericError
-from .experiments import _BLAS_THREAD_VARS, ALL_METRICS, SweepSpec, _usable_cpus, run_sweep
+from .experiments import _BLAS_THREAD_VARS, ALL_METRICS, SweepSpec, _run_grid, _usable_cpus, run_sweep
 from .geometry import analysis_to_json_dict, analyze_operator, feature_operator_from_model
 from .linreg_core import fit, apply_features, make_feature_map, sample_dataset, sample_teacher
 from .perturbation import perturbation_experiment
@@ -216,20 +218,31 @@ class _Outputs:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_sweep(params: dict, out: str) -> int:
+def _run_grid_command(command: str, params: dict, out: str):
+    """(outputs, result, manifest fields) of sweep or bias-variance; failed points go to stderr."""
     spec = SweepSpec(
         base_config=_config(params, params["nf_ratio"]),
         np_over_m_grid=params["np_grid"],
         n_replicas=params["replicas"],
         normalize=params["normalize"],
     )
-    outputs = _Outputs(out, "sweep", params)
+    outputs = _Outputs(out, command, params)
     workers = _usable_cpus() if params["workers"] is None else params["workers"]
-    result = run_sweep(spec, workers=workers)
-
+    result = run_sweep(spec, workers=workers) if command == "sweep" else _run_grid(spec, workers, one_sided=True)
     for (np_r, nf_r), msg in sorted(result.point_errors.items()):
-        print(f"sweep: grid point np_over_m={np_r} nf_over_m={nf_r} failed: {msg}", file=sys.stderr)
+        print(f"{command}: grid point np_over_m={np_r} nf_over_m={nf_r} failed: {msg}", file=sys.stderr)
+    return outputs, result, {
+        "elapsed_seconds": result.elapsed_seconds,
+        "point_errors": {f"{k[0]},{k[1]}": v for k, v in result.point_errors.items()},
+        "dropped_replicas": {f"{r.np_over_m},{r.nf_over_m}": r.n_dropped for r in result.rows},
+        "workers": workers,
+        "blas_thread_vars": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
+        "worker_blas_threads": result.worker_blas_threads,
+    }
 
+
+def cmd_sweep(params: dict, out: str) -> int:
+    outputs, result, manifest = _run_grid_command("sweep", params, out)
     header = ["np_over_m", "nf_over_m", "n_p", "n_f", "n_effective"]
     header += [col for name in ALL_METRICS for col in (name, f"{name}_se")]
     outputs.write_csv(
@@ -248,47 +261,28 @@ def cmd_sweep(params: dict, out: str) -> int:
             [r.np_over_m for r in result.rows],
             {name: [r.means[name] for r in result.rows] for name in ("test_error", "train_error", "bias_sq", "variance")},
         )
-    outputs.manifest(
-        elapsed_seconds=result.elapsed_seconds,
-        point_errors={f"{k[0]},{k[1]}": v for k, v in result.point_errors.items()},
-        workers=workers,
-        blas_thread_vars={name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
-        worker_blas_threads=result.worker_blas_threads,
-    )
+    outputs.manifest(**manifest)
     return 0 if result.rows else 2
 
 
 def cmd_bias_variance(params: dict, out: str) -> int:
-    header = ["np_over_m", "nf_over_m", *_PAIRED_METRICS, *(f"se_{c}" for c in _PAIRED_METRICS)]
-    attrs = _PAIRED_METRICS.values()  # the BiasVarianceEstimate field behind each column
-
     if params["replicas"] < 2:  # estimator precondition, not a per-point problem
         raise ConfigurationError(f"replicas must be >= 2, got {params['replicas']}")
-    outputs = _Outputs(out, "bias-variance", params)
-    rows = []
-    failures = {}
-    for gidx, np_r in enumerate(params["np_grid"]):
-        try:
-            cfg = _config(params, np_r)
-            est = bias_variance_mc(cfg, params["replicas"], grid_idx=gidx)
-        except ConfigurationError as exc:
-            failures[str(np_r)] = str(exc)
-            print(f"bias-variance: grid point np_over_m={np_r} failed: {exc}", file=sys.stderr)
-            continue
-        scale = cfg.sigma_y_sq if params["normalize"] else 1.0
-        values = [getattr(est, a) for a in attrs] + [est.standard_errors[a] for a in attrs]
-        rows.append(dict(zip(header, [np_r, cfg.n_f / cfg.m] + [v / scale for v in values])))
-
-    outputs.write_csv("bias_variance.csv", header, (rec.values() for rec in rows))
-    if params["plot"] and rows:
+    outputs, result, manifest = _run_grid_command("bias-variance", params, out)
+    outputs.write_csv(
+        "bias_variance.csv",
+        ["np_over_m", "nf_over_m", *_PAIRED_METRICS, *(f"se_{c}" for c in _PAIRED_METRICS)],
+        ([r.np_over_m, r.nf_over_m] + [d[c] for d in (r.means, r.standard_errors) for c in _PAIRED_METRICS] for r in result.rows),
+    )
+    if params["plot"] and result.rows:
         outputs.error_chart(
             "bias_variance.svg",
             "bias-variance decomposition",
-            [r["np_over_m"] for r in rows],
-            {c: [r[c] for r in rows] for c in ("geom_error", "bias_sq", "variance", "test_error")},
+            [r.np_over_m for r in result.rows],
+            {c: [r.means[c] for r in result.rows] for c in ("geom_error", "bias_sq", "variance", "test_error")},
         )
-    outputs.manifest(point_errors=failures)
-    return 0 if rows else 2
+    outputs.manifest(**manifest)
+    return 0 if result.rows else 2
 
 
 def cmd_angles(params: dict, out: str) -> int:
@@ -336,7 +330,7 @@ _COMMON = ("model", "m", "nf_ratio", "lam", "snr", "seed")
 # command -> (function, help, the record keys it takes as flags beyond _COMMON)
 _COMMANDS = {
     "sweep": (cmd_sweep, "double-descent sweep over N_p/M", ("np_grid", "replicas", "normalize", "workers", "plot")),
-    "bias-variance": (cmd_bias_variance, "paired-replica bias/variance decomposition", ("np_grid", "replicas", "normalize", "plot")),
+    "bias-variance": (cmd_bias_variance, "paired-replica bias/variance decomposition", ("np_grid", "replicas", "normalize", "workers", "plot")),
     "angles": (cmd_angles, "singular values and angles of one fitted operator", ("np_ratio",)),
     "perturb": (cmd_perturb, "adversarial vs invariant perturbation responses", ("np_ratio", "pairs", "eta", "plot")),
 }

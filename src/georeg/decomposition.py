@@ -18,12 +18,14 @@ teacher, products across the pair are unbiased for the squared means:
 One private per-replica kernel, _paired_metrics, forms these products: each
 fit's P_f is built once per replica (PairedDraw.p_fs), and T, A1, A2 and the
 test residuals once per call.  It has two reductions over the same draws.
-The one-sided one, which bias_variance_mc reports, takes E_geom, the
-variance and the train and test errors from the D1 fit alone, keeping the
-estimator exactly the paired-product form above.  The symmetric one, which
-run_sweep in experiments.py reports, averages them over the pair; that
-changes no expectation value (exchangeability) but tightens the standard
-errors.  The cross product bias^2 is the same in both.
+The one-sided one (_one_sided_metrics), which bias_variance_mc and georeg
+bias-variance report, takes E_geom, the variance and the train and test
+errors from the D1 fit alone, keeping the estimator exactly the
+paired-product form above.  The symmetric one, which run_sweep in
+experiments.py reports, averages them over the pair; that changes no
+expectation value (exchangeability) but tightens the standard errors.  The
+cross product bias^2 is the same in both.  Every estimator drops a
+degenerate replica and fails when more than 10% drop (_kept_replicas).
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from .config import (
     STREAM_TRAIN_PAIR,
     STREAM_WEIGHTS,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .geometry import feature_operator_from_model
 from .linreg_core import (
     Dataset,
@@ -146,6 +148,30 @@ def _paired_metrics(draw: PairedDraw, symmetric: bool) -> dict:
     }
 
 
+def _finite(metrics: dict) -> dict:
+    """metrics with float values; NumericError if any value is not finite."""
+    if not np.all(np.isfinite(list(metrics.values()))):
+        raise NumericError(f"non-finite replica metrics: {metrics}")
+    return {k: float(v) for k, v in metrics.items()}
+
+
+def _one_sided_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict | None:
+    """The one-sided paired metrics of one replica; None if its draw raises or a metric is not finite."""
+    try:
+        return _finite(_paired_metrics(draw_paired_replica(config, grid_idx, replica_idx), symmetric=False))
+    except (NumericError, np.linalg.LinAlgError):
+        return None
+
+
+def _kept_replicas(results: list) -> list:
+    """The replicas that are not None (degenerate); NumericError if more than 10% are."""
+    kept = [r for r in results if r is not None]
+    n_dropped = len(results) - len(kept)
+    if n_dropped > 0.1 * len(results):
+        raise NumericError(f"{n_dropped}/{len(results)} replicas degenerate")
+    return kept
+
+
 # ------------------------------------------------------------ estimator
 
 
@@ -171,19 +197,16 @@ def bias_variance_mc(
     Per replica: draw (teacher, W, D1, D2, test), fit both training sets, and
     take the one-sided reduction of the paired products described in the
     module docstring: E_geom, the total test error, and the training error
-    come from the D1 fit.  Returns means over replicas with standard errors
-    for every field.
+    come from the D1 fit.  Returns means over the kept replicas (n_replicas
+    counts them) with standard errors for every field; see _kept_replicas.
     """
     if not isinstance(n_replicas, (int, np.integer)) or n_replicas < 2:
         raise ConfigurationError(f"n_replicas must be an integer >= 2, got {n_replicas!r}")
-    per = [
-        _paired_metrics(draw_paired_replica(config, grid_idx, r), symmetric=False)
-        for r in range(n_replicas)
-    ]
+    per = _kept_replicas([_one_sided_metrics(config, grid_idx, r) for r in range(n_replicas)])
     stats = {attr: summarize([p[name] for p in per]) for name, attr in _PAIRED_METRICS.items()}
     return BiasVarianceEstimate(
         **{attr: mean for attr, (mean, _) in stats.items()},
-        n_replicas=n_replicas,
+        n_replicas=len(per),
         n_test_points=config.m,
         standard_errors={attr: se for attr, (_, se) in stats.items()},
     )

@@ -21,15 +21,19 @@ reduces one-sidedly; the P_f metrics, frob_I_minus_Pf among them, are
 properties of each cached operator's analysis; sigma_Z_min and
 frob_I_minus_Pl read each fit's stored factorization of Z.
 
+One grid runner, _run_grid, serves run_sweep and georeg bias-variance with
+one task per (grid point, replica) and one degenerate-replica rule.  Only the
+replica kernel differs: _replica_metrics here, _one_sided_metrics for bias-variance.
+
 RNG streams are keyed by (grid-point index, replica index), and results are
 reduced in replica-index order, so they do not depend on execution order.
-run_sweep's workers defaults to 1, in-process; georeg sweep passes
---workers, else the usable CPU count.  With workers > 1 the replicas run in
-a pool of spawned processes whose BLAS is pinned to one thread; the serial
-path uses the BLAS the caller loaded.  Outputs are therefore identical
-across worker counts when the caller's BLAS also runs one thread
-(OPENBLAS_NUM_THREADS=1).  A spawned worker re-imports the caller's
-__main__, so a script that sweeps with workers > 1 needs an
+run_sweep's workers defaults to 1, in-process; georeg sweep and georeg
+bias-variance pass --workers, else the usable CPU count.  With workers > 1
+the replicas run in a pool of spawned processes whose BLAS is pinned to one
+thread; the serial path uses the BLAS the caller loaded.  Outputs are
+therefore identical across worker counts when the caller's BLAS also runs
+one thread (OPENBLAS_NUM_THREADS=1).  A spawned worker re-imports the
+caller's __main__, so a script that runs replicas with workers > 1 needs an
 ``if __name__ == "__main__":`` guard and cannot be read from stdin.
 """
 from __future__ import annotations
@@ -45,7 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig, ratio_to_count
-from .decomposition import _paired_metrics, draw_paired_replica, summarize
+from .decomposition import _PAIRED_METRICS, _finite, _kept_replicas, _one_sided_metrics, _paired_metrics
+from .decomposition import draw_paired_replica, summarize
 from .errors import ConfigurationError, ExperimentError, NumericError
 from .geometry import analyze_operator
 
@@ -144,17 +149,14 @@ def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) 
             "frob_I_minus_Pl": [_frob_complement_from_fit(m) for m in models],
         }
         analyses = [analyze_operator(p) for p in draw.p_fs]
+        if any(a.rank == 0 for a in analyses):
+            raise NumericError("P_f has rank 0")
+        for name in ("frob_I_minus_Pf", "sigma_max", "theta_max_deg", "delta_phi_max_deg"):
+            per_fit[name] = [getattr(a, name) for a in analyses]
+        out.update({name: 0.5 * (v1 + v2) for name, (v1, v2) in per_fit.items()})
+        return _finite(out)
     except (NumericError, np.linalg.LinAlgError):
         return None
-    if any(a.rank == 0 for a in analyses):
-        return None
-    for name in ("frob_I_minus_Pf", "sigma_max", "theta_max_deg", "delta_phi_max_deg"):
-        per_fit[name] = [getattr(a, name) for a in analyses]
-    out.update({name: 0.5 * (v1 + v2) for name, (v1, v2) in per_fit.items()})
-    vals = np.array(list(out.values()), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        return None
-    return {k: float(v) for k, v in out.items()}
 
 
 # ------------------------------------------------------------------ run
@@ -187,8 +189,8 @@ def _blas_pinned_env():
                 os.environ[name] = value
 
 
-def _run_pooled(tasks: list, workers: int) -> list:
-    """_replica_metrics of every (config, grid_idx, replica_idx) task, in task order.
+def _run_pooled(kernel, tasks: list, workers: int) -> list:
+    """kernel(*task) for every (config, grid_idx, replica_idx) task, in task order.
 
     One task per replica, submitted costliest (largest n_p) first so that the
     last tasks to finish are short.  Every worker starts while the BLAS
@@ -198,12 +200,12 @@ def _run_pooled(tasks: list, workers: int) -> list:
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
         with _blas_pinned_env():
-            futures = {i: pool.submit(_replica_metrics, *tasks[i]) for i in order}
+            futures = {i: pool.submit(kernel, *tasks[i]) for i in order}
         return [futures[i].result() for i in range(len(tasks))]
     except BrokenProcessPool as exc:
         raise ExperimentError(
-            "the sweep's worker pool died. Each worker re-imports the calling script, so "
-            "a script that calls run_sweep with workers > 1 must do so under "
+            "the replica pool died. Each worker re-imports the calling script, so a script "
+            "that calls run_sweep or cli.main with workers > 1 must do so under "
             '`if __name__ == "__main__":` and cannot be read from stdin; workers=1 runs '
             "in-process"
         ) from exc
@@ -224,67 +226,57 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     spawned processes with BLAS pinned to one thread, and a pool that dies
     raises ExperimentError.
     """
+    return _run_grid(spec, workers)
+
+
+def _run_grid(spec: SweepSpec, workers: int, one_sided: bool = False) -> SweepResult:
+    """run_sweep; with one_sided, the same grid in decomposition's one-sided
+    reduction, reporting the five _PAIRED_METRICS (georeg bias-variance)."""
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
+    kernel, metrics = (_one_sided_metrics, tuple(_PAIRED_METRICS)) if one_sided else (_replica_metrics, ALL_METRICS)
     t0 = time.perf_counter()
-    base = spec.base_config
-    m = base.m
-    nf_r = base.n_f / m
+    base, n = spec.base_config, spec.n_replicas
+    nf_r = base.n_f / base.m
 
-    configs: dict[int, tuple[float, ExperimentConfig]] = {}
+    configs: dict[int, tuple[float, ExperimentConfig]] = {}  # in grid order
     point_errors: dict[tuple[float, float], str] = {}  # keyed (np_over_m, nf_over_m)
     for gidx, np_r in enumerate(spec.np_over_m_grid):
         try:
-            cfg = base.with_updates(n_p=ratio_to_count(np_r, m))
+            configs[gidx] = (np_r, base.with_updates(n_p=ratio_to_count(np_r, base.m)))
         except ConfigurationError as exc:
             point_errors[(np_r, nf_r)] = str(exc)
-            continue
-        configs[gidx] = (np_r, cfg)
 
-    tasks = [(configs[gidx][1], gidx, r) for gidx in sorted(configs) for r in range(spec.n_replicas)]
+    tasks = [(cfg, gidx, r) for gidx, (_, cfg) in configs.items() for r in range(n)]
     workers = min(workers, len(tasks))
-    if workers > 1:
-        replicas = _run_pooled(tasks, workers)
-    else:
-        replicas = [_replica_metrics(*task) for task in tasks]
-    per_point: dict[int, list] = {gidx: [] for gidx in configs}
-    for (_, gidx, _), res in zip(tasks, replicas):
-        per_point[gidx].append(res)
+    replicas = _run_pooled(kernel, tasks, workers) if workers > 1 else [kernel(*task) for task in tasks]
 
-    scale = base.sigma_y_sq if spec.normalize else 1.0
+    # dividing by 1.0 leaves a metric's bits unchanged
+    div = {name: base.sigma_y_sq if spec.normalize and name in NORMALIZED_METRICS else 1.0 for name in metrics}
     rows = []
-    for gidx in sorted(configs):
-        np_r, cfg = configs[gidx]
-        results = [r for r in per_point[gidx] if r is not None]
-        n_dropped = spec.n_replicas - len(results)
-        if n_dropped > 0.1 * spec.n_replicas:
-            point_errors[(np_r, nf_r)] = (
-                f"{n_dropped}/{spec.n_replicas} replicas degenerate"
-            )
+    for k, (np_r, cfg) in enumerate(configs.values()):
+        try:
+            results = _kept_replicas(replicas[k * n:(k + 1) * n])
+        except NumericError as exc:
+            point_errors[(np_r, nf_r)] = str(exc)
             continue
-        means, ses = {}, {}
-        for name in ALL_METRICS:
-            mean, se = summarize([r[name] for r in results])
-            if name in NORMALIZED_METRICS:
-                mean, se = mean / scale, se / scale
-            means[name] = mean
-            ses[name] = se
+        stats = {name: summarize([r[name] for r in results]) for name in metrics}
         rows.append(
             SweepRow(
                 np_over_m=float(np_r),
                 nf_over_m=float(nf_r),
                 n_p=cfg.n_p,
                 n_f=cfg.n_f,
-                means=means,
-                standard_errors=ses,
+                means={name: mean / div[name] for name, (mean, _) in stats.items()},
+                standard_errors={name: se / div[name] for name, (_, se) in stats.items()},
                 n_effective=len(results),
-                n_dropped=n_dropped,
+                n_dropped=n - len(results),
             )
         )
     return SweepResult(
         rows=tuple(rows),
         point_errors=point_errors,
-        n_replicas=spec.n_replicas,
+        n_replicas=n,
         elapsed_seconds=time.perf_counter() - t0,
         normalized=spec.normalize,
         worker_blas_threads=1 if workers > 1 else None,

@@ -121,18 +121,17 @@ def _frame(ax: _Axes, title: str, x_label: str, y_label: str) -> list[str]:
     return parts + grid
 
 
-def _legend(entries: list[tuple[str, str]]) -> list[str]:
-    parts = ['<g font-family="sans-serif" font-size="12">']
-    for i, (label, color) in enumerate(entries):
+def _write(path, parts: list[str], legend: list[tuple[str, str]]) -> None:
+    """Write the chart parts, then the legend of (label, color) entries, as one SVG file."""
+    parts = [*parts, '<g font-family="sans-serif" font-size="12">']
+    x = _W - _MR - 150
+    for i, (label, color) in enumerate(legend):
         y = _MT + 16 + 16 * i
-        x = _W - _MR - 150
-        parts.append(
-            f'<line x1="{x}" y1="{y - 4}" x2="{x + 22}" y2="{y - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
+        parts.append(f'<line x1="{x}" y1="{y - 4}" x2="{x + 22}" y2="{y - 4}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{x + 28}" y="{y}" fill="#222222">{label}</text>')
-    parts.append("</g>")
-    return parts
+    parts += ["</g>", "</svg>"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def line_chart(
@@ -171,10 +170,7 @@ def line_chart(
             parts.append(
                 f'<circle cx="{_fmt(ax.px(x))}" cy="{_fmt(ax.py(y))}" r="3" fill="{color}"/>'
             )
-    parts += _legend(legend)
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write(path, parts, legend)
 
 
 def scatter_chart(
@@ -219,7 +215,4 @@ def scatter_chart(
                     f'x2="{_fmt(ax.px(x1))}" y2="{_fmt(ax.py(y_at(x1)))}" '
                     f'stroke="{color}" stroke-width="1.5"/>'
                 )
-    parts += _legend(legend)
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write(path, parts, legend)

@@ -11,6 +11,7 @@ import pytest
 
 import georeg
 from georeg.cli import _DEFAULTS, _resolve, main
+from georeg.config import sigma_eps_for_snr
 
 
 def _run(*argv):
@@ -99,7 +100,7 @@ def test_unusable_out_exits_2_before_computing(tmp_path, capsys, monkeypatch, co
     def never(*args, **kwargs):
         raise AssertionError("computed before the output directory was checked")
 
-    for name in ("run_sweep", "bias_variance_mc", "fit"):
+    for name in ("run_sweep", "_run_grid", "fit"):  # the grid runners of sweep and bias-variance
         monkeypatch.setattr(cli, name, never)
     taken = tmp_path / "a-file"
     taken.write_text("")
@@ -259,6 +260,75 @@ class TestBiasVarianceCommand:
         sigma_y_sq = 1.0 + 0.1  # sigma_x^2 sigma_beta^2 + sigma_y^2/snr at snr 10
         ratio = float(raw["test_error"]) / float(norm["test_error"])
         assert ratio == pytest.approx(sigma_y_sq, rel=1e-12)
+
+
+def _bv_args(out, *extra):
+    return ["bias-variance", "--model", "relu", "--m", "32", "--nf-ratio", "0.25",
+            "--np-grid", "0.5,1", *extra, "--out", str(out)]
+
+
+def _fail_replica(bad):
+    """A draw_paired_replica that raises NumericError for the (grid_idx, replica_idx) pairs in bad."""
+    draw = georeg.decomposition.draw_paired_replica
+
+    def patched(config, grid_idx, replica_idx):
+        if (grid_idx, replica_idx) in bad:
+            raise georeg.NumericError("degenerate on purpose")
+        return draw(config, grid_idx, replica_idx)
+
+    return patched
+
+
+class TestBiasVarianceReplicaRunner:
+    """bias-variance runs its replicas through the sweep's grid runner and pool."""
+
+    def test_outputs_identical_across_worker_counts(self, tmp_path):
+        # pool workers run BLAS at one thread, so the serial run must too
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(georeg.__file__).resolve().parents[1])}
+        for workers in ("1", "2"):
+            argv = _bv_args(tmp_path / workers, "--replicas", "4", "--workers", workers)
+            subprocess.run([sys.executable, "-m", "georeg.cli", *argv], env=env, check=True,
+                           capture_output=True, timeout=120)
+        manifests = [json.loads((tmp_path / w / "manifest.json").read_text()) for w in ("1", "2")]
+        assert [(m["workers"], m["worker_blas_threads"]) for m in manifests] == [(1, None), (2, 1)]
+        assert manifests[1]["blas_thread_vars"]["OPENBLAS_NUM_THREADS"] == "1"
+        name = "bias_variance.csv"
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_rows_equal_bias_variance_mc(self, tmp_path):
+        assert _run(*_bv_args(tmp_path, "--replicas", "5", "--workers", "1")) == 0
+        with open(tmp_path / "bias_variance.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for gidx, row in enumerate(rows):
+            cfg = georeg.ExperimentConfig(m=32, n_f=8, n_p=int(float(row["np_over_m"]) * 32), activation="relu",
+                                          sigma_eps=sigma_eps_for_snr(10.0))
+            est = georeg.bias_variance_mc(cfg, 5, grid_idx=gidx)
+            for col, attr in georeg.decomposition._PAIRED_METRICS.items():
+                assert float(row[col]) == getattr(est, attr), col
+                assert float(row[f"se_{col}"]) == est.standard_errors[attr], col
+
+    def test_single_drop_keeps_the_point(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(georeg.decomposition, "draw_paired_replica", _fail_replica({(0, 3)}))
+        assert _run(*_bv_args(tmp_path, "--replicas", "10", "--workers", "1")) == 0
+        with open(tmp_path / "bias_variance.csv") as fh:
+            assert len(list(csv.reader(fh))) == 3
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["dropped_replicas"] == {"0.5,0.25": 1, "1.0,0.25": 0}
+        assert manifest["point_errors"] == {}
+        assert capsys.readouterr().err == ""
+
+    def test_more_than_ten_percent_dropped_fails_the_point(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(georeg.decomposition, "draw_paired_replica", _fail_replica({(1, 0), (1, 7)}))
+        assert _run(*_bv_args(tmp_path, "--replicas", "10", "--workers", "1")) == 0
+        with open(tmp_path / "bias_variance.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["np_over_m"] for r in rows] == ["0.5"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["point_errors"] == {"1.0,0.25": "2/10 replicas degenerate"}
+        assert manifest["dropped_replicas"] == {"0.5,0.25": 0}
+        assert "np_over_m=1.0 nf_over_m=0.25 failed: 2/10 replicas degenerate" in capsys.readouterr().err
 
 
 class TestAnglesCommand:

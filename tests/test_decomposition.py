@@ -15,10 +15,12 @@ is (0*1 + 2*1)^2 = 4.
 import numpy as np
 import pytest
 
+import georeg.decomposition
 from georeg import (
     ConfigurationError,
     Dataset,
     ExperimentConfig,
+    NumericError,
     TeacherModel,
     bias_variance_mc,
     draw_paired_replica,
@@ -155,6 +157,25 @@ class TestBiasVarianceMC:
             bias_variance_mc(cfg, n_replicas=1)
         with pytest.raises(ConfigurationError):
             bias_variance_mc(cfg, n_replicas=2.5)
+
+    def test_degenerate_replicas_are_dropped_up_to_ten_percent(self, monkeypatch):
+        cfg = ExperimentConfig(m=16, n_f=4, n_p=24)
+        full = bias_variance_mc(cfg, n_replicas=10)
+        draw = georeg.decomposition.draw_paired_replica
+        bad = {3}
+
+        def degenerate_at(config, grid_idx, replica_idx):
+            if replica_idx in bad:
+                raise NumericError("degenerate on purpose")
+            return draw(config, grid_idx, replica_idx)
+
+        monkeypatch.setattr(georeg.decomposition, "draw_paired_replica", degenerate_at)
+        est = bias_variance_mc(cfg, n_replicas=10)
+        assert est.n_replicas == 9
+        assert est.geometric_error != full.geometric_error
+        bad.add(7)
+        with pytest.raises(NumericError, match="2/10 replicas degenerate"):
+            bias_variance_mc(cfg, n_replicas=10)
 
     def test_variance_peaks_at_interpolation(self):
         # classic double-descent variance spike at n_p = m
