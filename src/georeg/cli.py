@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,7 +41,7 @@ from .experiments import _BLAS_THREAD_VARS, ALL_METRICS, SweepSpec, _run_grid, _
 from .geometry import analysis_to_json_dict, analyze_operator, feature_operator_from_model
 from .linreg_core import fit, apply_features, make_feature_map, sample_dataset, sample_teacher
 from .perturbation import perturbation_experiment
-from . import svg
+from . import __version__, svg
 
 # ------------------------------------------------------------- parameters
 
@@ -167,6 +168,18 @@ def _single_point(config: ExperimentConfig):
 # ---------------------------------------------------------------- outputs
 
 
+def _environment() -> dict:
+    """The georeg, numpy and Python versions and the name of numpy's BLAS.
+
+    The BLAS name is None on numpy < 1.25, whose show_config has no mode.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        blas = None
+    return {"georeg": __version__, "numpy": np.__version__, "python": platform.python_version(), "blas": blas}
+
+
 class _Outputs:
     """One command's output directory; every file, then the manifest, goes through it.
 
@@ -210,6 +223,7 @@ class _Outputs:
                 "seed": self.params["seed"],
                 "output_paths": self.paths + ["manifest.json"],
                 "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                "environment": _environment(),
                 **extra,
             },
         )

@@ -13,13 +13,16 @@ the feature map under Gaussian inputs (Stein's identity), which the geometric
 diagnostics rely on.
 
 Fitting minimizes |Z w - y|^2 + lam |w|^2 through the effective inverse
-G = V diag(f) U^T of the thin SVD Z = U diag(s) V^T.  factorize holds the
-package's only SVD and singular-value rule: its Factorization keeps the
-modes s > rel_tol * s_max (rank(Z) counts them), with filter factors
-f = 1/s on those modes for lam = 0 (the minimum-norm what = Z^+ y) or
-f = s/(s^2 + lam) on every mode for lam > 0.  A FittedModel keeps the
-Factorization of Z; pseudoinverse, geometry and the sweep read rank, kept
-modes and G from one, so identities between the operators hold to round-off.
+G = V diag(f) U^T of the factorization Z = U diag(s) V^T.  factorize holds
+the package's only factorizations and singular-value rule: its
+Factorization keeps the modes s > rel_tol * s_max (rank(Z) counts them),
+with filter factors f = 1/s on those modes for lam = 0 (the minimum-norm
+what = Z^+ y) or f = s/(s^2 + lam) on every mode for lam > 0.  A strictly
+tall Z at lam > 0 is factorized through eigh of the smaller Gram matrix
+Z^T Z instead of the thin SVD, which every other call uses.  A FittedModel
+keeps the Factorization of Z; pseudoinverse, geometry and the sweep read
+rank, kept modes and G from one, so identities between the operators hold
+to round-off.
 """
 from __future__ import annotations
 
@@ -154,14 +157,21 @@ def apply_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Factorization:
-    """The thin SVD A = U diag(s) Vt, the mask keep of the modes that pass the
-    cut, and the ridge lam that sets the filter factors of G = V diag(f) U^T."""
+    """A = U diag(s) Vt with s descending, the mask keep of the modes that pass
+    the cut, and the ridge lam that sets the filter factors of G = V diag(f) U^T.
 
-    U: np.ndarray = field(repr=False)
+    Exactly one of U and AV is stored.  The thin SVD stores U.  The Gram
+    route (see factorize) stores AV = A V = U diag(s) instead, and reads G
+    and G y from it through f = 1/(s^2 + lam), so that no step divides by a
+    small s; it forms the kept U_k = AV_k / s_k only when U_k is read.
+    """
+
+    U: np.ndarray | None = field(repr=False)
     s: np.ndarray
     Vt: np.ndarray = field(repr=False)
     lam: float
     keep: np.ndarray
+    AV: np.ndarray | None = field(default=None, repr=False)
 
     # The kept modes are copied with the boolean mask, not sliced, and G is
     # built from them for lam = 0 but from the unsliced factors for lam > 0:
@@ -169,6 +179,8 @@ class Factorization:
     # number, depends on that layout.
     @cached_property
     def U_k(self) -> np.ndarray:
+        if self.U is None:
+            return self.AV[:, self.keep] / self.s_k
         return self.U[:, self.keep]
 
     @cached_property
@@ -188,28 +200,44 @@ class Factorization:
         return float(self.s_k.min()) if self.rank else 0.0
 
     @cached_property
-    def _filtered(self) -> tuple:  # (U, f, Vt) with G = Vt^T diag(f) U^T
+    def _filtered(self) -> tuple:  # (L, f, Vt) with G = Vt^T diag(f) L^T
+        if self.U is None:
+            return self.AV, 1.0 / (self.s**2 + self.lam), self.Vt
         if self.lam > 0:
             return self.U, self.s / (self.s**2 + self.lam), self.Vt
         return self.U_k, 1.0 / self.s_k, self.Vt_k
 
     def effective_inverse(self) -> np.ndarray:
         """G = V diag(f) U^T, shape (columns of A) x (rows of A)."""
-        U, f, Vt = self._filtered
-        return Vt.T @ (f[:, None] * U.T)
+        L, f, Vt = self._filtered
+        return Vt.T @ (f[:, None] * L.T)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """G y without forming G."""
-        U, f, Vt = self._filtered
-        return Vt.T @ (f * (U.T @ y))
+        L, f, Vt = self._filtered
+        return Vt.T @ (f * (L.T @ y))
 
 
 def factorize(
     A: np.ndarray, lam: float = 0.0, rel_tol: float | None = None, *, caller: str = "factorize"
 ) -> Factorization:
-    """Thin SVD of a finite 2-D A for the finite ridge lam >= 0, keeping
-    s > rel_tol * s_max (0 < rel_tol < 1, default default_rel_tol(A.shape));
-    errors name ``caller``."""
+    """Factorize a finite 2-D A for the finite ridge lam >= 0, keeping the
+    modes s > rel_tol * s_max (0 < rel_tol < 1, default
+    default_rel_tol(A.shape)); errors name ``caller``.
+
+    Two routes, chosen by A's shape and lam alone:
+
+    * lam > 0 and A strictly tall (rows > columns), the Gram route:
+      np.linalg.eigh of the columns x columns matrix A^T A = V diag(s^2) V^T,
+      which costs a fraction of the SVD of A.  Forming and diagonalizing
+      A^T A moves its eigenvalues by up to about max(A.shape) eps s_max^2,
+      so this route cannot resolve smaller s and its cut is
+      s > max(rel_tol, 10 sqrt(max(A.shape) eps)) * s_max, about
+      2.4e-6 s_max at 256 rows.  For lam > 0 the cut feeds only rank,
+      sigma_min and U_k; G and G y use every mode.
+    * otherwise (wide or square A, or lam = 0) the thin SVD of
+      np.linalg.svd, whose U, s and Vt are stored as it returns them.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ShapeError(f"{caller} input must be 2-D, got shape {A.shape}")
@@ -220,6 +248,13 @@ def factorize(
         raise ConfigurationError(f"{caller}: the relative cutoff must lie in (0, 1), got {rel_tol}")
     if not np.all(np.isfinite(A)):
         raise NumericError(f"{caller} input has non-finite entries")
+    if lam > 0 and A.shape[0] > A.shape[1]:
+        ev, V = np.linalg.eigh(A.T @ A)  # ascending
+        s = np.sqrt(np.maximum(ev[::-1], 0.0))
+        Vt = np.ascontiguousarray(V[:, ::-1].T)
+        gram_tol = 10.0 * np.sqrt(max(A.shape) * np.finfo(float).eps)
+        keep = s > max(tol, gram_tol) * (s[0] if s.size else 0.0)
+        return Factorization(None, s, Vt, float(lam), keep, AV=A @ Vt.T)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     return Factorization(U, s, Vt, float(lam), keep=s > tol * (s[0] if s.size else 0.0))
 

@@ -3,10 +3,12 @@ import argparse
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import georeg
@@ -130,6 +132,27 @@ def test_manifest_reproduces_every_output(tmp_path, command):
     assert len(names) == len(manifest["output_paths"]) - 1
     for name in names:
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", sorted(_RERUNS))
+def test_manifest_records_environment(tmp_path, command):
+    assert main([command, "--m", "32", *_RERUNS[command], "--out", str(tmp_path)]) == 0
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert env["georeg"] == georeg.__version__
+    assert env["numpy"] == np.__version__
+    assert env["python"] == platform.python_version()
+    if tuple(int(v) for v in np.__version__.split(".")[:2]) >= (1, 25):
+        assert isinstance(env["blas"], str) and env["blas"]
+    else:
+        assert env["blas"] is None
+
+
+def test_manifest_blas_is_null_without_show_config_mode(tmp_path, monkeypatch):
+    import georeg.cli as cli
+
+    monkeypatch.setattr(cli.np, "show_config", lambda: None)  # numpy < 1.25 takes no mode
+    assert main(["angles", "--model", "linear", "--m", "16", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["environment"]["blas"] is None
 
 
 class TestSweepCommand:
