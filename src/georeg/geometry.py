@@ -23,8 +23,9 @@ directions.  theta_max and delta_phi_max refer to the angles paired with the
 LARGEST singular value, i.e. those of the leading mode.
 
 Every SVD here, of Z and of P_f, is a linreg_core.factorize.  P_f has one
-route, feature_operator_from_model, which takes G from the fit's stored
-factorization; |I - P_f|_F is a property of the operator's analysis.
+route, feature_operator_from_model, which applies G from the fit's stored
+factorization between W and X without forming the N_p x M matrix G;
+|I - P_f|_F is a property of the operator's analysis.
 
 Angles are evaluated with the chord form theta = 2 atan2(|u - v|, |u + v|),
 which is exact where arccos of a dot product loses six digits, so the
@@ -71,20 +72,18 @@ def feature_operator_from_model(model: FittedModel, X: np.ndarray) -> np.ndarray
 
     X holds the M training inputs the fit's Z was featurized from, and G is
     the fit's effective inverse: Z^+ for lam = 0 and the ridge-filtered
-    inverse V diag(s/(s^2+lam)) U^T for lam > 0, so operator diagnostics
-    describe the same estimator that was actually fitted.
+    inverse for lam > 0, so operator diagnostics describe the same estimator
+    that was actually fitted.  G is applied between W and X without being
+    formed: W (K^-1 Z^T X) on the Gram route, (W V) diag(f) (U^T X) on the
+    SVD route (see linreg_core.Factorization.solve).
     """
     if model.feature_map is None:
         raise ConfigurationError("model has no feature map attached")
     X = np.asarray(X, dtype=float)
     W = model.feature_map.W
-    G = model.effective_inverse()
-    n_p, m = G.shape
-    if W.shape[1] != n_p:
-        raise ShapeError(f"W is {W.shape} but Z has {n_p} feature columns")
-    if X.shape != (m, W.shape[0]):
-        raise ShapeError(f"X is {X.shape}, expected ({m}, {W.shape[0]})")
-    return (W @ G @ X).T
+    if X.ndim != 2 or X.shape[1] != W.shape[0]:
+        raise ShapeError(f"X is {X.shape}, expected {W.shape[0]} columns")
+    return model.factors.solve(X, left=W).T
 
 
 # ----------------------------------------------------------- SVD analysis

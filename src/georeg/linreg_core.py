@@ -18,11 +18,14 @@ the package's only factorizations and singular-value rule: its
 Factorization keeps the modes s > rel_tol * s_max (rank(Z) counts them),
 with filter factors f = 1/s on those modes for lam = 0 (the minimum-norm
 what = Z^+ y) or f = s/(s^2 + lam) on every mode for lam > 0.  A strictly
-tall Z at lam > 0 is factorized through eigh of the smaller Gram matrix
-Z^T Z instead of the thin SVD, which every other call uses.  A FittedModel
-keeps the Factorization of Z; pseudoinverse, geometry and the sweep read
-rank, kept modes and G from one, so identities between the operators hold
-to round-off.
+tall Z at lam > 0 takes the Gram route instead of the thin SVD, which every
+other call uses: it solves (Z^T Z + lam I) w = Z^T y with np.linalg.solve
+once np.linalg.cholesky accepts that matrix, and takes eigh of the smaller
+Gram matrix Z^T Z only when the spectrum (rank, sigma_min, U_k) is read or
+cholesky rejects the matrix.  A fit and its P_f never read the spectrum.
+A FittedModel keeps the Factorization of Z; pseudoinverse, geometry and
+the sweep read rank, kept modes and G from one, so identities between the
+operators hold to round-off.
 """
 from __future__ import annotations
 
@@ -155,23 +158,69 @@ def apply_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- fitting
 
 
-@dataclass(frozen=True)
 class Factorization:
-    """A = U diag(s) Vt with s descending, the mask keep of the modes that pass
-    the cut, and the ridge lam that sets the filter factors of G = V diag(f) U^T.
+    """The effective inverse G = V diag(f) U^T of A for the ridge lam, with
+    the mask keep of the modes s > cut * s_max (see factorize for the cut).
 
-    Exactly one of U and AV is stored.  The thin SVD stores U.  The Gram
-    route (see factorize) stores AV = A V = U diag(s) instead, and reads G
-    and G y from it through f = 1/(s^2 + lam), so that no step divides by a
-    small s; it forms the kept U_k = AV_k / s_k only when U_k is read.
+    The thin SVD route stores U, s and Vt as np.linalg.svd returns them, and
+    G and G B are read from them through the filter factors f.
+
+    The Gram route (lam > 0, A strictly tall) stores A, A^T A and
+    K = A^T A + lam I, and U is None.  When np.linalg.cholesky accepts K,
+    G B = np.linalg.solve(K, A^T B) and nothing reads the spectrum.  The
+    spectrum -- s, Vt, keep, AV = A V = U diag(s), rank, sigma_min and
+    U_k = AV_k / s_k -- is np.linalg.eigh of A^T A, taken the first time one
+    of them is read.  When cholesky rejects K, which happens when lam is
+    below the round-off of A^T A on a rank-deficient A, G B is the spectral
+    product V diag(1/(s^2 + lam)) (AV)^T B instead, which divides by no
+    small s.  Which of the two solves runs depends on (A, lam) alone.
     """
 
-    U: np.ndarray | None = field(repr=False)
-    s: np.ndarray
-    Vt: np.ndarray = field(repr=False)
-    lam: float
-    keep: np.ndarray
-    AV: np.ndarray | None = field(default=None, repr=False)
+    def __init__(self, U: np.ndarray, s: np.ndarray, Vt: np.ndarray, lam: float, keep: np.ndarray):
+        """The thin SVD A = U diag(s) Vt with its kept-mode mask."""
+        self.U, self.lam = U, float(lam)
+        self._shape = (U.shape[0], Vt.shape[1])
+        self._spectrum = (s, Vt, keep)
+        self._A = self._K = None
+
+    @classmethod
+    def _gram(cls, A: np.ndarray, lam: float, cut: float) -> Factorization:
+        """The Gram route of a strictly tall A at lam > 0, keeping s > cut * s_max."""
+        self = cls.__new__(cls)
+        self.U, self.lam, self._shape, self._cut = None, float(lam), A.shape, cut
+        self._A, self._AtA = A, A.T @ A
+        K = self._AtA.copy()
+        K.flat[:: A.shape[1] + 1] += lam
+        try:
+            np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            K = None  # the solves fall back to the spectrum
+        self._K = K
+        return self
+
+    @cached_property
+    def _spectrum(self) -> tuple:  # (s, Vt, keep); the SVD route sets it in __init__
+        ev, V = np.linalg.eigh(self._AtA)  # ascending
+        s = np.sqrt(np.maximum(ev[::-1], 0.0))
+        keep = s > self._cut * (s[0] if s.size else 0.0)
+        return s, np.ascontiguousarray(V[:, ::-1].T), keep
+
+    @property
+    def s(self) -> np.ndarray:
+        return self._spectrum[0]
+
+    @property
+    def Vt(self) -> np.ndarray:
+        return self._spectrum[1]
+
+    @property
+    def keep(self) -> np.ndarray:
+        return self._spectrum[2]
+
+    @cached_property
+    def AV(self) -> np.ndarray | None:
+        """A V on the Gram route; None on the SVD route, which stores U."""
+        return None if self.U is not None else self._A @ self.Vt.T
 
     # The kept modes are copied with the boolean mask, not sliced, and G is
     # built from them for lam = 0 but from the unsliced factors for lam > 0:
@@ -209,13 +258,30 @@ class Factorization:
 
     def effective_inverse(self) -> np.ndarray:
         """G = V diag(f) U^T, shape (columns of A) x (rows of A)."""
+        if self._K is not None:
+            return np.linalg.solve(self._K, self._A.T)
         L, f, Vt = self._filtered
         return Vt.T @ (f[:, None] * L.T)
 
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """G y without forming G."""
+    def solve(self, B: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
+        """G B, or left G B when left is given, without forming G.
+
+        B is a vector or a matrix with one row per row of A, and left a
+        matrix with one column per column of A.  With K, G B is
+        np.linalg.solve(K, A^T B).  Otherwise left G B is
+        (left V) diag(f) (L^T B), with L = U, or AV on the Gram route, so
+        that no intermediate has a row per column of A.
+        """
+        rows, cols = self._shape
+        if B.shape[0] != rows or (left is not None and (left.ndim != 2 or left.shape[1] != cols)):
+            shapes = f"B {B.shape}" if left is None else f"left {left.shape} and B {B.shape}"
+            raise ShapeError(f"G of a {rows} x {cols} matrix cannot take {shapes}")
+        if self._K is not None:
+            GB = np.linalg.solve(self._K, self._A.T @ B)
+            return GB if left is None else left @ GB
         L, f, Vt = self._filtered
-        return Vt.T @ (f * (L.T @ y))
+        fLB = (f if B.ndim == 1 else f[:, None]) * (L.T @ B)
+        return Vt.T @ fLB if left is None else (left @ Vt.T) @ fLB
 
 
 def factorize(
@@ -227,14 +293,17 @@ def factorize(
 
     Two routes, chosen by A's shape and lam alone:
 
-    * lam > 0 and A strictly tall (rows > columns), the Gram route:
-      np.linalg.eigh of the columns x columns matrix A^T A = V diag(s^2) V^T,
-      which costs a fraction of the SVD of A.  Forming and diagonalizing
-      A^T A moves its eigenvalues by up to about max(A.shape) eps s_max^2,
-      so this route cannot resolve smaller s and its cut is
-      s > max(rel_tol, 10 sqrt(max(A.shape) eps)) * s_max, about
+    * lam > 0 and A strictly tall (rows > columns), the Gram route: here
+      factorize forms K = A^T A + lam I and runs np.linalg.cholesky on it,
+      as a test only.  If K passes, every solve is np.linalg.solve(K, A^T B);
+      if not, every solve is the spectral product of np.linalg.eigh of A^T A.
+      That eigh runs the first time the spectrum is read, or at the first
+      solve when K failed.  It costs a fraction of the SVD of A.  Forming
+      and diagonalizing A^T A moves its eigenvalues by up to about
+      max(A.shape) eps s_max^2, so this route cannot resolve smaller s, and
+      its cut is s > max(rel_tol, 10 sqrt(max(A.shape) eps)) * s_max, about
       2.4e-6 s_max at 256 rows.  For lam > 0 the cut feeds only rank,
-      sigma_min and U_k; G and G y use every mode.
+      sigma_min and U_k; G and G B use every mode.
     * otherwise (wide or square A, or lam = 0) the thin SVD of
       np.linalg.svd, whose U, s and Vt are stored as it returns them.
     """
@@ -249,12 +318,8 @@ def factorize(
     if not np.all(np.isfinite(A)):
         raise NumericError(f"{caller} input has non-finite entries")
     if lam > 0 and A.shape[0] > A.shape[1]:
-        ev, V = np.linalg.eigh(A.T @ A)  # ascending
-        s = np.sqrt(np.maximum(ev[::-1], 0.0))
-        Vt = np.ascontiguousarray(V[:, ::-1].T)
         gram_tol = 10.0 * np.sqrt(max(A.shape) * np.finfo(float).eps)
-        keep = s > max(tol, gram_tol) * (s[0] if s.size else 0.0)
-        return Factorization(None, s, Vt, float(lam), keep, AV=A @ Vt.T)
+        return Factorization._gram(A, lam, max(tol, gram_tol))
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     return Factorization(U, s, Vt, float(lam), keep=s > tol * (s[0] if s.size else 0.0))
 
@@ -302,16 +367,20 @@ def fit(
 
     lam = 0: minimum-norm solution what = Z^+ y (SVD truncation at
     rel_tol * sigma_max, default rel_tol = 1e-10 * max(M, n_p)).
-    lam > 0: ridge solution through filter factors sigma/(sigma^2 + lam).
-    Also records rank(Z), the smallest retained singular value and the train error.
+    lam > 0: ridge solution through filter factors sigma/(sigma^2 + lam),
+    or on a strictly tall Z through the Gram route of factorize.
+    Records the train error; rank(Z) and the smallest retained singular
+    value are read from the factorization, which on the Gram route computes
+    them the first time they are read.
     """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
-    factors = factorize(Z, lam, rel_tol, caller="fit")
-    if Z.shape[0] != y.shape[0]:
-        raise ShapeError(f"Z has {Z.shape[0]} rows but y has length {y.shape[0]}")
+    # y is checked before the factorization, the costly step
+    if y.ndim != 1 or Z.shape[:1] != y.shape:
+        raise ShapeError(f"fit needs one label per row of Z, got Z {Z.shape} and y {y.shape}")
     if not np.all(np.isfinite(y)):
         raise NumericError("fit input has non-finite entries")
+    factors = factorize(Z, lam, rel_tol, caller="fit")
     w_hat = factors.solve(y)
     r = y - Z @ w_hat
     return FittedModel(
