@@ -8,8 +8,9 @@ manifest.json recording that record, so a run can be reproduced from the
 manifest alone.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure.
-sweep and bias-variance drop a degenerate replica, fail a grid point when
-more than 10% of its replicas drop, and exit 2 only when every point fails.
+sweep and bias-variance drop a degenerate replica, counting its reason in the
+manifest's drop_reasons, fail a grid point when more than 10% of its replicas
+drop, and exit 2 only when every point fails.
 """
 from __future__ import annotations
 
@@ -249,6 +250,7 @@ def _run_grid_command(command: str, params: dict, out: str):
         "elapsed_seconds": result.elapsed_seconds,
         "point_errors": {f"{k[0]},{k[1]}": v for k, v in result.point_errors.items()},
         "dropped_replicas": {f"{r.np_over_m},{r.nf_over_m}": r.n_dropped for r in result.rows},
+        "drop_reasons": {f"{r.np_over_m},{r.nf_over_m}": r.drop_reasons for r in result.rows},
         "workers": workers,
         "blas_thread_vars": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
         "worker_blas_threads": result.worker_blas_threads,

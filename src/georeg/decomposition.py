@@ -25,10 +25,12 @@ paired-product form above.  The symmetric one, which run_sweep in
 experiments.py reports, averages them over the pair; that changes no
 expectation value (exchangeability) but tightens the standard errors.  The
 cross product bias^2 is the same in both.  Every estimator drops a
-degenerate replica and fails when more than 10% drop (_kept_replicas).
+degenerate replica, which a kernel returns as its reason (_drop_reason), and
+fails when more than 10% drop (_kept_replicas).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -149,27 +151,37 @@ def _paired_metrics(draw: PairedDraw, symmetric: bool) -> dict:
 
 
 def _finite(metrics: dict) -> dict:
-    """metrics with float values; NumericError if any value is not finite."""
-    if not np.all(np.isfinite(list(metrics.values()))):
-        raise NumericError(f"non-finite replica metrics: {metrics}")
+    """metrics with float values; NumericError naming the metrics that are not finite."""
+    bad = [k for k, v in metrics.items() if not np.isfinite(v)]
+    if bad:
+        raise NumericError(f"non-finite replica metrics: {', '.join(bad)}")
     return {k: float(v) for k, v in metrics.items()}
 
 
-def _one_sided_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict | None:
-    """The one-sided paired metrics of one replica; None if its draw raises or a metric is not finite."""
+def _drop_reason(exc: Exception) -> str:
+    """What a replica kernel returns in place of its metrics: the exception's type and message."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _one_sided_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict | str:
+    """The one-sided paired metrics of one replica; the drop reason if its draw raises or a metric is not finite."""
     try:
         return _finite(_paired_metrics(draw_paired_replica(config, grid_idx, replica_idx), symmetric=False))
-    except (NumericError, np.linalg.LinAlgError):
-        return None
+    except (NumericError, np.linalg.LinAlgError) as exc:
+        return _drop_reason(exc)
 
 
-def _kept_replicas(results: list) -> list:
-    """The replicas that are not None (degenerate); NumericError if more than 10% are."""
-    kept = [r for r in results if r is not None]
+def _kept_replicas(results: list) -> tuple[list, dict]:
+    """(the replicas kept, {drop reason: count}); NumericError if more than 10% are dropped.
+
+    A kernel returns a kept replica as its dict of metrics and a dropped one as
+    its reason, a string.
+    """
+    kept = [r for r in results if isinstance(r, dict)]
     n_dropped = len(results) - len(kept)
     if n_dropped > 0.1 * len(results):
         raise NumericError(f"{n_dropped}/{len(results)} replicas degenerate")
-    return kept
+    return kept, dict(Counter(r for r in results if isinstance(r, str)))
 
 
 # ------------------------------------------------------------ estimator
@@ -202,7 +214,7 @@ def bias_variance_mc(
     """
     if not isinstance(n_replicas, (int, np.integer)) or n_replicas < 2:
         raise ConfigurationError(f"n_replicas must be an integer >= 2, got {n_replicas!r}")
-    per = _kept_replicas([_one_sided_metrics(config, grid_idx, r) for r in range(n_replicas)])
+    per, _ = _kept_replicas([_one_sided_metrics(config, grid_idx, r) for r in range(n_replicas)])
     stats = {attr: summarize([p[name] for p in per]) for name, attr in _PAIRED_METRICS.items()}
     return BiasVarianceEstimate(
         **{attr: mean for attr, (mean, _) in stats.items()},

@@ -32,14 +32,25 @@ bias-variance pass --workers, else the usable CPU count.  With workers > 1
 the replicas run in a pool of spawned processes whose BLAS is pinned to one
 thread; the serial path uses the BLAS the caller loaded.  Outputs are
 therefore identical across worker counts when the caller's BLAS also runs
-one thread (OPENBLAS_NUM_THREADS=1).  A spawned worker re-imports the
-caller's __main__, so a script that runs replicas with workers > 1 needs an
+one thread (OPENBLAS_NUM_THREADS=1).
+
+The pool is kept for the life of the process: the first pooled call starts
+it, later calls at the same worker count reuse its workers, a call at another
+count replaces it, and concurrent.futures joins its workers at exit.  So a
+process that runs several grids (a notebook, a seed loop, a test suite) pays
+the workers' start-up once; a one-shot ``georeg`` command runs one grid and
+gains nothing.  A spawned worker re-imports the caller's __main__, so a script
+that runs replicas with workers > 1 still needs an
 ``if __name__ == "__main__":`` guard and cannot be read from stdin.
+
+A dropped replica is returned as its reason, the exception's type and
+message; each row counts its reasons in drop_reasons.
 """
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -49,8 +60,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig, ratio_to_count
-from .decomposition import _PAIRED_METRICS, _finite, _kept_replicas, _one_sided_metrics, _paired_metrics
-from .decomposition import draw_paired_replica, summarize
+from .decomposition import _PAIRED_METRICS, _drop_reason, _finite, _kept_replicas, _one_sided_metrics
+from .decomposition import _paired_metrics, draw_paired_replica, summarize
 from .errors import ConfigurationError, ExperimentError, NumericError
 from .geometry import analyze_operator
 
@@ -112,6 +123,7 @@ class SweepRow:
     standard_errors: dict
     n_effective: int
     n_dropped: int
+    drop_reasons: dict = field(default_factory=dict)  # {reason: count} over the dropped replicas
 
 
 @dataclass(frozen=True)
@@ -138,8 +150,8 @@ def _frob_complement_from_fit(model) -> float:
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict | None:
-    """Every metric in ALL_METRICS for one paired replica; None if degenerate."""
+def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict | str:
+    """Every metric in ALL_METRICS for one paired replica; the drop reason if degenerate."""
     try:
         draw = draw_paired_replica(config, grid_idx, replica_idx)
         models = (draw.model_1, draw.model_2)
@@ -155,8 +167,8 @@ def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) 
             per_fit[name] = [getattr(a, name) for a in analyses]
         out.update({name: 0.5 * (v1 + v2) for name, (v1, v2) in per_fit.items()})
         return _finite(out)
-    except (NumericError, np.linalg.LinAlgError):
-        return None
+    except (NumericError, np.linalg.LinAlgError) as exc:
+        return _drop_reason(exc)
 
 
 # ------------------------------------------------------------------ run
@@ -189,28 +201,70 @@ def _blas_pinned_env():
                 os.environ[name] = value
 
 
+# The process's replica pool, kept across calls: (executor, workers, pid of
+# the process that started it), or None before the first pooled call.
+_pool: tuple | None = None
+_pool_lock = threading.Lock()
+
+
+def _kept_pool(workers: int) -> ProcessPoolExecutor:
+    """The kept pool of `workers` spawned workers, started or replaced as needed.
+
+    Call with _pool_lock held.  A pool at another worker count is shut down
+    after its pending work finishes.  A pool started by another process (this
+    one is a forked child) belongs to that process and is only dropped.
+    """
+    global _pool
+    pid = os.getpid()
+    if _pool is not None and _pool[1:] == (workers, pid):
+        return _pool[0]
+    if _pool is not None and _pool[2] == pid:
+        _pool[0].shutdown()
+    _pool = (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")), workers, pid)
+    return _pool[0]
+
+
+def _discard_pool(pool: ProcessPoolExecutor) -> None:
+    """Forget the kept pool if it is `pool`, so that the next call starts a new one."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] is pool:
+            _pool = None
+    pool.shutdown(cancel_futures=True)
+
+
 def _run_pooled(kernel, tasks: list, workers: int) -> list:
     """kernel(*task) for every (config, grid_idx, replica_idx) task, in task order.
 
     One task per replica, submitted costliest (largest n_p) first so that the
-    last tasks to finish are short.  Every worker starts while the BLAS
-    variables are pinned: BLAS reads them once, when the worker imports numpy.
+    last tasks to finish are short.  The tasks run on the process's kept pool
+    (see the module docstring).  Its workers start lazily, inside submit, so
+    every submit runs while the BLAS variables are pinned: BLAS reads them
+    once, when a worker imports numpy, and every worker, first or late,
+    starts pinned.  A pool that dies is discarded and raises ExperimentError;
+    any other exception, KeyboardInterrupt included, cancels this call's
+    pending tasks and leaves the pool to later calls.
     """
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0].n_p)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    futures = {}
     try:
-        with _blas_pinned_env():
-            futures = {i: pool.submit(kernel, *tasks[i]) for i in order}
+        with _pool_lock, _blas_pinned_env():
+            pool = _kept_pool(workers)
+            for i in order:
+                futures[i] = pool.submit(kernel, *tasks[i])
         return [futures[i].result() for i in range(len(tasks))]
     except BrokenProcessPool as exc:
+        _discard_pool(pool)
         raise ExperimentError(
             "the replica pool died. Each worker re-imports the calling script, so a script "
             "that calls run_sweep or cli.main with workers > 1 must do so under "
             '`if __name__ == "__main__":` and cannot be read from stdin; workers=1 runs '
             "in-process"
         ) from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
+    except BaseException:
+        for future in futures.values():
+            future.cancel()
+        raise
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -256,7 +310,7 @@ def _run_grid(spec: SweepSpec, workers: int, one_sided: bool = False) -> SweepRe
     rows = []
     for k, (np_r, cfg) in enumerate(configs.values()):
         try:
-            results = _kept_replicas(replicas[k * n:(k + 1) * n])
+            results, reasons = _kept_replicas(replicas[k * n:(k + 1) * n])
         except NumericError as exc:
             point_errors[(np_r, nf_r)] = str(exc)
             continue
@@ -271,6 +325,7 @@ def _run_grid(spec: SweepSpec, workers: int, one_sided: bool = False) -> SweepRe
                 standard_errors={name: se / div[name] for name, (_, se) in stats.items()},
                 n_effective=len(results),
                 n_dropped=n - len(results),
+                drop_reasons=reasons,
             )
         )
     return SweepResult(

@@ -354,6 +354,26 @@ class TestBiasVarianceReplicaRunner:
         assert "np_over_m=1.0 nf_over_m=0.25 failed: 2/10 replicas degenerate" in capsys.readouterr().err
 
 
+class TestDropReasons:
+    """The manifests of sweep and bias-variance count each kept point's drop reasons."""
+
+    REASON = "NumericError: degenerate on purpose"
+
+    def test_bias_variance(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(georeg.decomposition, "draw_paired_replica", _fail_replica({(0, 3), (0, 8)}))
+        assert _run(*_bv_args(tmp_path, "--replicas", "20", "--workers", "1")) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["drop_reasons"] == {"0.5,0.25": {self.REASON: 2}, "1.0,0.25": {}}
+        assert manifest["dropped_replicas"] == {"0.5,0.25": 2, "1.0,0.25": 0}
+
+    def test_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(georeg.experiments, "draw_paired_replica", _fail_replica({(1, 5)}))
+        assert _run(*_sweep_args(tmp_path, **{"--replicas": "10", "--workers": "1"})) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["drop_reasons"] == {"0.5,0.25": {}, "1.0,0.25": {self.REASON: 1}}
+        assert manifest["dropped_replicas"] == {"0.5,0.25": 0, "1.0,0.25": 1}
+
+
 class TestAnglesCommand:
     def test_identity_family_json(self, tmp_path):
         # lambda 0: the exact min-norm operator (ridge damping perturbs

@@ -177,6 +177,18 @@ class TestBiasVarianceMC:
         with pytest.raises(NumericError, match="2/10 replicas degenerate"):
             bias_variance_mc(cfg, n_replicas=10)
 
+    def test_dropped_replica_returns_its_reason(self, monkeypatch):
+        # a non-finite metric is named in the reason, so equal failures count together
+        cfg = ExperimentConfig(m=16, n_f=4, n_p=24)
+        paired = georeg.decomposition._paired_metrics
+        monkeypatch.setattr(georeg.decomposition, "_paired_metrics",
+                            lambda draw, symmetric: {**paired(draw, symmetric), "variance": np.nan})
+        reasons = [georeg.decomposition._one_sided_metrics(cfg, 0, r) for r in range(2)]
+        assert reasons == ["NumericError: non-finite replica metrics: variance"] * 2
+        kept, counts = georeg.decomposition._kept_replicas([{"x": 1.0}] * 18 + reasons)
+        assert kept == [{"x": 1.0}] * 18
+        assert counts == {"NumericError: non-finite replica metrics: variance": 2}
+
     def test_variance_peaks_at_interpolation(self):
         # classic double-descent variance spike at n_p = m
         base = ExperimentConfig(m=64, n_f=16, activation="relu", n_p=64)

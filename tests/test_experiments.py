@@ -1,8 +1,10 @@
 """Sweep machinery: aggregation, grid handling, determinism, and workers."""
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,24 @@ def _blas_pinned_probe(*task):
     """Stands in for the replica kernel: every metric is 1.0 iff BLAS is pinned to one thread here."""
     pinned = all(os.environ.get(name) == "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
     return dict.fromkeys(ALL_METRICS, float(pinned))
+
+
+def _pid_probe(*task):
+    """Stands in for the replica kernel: every metric is the pid of the process that runs it."""
+    return dict.fromkeys(ALL_METRICS, float(os.getpid()))
+
+
+def _pool_pids() -> set:
+    """The pids of this process's live multiprocessing children, i.e. the kept pool's workers."""
+    return {float(p.pid) for p in multiprocessing.active_children()}
+
+
+def _served_pids(spec, workers) -> set:
+    """The pids that ran the replicas of run_sweep(spec, workers) with _pid_probe as the kernel.
+
+    The spec has one replica per grid point, so each row's mean is one worker's pid.
+    """
+    return {row.means["sigma_max"] for row in run_sweep(spec, workers=workers).rows}
 
 
 class TestSummarize:
@@ -253,3 +273,117 @@ class TestRunSweep:
         assert (row.n_p, row.n_f, row.n_effective) == (cfg.n_p, cfg.n_f, 6)
         assert row.means["bias_sq"] == est.bias_squared
         assert row.standard_errors["bias_sq"] == est.standard_errors["bias_squared"]
+
+
+class TestKeptPool:
+    """Pooled calls share one spawned pool per process, kept across calls."""
+
+    SPEC = SweepSpec(ExperimentConfig(m=16, n_f=4, n_p=16), np_over_m_grid=(1.0, 2.0), n_replicas=2)
+    # one replica per point, so that _pid_probe's rows name the workers
+    PROBE_SPEC = SweepSpec(ExperimentConfig(m=16, n_f=4, n_p=16), np_over_m_grid=(0.5, 1.0, 1.5, 2.0), n_replicas=1)
+
+    def test_consecutive_calls_reuse_the_workers(self, monkeypatch):
+        first = run_sweep(self.SPEC, workers=2)
+        assert run_sweep(self.SPEC, workers=2).rows == first.rows
+        workers = _pool_pids()
+        assert len(workers) == 2
+        monkeypatch.setattr(experiments, "_replica_metrics", _pid_probe)
+        served = _served_pids(self.PROBE_SPEC, 2) | _served_pids(self.PROBE_SPEC, 2)
+        assert served <= workers
+        assert _pool_pids() == workers
+
+    def test_another_worker_count_replaces_the_pool(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_replica_metrics", _pid_probe)
+        before = _served_pids(self.PROBE_SPEC, 2)
+        served = _served_pids(self.PROBE_SPEC, 3)
+        workers = _pool_pids()
+        assert len(workers) == 3
+        assert served <= workers
+        assert not before & workers  # the 2-worker pool was shut down
+
+    def test_broken_pool_is_discarded(self, monkeypatch):
+        expected = run_sweep(self.SPEC).rows
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_replica_metrics", _exit_worker)
+            with pytest.raises(ExperimentError, match="replica pool died"):
+                run_sweep(self.SPEC, workers=2)
+        assert experiments._pool is None
+        assert run_sweep(self.SPEC, workers=2).rows == expected
+
+    def test_a_new_pid_gets_a_fresh_pool(self, monkeypatch):
+        # a forked child inherits its parent's pool and must start its own
+        run_sweep(self.SPEC, workers=2)
+        kept, workers = experiments._pool, _pool_pids()
+        parent_pid = os.getpid()
+        monkeypatch.setattr(os, "getpid", lambda: parent_pid + 1)
+        with experiments._pool_lock:
+            fresh = experiments._kept_pool(2)
+        assert fresh is not kept[0]
+        assert experiments._pool == (fresh, 2, parent_pid + 1)
+        # the child's pool never started a worker; drop it under the pid
+        # that made it, so that its queues' finalizers run
+        experiments._pool = kept
+        del fresh
+        monkeypatch.undo()
+        assert _pool_pids() == workers  # the parent's pool was left running
+        monkeypatch.setattr(experiments, "_replica_metrics", _pid_probe)
+        assert _served_pids(self.PROBE_SPEC, 2) <= workers
+
+    def test_fresh_and_reused_workers_run_blas_pinned(self, monkeypatch):
+        # test_pool_workers_start_with_blas_pinned may run on a pool started
+        # by an earlier test; this one starts its own under a 4-thread BLAS
+        if experiments._pool is not None:
+            experiments._discard_pool(experiments._pool[0])
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.setattr(experiments, "_replica_metrics", _blas_pinned_probe)
+        for _ in range(2):
+            for row in run_sweep(self.PROBE_SPEC, workers=2).rows:
+                assert set(row.means.values()) == {1.0}
+        assert len(_pool_pids()) == 2
+
+    def test_concurrent_callers_share_and_replace_the_pool(self, monkeypatch):
+        # more calling threads than cores, at two worker counts, so that pools
+        # are replaced while other callers' tasks are pending; every call must
+        # still return the serial rows and leave os.environ as it found it
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        expected = run_sweep(self.SPEC).rows
+        before = dict(os.environ)
+        results, errors = [], []
+
+        def call(workers):
+            try:
+                for _ in range(2):
+                    results.append(run_sweep(self.SPEC, workers=workers).rows)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(w,)) for w in (2, 3, 2, 3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert results == [expected] * 8
+        assert dict(os.environ) == before
+
+    def test_two_pooled_sweeps_exit_cleanly_in_dev_mode(self, tmp_path):
+        # the kept pool's workers are joined at exit without a warning
+        script = tmp_path / "guarded.py"
+        script.write_text(textwrap.dedent("""
+            from georeg import ExperimentConfig, SweepSpec, run_sweep
+            if __name__ == "__main__":
+                spec = SweepSpec(ExperimentConfig(m=16, n_f=4, n_p=16), np_over_m_grid=(1.0, 2.0), n_replicas=2)
+                assert run_sweep(spec, workers=2).rows == run_sweep(spec, workers=2).rows
+        """))
+        src = Path(georeg.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", str(script)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
