@@ -74,8 +74,9 @@ def feature_operator_from_model(model: FittedModel, X: np.ndarray) -> np.ndarray
     the fit's effective inverse: Z^+ for lam = 0 and the ridge-filtered
     inverse for lam > 0, so operator diagnostics describe the same estimator
     that was actually fitted.  G is applied between W and X without being
-    formed: W (K^-1 Z^T X) on the Gram route, (W V) diag(f) (U^T X) on the
-    SVD route (see linreg_core.Factorization.solve).
+    formed: W (K^-1 Z^T X) on the tall Gram route, (W Z^T) (K^-1 X) on the
+    wide one, (W V) diag(f) (U^T X) on the SVD route (see
+    linreg_core.Factorization.solve).
     """
     if model.feature_map is None:
         raise ConfigurationError("model has no feature map attached")
@@ -178,10 +179,11 @@ def prediction_decomposition(
     """Split the prediction z(x) . w_hat into (x_hat . beta, delta_y_hat).
 
     delta_y_hat(x) = dz_NL(x)^T G y + x^T W G eps, where G is the model's
-    effective inverse, dz_NL(x) = z(x) - W^T x is the nonlinear feature
-    remainder, and eps the training noise.  The two terms sum to the
-    prediction exactly, because the training labels are y = X beta + eps, so
-    z(x)^T G y expands into them plus x^T W G X beta = x_hat . beta.
+    effective inverse (applied through its factorization, never formed),
+    dz_NL(x) = z(x) - W^T x is the nonlinear feature remainder, and eps the
+    training noise.  The two terms sum to the prediction exactly, because
+    the training labels are y = X beta + eps, so z(x)^T G y expands into
+    them plus x^T W G X beta = x_hat . beta.
     """
     if model.feature_map is None:
         raise ConfigurationError("model has no feature map attached")
@@ -192,12 +194,13 @@ def prediction_decomposition(
     if teacher.beta.shape[0] != W.shape[0]:
         raise ShapeError("teacher beta length does not match the feature map")
 
-    G = model.effective_inverse()  # N_p x M
+    # G applied to (X beta, y, eps) at once, without forming the N_p x M matrix
+    g_xb, g_y, g_eps = model.factors.solve(np.column_stack([data.X @ teacher.beta, data.y, data.eps])).T
     z = apply_features(model.feature_map, x)
     dz_nl = z - W.T @ x
 
-    x_hat_dot_beta = float(x @ (W @ (G @ (data.X @ teacher.beta))))
-    delta_y_hat = float(dz_nl @ (G @ data.y) + x @ (W @ (G @ data.eps)))
+    x_hat_dot_beta = float(x @ (W @ g_xb))
+    delta_y_hat = float(dz_nl @ g_y + x @ (W @ g_eps))
     return x_hat_dot_beta, delta_y_hat
 
 

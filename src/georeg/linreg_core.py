@@ -17,12 +17,16 @@ G = V diag(f) U^T of the factorization Z = U diag(s) V^T.  factorize holds
 the package's only factorizations and singular-value rule: its
 Factorization keeps the modes s > rel_tol * s_max (rank(Z) counts them),
 with filter factors f = 1/s on those modes for lam = 0 (the minimum-norm
-what = Z^+ y) or f = s/(s^2 + lam) on every mode for lam > 0.  A strictly
-tall Z at lam > 0 takes the Gram route instead of the thin SVD, which every
-other call uses: it solves (Z^T Z + lam I) w = Z^T y with np.linalg.solve
-once np.linalg.cholesky accepts that matrix, and takes eigh of the smaller
-Gram matrix Z^T Z only when the spectrum (rank, sigma_min, U_k) is read or
-cholesky rejects the matrix.  A fit and its P_f never read the spectrum.
+what = Z^+ y) or f = s/(s^2 + lam) on every mode for lam > 0.  A non-square
+Z at lam > 0 takes the Gram route on its smaller side instead of the thin
+SVD, which every other call uses: it solves with K = Z^T Z + lam I (tall Z)
+or K = Z Z^T + lam I (wide Z) through np.linalg.solve once
+np.linalg.cholesky accepts K and its pivots pass a guard against a
+numerically rank-deficient Z, and falls back to the thin SVD otherwise.
+The spectrum (rank, sigma_min, U_k) is taken only when it is read: eigh of
+Z^T Z for a tall Z, the thin SVD for a wide one.  A fit and its P_f never
+read it; a caller that will, on a wide Z, passes spectrum=True to take the
+SVD at once.
 A FittedModel keeps the Factorization of Z; pseudoinverse, geometry and
 the sweep read rank, kept modes and G from one, so identities between the
 operators hold to round-off.
@@ -158,6 +162,11 @@ def apply_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- fitting
 
 
+# The guard of the Gram route: see factorize.
+_GUARD_LAM = 1e3
+_GUARD_RATIO = np.sqrt(np.finfo(float).eps)
+
+
 class Factorization:
     """The effective inverse G = V diag(f) U^T of A for the ridge lam, with
     the mask keep of the modes s > cut * s_max (see factorize for the cut).
@@ -165,62 +174,69 @@ class Factorization:
     The thin SVD route stores U, s and Vt as np.linalg.svd returns them, and
     G and G B are read from them through the filter factors f.
 
-    The Gram route (lam > 0, A strictly tall) stores A, A^T A and
-    K = A^T A + lam I, and U is None.  When np.linalg.cholesky accepts K,
-    G B = np.linalg.solve(K, A^T B) and nothing reads the spectrum.  The
-    spectrum -- s, Vt, keep, AV = A V = U diag(s), rank, sigma_min and
-    U_k = AV_k / s_k -- is np.linalg.eigh of A^T A, taken the first time one
-    of them is read.  When cholesky rejects K, which happens when lam is
-    below the round-off of A^T A on a rank-deficient A, G B is the spectral
-    product V diag(1/(s^2 + lam)) (AV)^T B instead, which divides by no
-    small s.  Which of the two solves runs depends on (A, lam) alone.
+    The Gram route (lam > 0, A not square, K accepted by the guard of
+    factorize) stores A and K, the Gram matrix of A's smaller side plus
+    lam I, and solves with np.linalg.solve: G B = K^-1 A^T B with
+    K = A^T A + lam I on a tall A, and G B = A^T K^-1 B with
+    K = A A^T + lam I on a wide one.  The spectrum -- s, Vt, keep, rank,
+    sigma_min and U_k -- is taken the first time one of them is read, and
+    the solves never read it.  On a tall A it is np.linalg.eigh of A^T A,
+    U is None and U_k = A V_k / s_k.  On a wide A it is the thin SVD of A
+    with the SVD route's cut, so every spectral attribute is bitwise the
+    SVD route's.
     """
 
     def __init__(self, U: np.ndarray, s: np.ndarray, Vt: np.ndarray, lam: float, keep: np.ndarray):
         """The thin SVD A = U diag(s) Vt with its kept-mode mask."""
-        self.U, self.lam = U, float(lam)
+        self.lam = float(lam)
         self._shape = (U.shape[0], Vt.shape[1])
-        self._spectrum = (s, Vt, keep)
+        self._spectrum = (U, s, Vt, keep)
         self._A = self._K = None
 
     @classmethod
-    def _gram(cls, A: np.ndarray, lam: float, cut: float) -> Factorization:
-        """The Gram route of a strictly tall A at lam > 0, keeping s > cut * s_max."""
-        self = cls.__new__(cls)
-        self.U, self.lam, self._shape, self._cut = None, float(lam), A.shape, cut
-        self._A, self._AtA = A, A.T @ A
-        K = self._AtA.copy()
-        K.flat[:: A.shape[1] + 1] += lam
+    def _gram(cls, A: np.ndarray, lam: float, cut: float) -> Factorization | None:
+        """The Gram route of a non-square A at lam > 0, keeping s > cut * s_max;
+        None when K fails the guard of factorize."""
+        gram = A.T @ A if A.shape[0] > A.shape[1] else A @ A.T
+        K = gram.copy()
+        K.flat[:: K.shape[0] + 1] += lam
         try:
-            np.linalg.cholesky(K)
+            d2 = np.diagonal(np.linalg.cholesky(K)) ** 2
         except np.linalg.LinAlgError:
-            K = None  # the solves fall back to the spectrum
-        self._K = K
+            return None
+        if d2.size and d2.min() < _GUARD_LAM * lam and d2.min() < _GUARD_RATIO * d2.max():
+            return None
+        self = cls.__new__(cls)
+        self.lam, self._shape, self._cut = float(lam), A.shape, cut
+        self._A, self._gram_matrix, self._K = A, gram, K
         return self
 
     @cached_property
-    def _spectrum(self) -> tuple:  # (s, Vt, keep); the SVD route sets it in __init__
-        ev, V = np.linalg.eigh(self._AtA)  # ascending
-        s = np.sqrt(np.maximum(ev[::-1], 0.0))
-        keep = s > self._cut * (s[0] if s.size else 0.0)
-        return s, np.ascontiguousarray(V[:, ::-1].T), keep
+    def _spectrum(self) -> tuple:  # (U, s, Vt, keep); the SVD route sets it in __init__
+        A = self._A
+        if A.shape[0] < A.shape[1]:
+            U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        else:
+            ev, V = np.linalg.eigh(self._gram_matrix)  # ascending
+            U, s, Vt = None, np.sqrt(np.maximum(ev[::-1], 0.0)), np.ascontiguousarray(V[:, ::-1].T)
+        return U, s, Vt, s > self._cut * (s[0] if s.size else 0.0)
 
     @property
-    def s(self) -> np.ndarray:
+    def U(self) -> np.ndarray | None:
+        """The left singular vectors; None on the tall Gram route, which never forms them."""
         return self._spectrum[0]
 
     @property
-    def Vt(self) -> np.ndarray:
+    def s(self) -> np.ndarray:
         return self._spectrum[1]
 
     @property
-    def keep(self) -> np.ndarray:
+    def Vt(self) -> np.ndarray:
         return self._spectrum[2]
 
-    @cached_property
-    def AV(self) -> np.ndarray | None:
-        """A V on the Gram route; None on the SVD route, which stores U."""
-        return None if self.U is not None else self._A @ self.Vt.T
+    @property
+    def keep(self) -> np.ndarray:
+        return self._spectrum[3]
 
     # The kept modes are copied with the boolean mask, not sliced, and G is
     # built from them for lam = 0 but from the unsliced factors for lam > 0:
@@ -229,7 +245,7 @@ class Factorization:
     @cached_property
     def U_k(self) -> np.ndarray:
         if self.U is None:
-            return self.AV[:, self.keep] / self.s_k
+            return (self._A @ self.Vt.T)[:, self.keep] / self.s_k
         return self.U[:, self.keep]
 
     @cached_property
@@ -249,9 +265,7 @@ class Factorization:
         return float(self.s_k.min()) if self.rank else 0.0
 
     @cached_property
-    def _filtered(self) -> tuple:  # (L, f, Vt) with G = Vt^T diag(f) L^T
-        if self.U is None:
-            return self.AV, 1.0 / (self.s**2 + self.lam), self.Vt
+    def _filtered(self) -> tuple:  # (U, f, Vt) of the SVD route, with G = Vt^T diag(f) U^T
         if self.lam > 0:
             return self.U, self.s / (self.s**2 + self.lam), self.Vt
         return self.U_k, 1.0 / self.s_k, self.Vt_k
@@ -259,53 +273,81 @@ class Factorization:
     def effective_inverse(self) -> np.ndarray:
         """G = V diag(f) U^T, shape (columns of A) x (rows of A)."""
         if self._K is not None:
-            return np.linalg.solve(self._K, self._A.T)
-        L, f, Vt = self._filtered
-        return Vt.T @ (f[:, None] * L.T)
+            return self.solve(np.eye(self._shape[0]))
+        U, f, Vt = self._filtered
+        return Vt.T @ (f[:, None] * U.T)
 
     def solve(self, B: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
         """G B, or left G B when left is given, without forming G.
 
         B is a vector or a matrix with one row per row of A, and left a
-        matrix with one column per column of A.  With K, G B is
-        np.linalg.solve(K, A^T B).  Otherwise left G B is
-        (left V) diag(f) (L^T B), with L = U, or AV on the Gram route, so
-        that no intermediate has a row per column of A.
+        matrix with one column per column of A.  On the Gram route G B is
+        np.linalg.solve(K, A^T B) for a tall A and A^T np.linalg.solve(K, B)
+        for a wide one, and left G B is (left A^T) K^-1 B on a wide A.  On
+        the SVD route left G B is (left V) diag(f) (U^T B).  No intermediate
+        has a row per column of A.
         """
         rows, cols = self._shape
         if B.shape[0] != rows or (left is not None and (left.ndim != 2 or left.shape[1] != cols)):
             shapes = f"B {B.shape}" if left is None else f"left {left.shape} and B {B.shape}"
             raise ShapeError(f"G of a {rows} x {cols} matrix cannot take {shapes}")
-        if self._K is not None:
-            GB = np.linalg.solve(self._K, self._A.T @ B)
+        A, K = self._A, self._K
+        if K is not None and rows > cols:
+            GB = np.linalg.solve(K, A.T @ B)
             return GB if left is None else left @ GB
-        L, f, Vt = self._filtered
-        fLB = (f if B.ndim == 1 else f[:, None]) * (L.T @ B)
-        return Vt.T @ fLB if left is None else (left @ Vt.T) @ fLB
+        if K is not None:
+            KB = np.linalg.solve(K, B)
+            return A.T @ KB if left is None else (left @ A.T) @ KB
+        U, f, Vt = self._filtered
+        fUB = (f if B.ndim == 1 else f[:, None]) * (U.T @ B)
+        return Vt.T @ fUB if left is None else (left @ Vt.T) @ fUB
 
 
 def factorize(
-    A: np.ndarray, lam: float = 0.0, rel_tol: float | None = None, *, caller: str = "factorize"
+    A: np.ndarray,
+    lam: float = 0.0,
+    rel_tol: float | None = None,
+    *,
+    spectrum: bool = False,
+    caller: str = "factorize",
 ) -> Factorization:
     """Factorize a finite 2-D A for the finite ridge lam >= 0, keeping the
     modes s > rel_tol * s_max (0 < rel_tol < 1, default
     default_rel_tol(A.shape)); errors name ``caller``.
 
-    Two routes, chosen by A's shape and lam alone:
+    Two routes, chosen by A, lam and spectrum alone:
 
-    * lam > 0 and A strictly tall (rows > columns), the Gram route: here
-      factorize forms K = A^T A + lam I and runs np.linalg.cholesky on it,
-      as a test only.  If K passes, every solve is np.linalg.solve(K, A^T B);
-      if not, every solve is the spectral product of np.linalg.eigh of A^T A.
-      That eigh runs the first time the spectrum is read, or at the first
-      solve when K failed.  It costs a fraction of the SVD of A.  Forming
-      and diagonalizing A^T A moves its eigenvalues by up to about
-      max(A.shape) eps s_max^2, so this route cannot resolve smaller s, and
-      its cut is s > max(rel_tol, 10 sqrt(max(A.shape) eps)) * s_max, about
-      2.4e-6 s_max at 256 rows.  For lam > 0 the cut feeds only rank,
-      sigma_min and U_k; G and G B use every mode.
-    * otherwise (wide or square A, or lam = 0) the thin SVD of
-      np.linalg.svd, whose U, s and Vt are stored as it returns them.
+    * lam > 0 and A not square, the Gram route, on the smaller side of A:
+      factorize forms K = A^T A + lam I for a tall A and K = A A^T + lam I
+      for a wide one, and reads the pivots d = diag(L) of
+      L = np.linalg.cholesky(K).  Every solve is then an np.linalg.solve
+      on K (see Factorization), and no spectrum is computed until it is
+      read.  On a tall A the spectrum is np.linalg.eigh of A^T A, which
+      moves the eigenvalues by up to about max(A.shape) eps s_max^2, so it
+      cannot resolve smaller s, and its cut is
+      s > max(rel_tol, 10 sqrt(max(A.shape) eps)) * s_max, about
+      2.4e-6 s_max at 256 rows.  On a wide A it is the thin SVD of A with
+      the plain cut.  For lam > 0 the cut feeds only rank, sigma_min and
+      U_k; G and G B use every mode.
+    * otherwise the thin SVD of np.linalg.svd, whose U, s and Vt are stored
+      as it returns them.  That is every square A, every lam = 0, and a
+      Gram route that fails its guard.
+
+    The guard sends a non-square lam > 0 fit to the thin SVD when cholesky
+    rejects K, or when both
+
+        min d^2 < 1e3 lam                and    (min d / max d)^2 < sqrt(eps),
+
+    that is, when A is numerically rank-deficient at this lam and K is
+    ill-conditioned.  K^-1 then amplifies the round-off of forming A^T A
+    or A A^T in the null directions of A by up to 1/lam.  A large lam
+    keeps K well conditioned, and such a fit keeps the Gram route.
+
+    spectrum=True says that the caller will read U_k, rank or sigma_min.
+    On a wide A that spectrum is the thin SVD, which then serves the solves
+    too, so factorize takes the SVD at once instead of the Gram route.  On
+    a tall A it changes nothing.  Callers whose outputs must stay bitwise
+    those of the thin SVD of a wide A pass it.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -317,9 +359,12 @@ def factorize(
         raise ConfigurationError(f"{caller}: the relative cutoff must lie in (0, 1), got {rel_tol}")
     if not np.all(np.isfinite(A)):
         raise NumericError(f"{caller} input has non-finite entries")
-    if lam > 0 and A.shape[0] > A.shape[1]:
-        gram_tol = 10.0 * np.sqrt(max(A.shape) * np.finfo(float).eps)
-        return Factorization._gram(A, lam, max(tol, gram_tol))
+    rows, cols = A.shape
+    if lam > 0 and rows != cols and not (spectrum and rows < cols):
+        cut = max(tol, 10.0 * np.sqrt(rows * np.finfo(float).eps)) if rows > cols else tol
+        factors = Factorization._gram(A, lam, cut)
+        if factors is not None:
+            return factors
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     return Factorization(U, s, Vt, float(lam), keep=s > tol * (s[0] if s.size else 0.0))
 
@@ -362,16 +407,19 @@ def fit(
     lam: float = 0.0,
     rel_tol: float | None = None,
     feature_map: FeatureMap | None = None,
+    *,
+    spectrum: bool = False,
 ) -> FittedModel:
     """Least-squares fit of Z w ~ y.
 
     lam = 0: minimum-norm solution what = Z^+ y (SVD truncation at
     rel_tol * sigma_max, default rel_tol = 1e-10 * max(M, n_p)).
     lam > 0: ridge solution through filter factors sigma/(sigma^2 + lam),
-    or on a strictly tall Z through the Gram route of factorize.
+    or on a non-square Z through the Gram route of factorize.
     Records the train error; rank(Z) and the smallest retained singular
     value are read from the factorization, which on the Gram route computes
-    them the first time they are read.
+    them the first time they are read.  spectrum=True says the caller will
+    read them or U_k (see factorize).
     """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -380,7 +428,7 @@ def fit(
         raise ShapeError(f"fit needs one label per row of Z, got Z {Z.shape} and y {y.shape}")
     if not np.all(np.isfinite(y)):
         raise NumericError("fit input has non-finite entries")
-    factors = factorize(Z, lam, rel_tol, caller="fit")
+    factors = factorize(Z, lam, rel_tol, spectrum=spectrum, caller="fit")
     w_hat = factors.solve(y)
     r = y - Z @ w_hat
     return FittedModel(

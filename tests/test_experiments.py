@@ -264,15 +264,17 @@ class TestRunSweep:
             run_sweep(spec, workers=2.5)
 
     def test_sweep_and_mc_reduce_the_same_cross_product(self):
-        # one grid point: the sweep's replica streams are bias_variance_mc's at
-        # grid_idx 0, and bias_sq is the same cross product in both reductions
+        # a tall and a wide grid point: the sweep's replica streams are
+        # bias_variance_mc's at the same grid_idx, both fit every replica the
+        # same way, and bias_sq is the same cross product in both reductions
         cfg = ExperimentConfig(m=32, n_f=8, n_p=16, activation="relu")
-        res = run_sweep(SweepSpec(cfg, np_over_m_grid=(0.5,), n_replicas=6, normalize=False))
-        est = bias_variance_mc(cfg, 6, grid_idx=0)
-        row = res.rows[0]
-        assert (row.n_p, row.n_f, row.n_effective) == (cfg.n_p, cfg.n_f, 6)
-        assert row.means["bias_sq"] == est.bias_squared
-        assert row.standard_errors["bias_sq"] == est.standard_errors["bias_squared"]
+        res = run_sweep(SweepSpec(cfg, np_over_m_grid=(0.5, 2.0), n_replicas=6, normalize=False))
+        for grid_idx, n_p in ((0, 16), (1, 64)):
+            est = bias_variance_mc(cfg.with_updates(n_p=n_p), 6, grid_idx=grid_idx)
+            row = res.rows[grid_idx]
+            assert (row.n_p, row.n_f, row.n_effective) == (n_p, cfg.n_f, 6)
+            assert row.means["bias_sq"] == est.bias_squared
+            assert row.standard_errors["bias_sq"] == est.standard_errors["bias_squared"]
 
 
 class TestKeptPool:

@@ -1,18 +1,19 @@
 """What the solves of linreg_core.Factorization compute, and what they skip.
 
-On the Gram route (lam > 0, Z strictly tall) a fit solves with
-np.linalg.solve on K = Z^T Z + lam I once np.linalg.cholesky accepts K, and
-the spectrum of Z (np.linalg.eigh of Z^T Z) is taken only when something
-reads it.  When cholesky rejects K the solves fall back to that spectrum.
+On the Gram route (lam > 0, Z not square, K accepted by the guard) a fit
+solves with np.linalg.solve on K = Z^T Z + lam I (tall Z) or
+K = Z Z^T + lam I (wide Z), and the spectrum of Z is taken only when
+something reads it.  When cholesky rejects K the fit is the thin SVD's.
 P_f = (W G X)^T is built on every route without forming G.
 """
 import numpy as np
 import pytest
 
 from georeg import ExperimentConfig, NumericError, ShapeError, draw_paired_replica, fit
+from georeg.config import default_rel_tol
 from georeg.decomposition import _paired_metrics
-from georeg.geometry import feature_operator_from_model
-from georeg.linreg_core import Factorization, FeatureMap
+from georeg.geometry import feature_operator_from_model, prediction_decomposition
+from georeg.linreg_core import Dataset, Factorization, FeatureMap, TeacherModel
 
 FACTOR_KERNELS = ("svd", "eigh", "cholesky", "qr", "solve", "lstsq")
 
@@ -62,18 +63,25 @@ def test_one_sided_replica_skips_the_spectrum(monkeypatch):
     assert np.all(np.isfinite(list(metrics.values())))
 
     model = draw.model_1
-    assert model.factors.U is None  # the Gram route was taken
     monkeypatch.undo()
     calls = _count_calls(monkeypatch, "eigh")
     assert model.rank_z == 48
     assert model.rank_z == 48
+    assert model.factors.U is None  # the tall Gram route forms no U
     assert calls == ["eigh"]
+
+
+def test_paired_replica_takes_the_thin_svd_of_a_wide_fit(monkeypatch):
+    # the sweep reads every fit's spectrum, so a wide replica skips the Gram route
+    svd, cholesky = _count_calls(monkeypatch, "svd"), _count_calls(monkeypatch, "cholesky")
+    draw_paired_replica(ExperimentConfig(m=32, n_f=8, n_p=64, activation="relu"), 0, 0)
+    assert (svd, cholesky) == (["svd", "svd"], [])
 
 
 # ------------------------------------------------------ cholesky fallback
 
 
-def test_rank_deficient_fit_falls_back_to_the_spectrum():
+def test_rejected_cholesky_falls_back_to_the_svd():
     m, n, r, lam = 256, 64, 40, 1e-8
     rng = np.random.default_rng(3)
     B = rng.normal(size=(m, r))
@@ -84,8 +92,9 @@ def test_rank_deficient_fit_falls_back_to_the_spectrum():
     y = rng.normal(size=m)
     fmap = FeatureMap("linear", rng.normal(size=(5, n)))
     model = fit(Z, y, lam=lam, feature_map=fmap)
-    assert model.factors.U is None
-    assert np.all(np.isfinite(model.w_hat))
+    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
+    ref = Factorization(U, s, Vt, lam, keep=s > default_rel_tol(Z.shape) * s[0])
+    assert model.w_hat.tobytes() == ref.solve(y).tobytes()
     resid = y - Z @ model.w_hat
     assert model.train_error == np.mean(resid * resid)
     assert model.rank_z == r
@@ -94,17 +103,23 @@ def test_rank_deficient_fit_falls_back_to_the_spectrum():
 
 # ------------------------------------------------------------ P_f without G
 
+_NO_G_CASES = [
+    (60, 12, 40, 1e-8),  # tall ridge: the Gram route
+    (60, 12, 90, 1e-8),  # wide ridge: the Gram route
+    (60, 12, 40, 0.0),  # lam = 0, tall
+    (60, 12, 90, 0.0),  # lam = 0, wide
+    (40, 70, 120, 1e-8),  # n_f > M
+]
 
-@pytest.mark.parametrize(
-    "m, n_f, n_p, lam",
-    [
-        (60, 12, 40, 1e-8),  # tall ridge: the Gram route
-        (60, 12, 90, 1e-8),  # wide ridge: the SVD route
-        (60, 12, 40, 0.0),  # lam = 0, tall
-        (60, 12, 90, 0.0),  # lam = 0, wide
-        (40, 70, 120, 1e-8),  # n_f > M
-    ],
-)
+
+def _forbid_G(monkeypatch):
+    def no_G(self):
+        raise AssertionError("G was formed")
+
+    monkeypatch.setattr(Factorization, "effective_inverse", no_G)
+
+
+@pytest.mark.parametrize("m, n_f, n_p, lam", _NO_G_CASES)
 def test_feature_operator_never_forms_G(monkeypatch, m, n_f, n_p, lam):
     rng = np.random.default_rng(m + n_f + n_p)
     X = rng.normal(size=(m, n_f)) / np.sqrt(n_f)
@@ -113,9 +128,27 @@ def test_feature_operator_never_forms_G(monkeypatch, m, n_f, n_p, lam):
     model = fit(Z, rng.normal(size=m), lam=lam, feature_map=fmap)
     want = (fmap.W @ model.effective_inverse() @ X).T
 
-    def no_G(self):
-        raise AssertionError("P_f formed G")
-
-    monkeypatch.setattr(Factorization, "effective_inverse", no_G)
+    _forbid_G(monkeypatch)
     got = feature_operator_from_model(model, X)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m, n_f, n_p, lam", _NO_G_CASES)
+def test_prediction_decomposition_never_forms_G(monkeypatch, m, n_f, n_p, lam):
+    rng = np.random.default_rng(m + n_f + n_p)
+    X = rng.normal(size=(m, n_f)) / np.sqrt(n_f)
+    fmap = FeatureMap("relu", rng.normal(size=(n_f, n_p)) / np.sqrt(n_p))
+    teacher = TeacherModel(rng.normal(size=n_f))
+    eps = 0.1 * rng.normal(size=m)
+    data = Dataset(X, teacher.y_star(X) + eps, eps)
+    model = fit(2.0 * np.maximum(0.0, X @ fmap.W), data.y, lam=lam, feature_map=fmap)
+    x = rng.normal(size=n_f) / np.sqrt(n_f)
+    G = model.effective_inverse()
+    dz_nl = 2.0 * np.maximum(0.0, fmap.W.T @ x) - fmap.W.T @ x
+    want = (x @ fmap.W @ G @ X @ teacher.beta, dz_nl @ G @ data.y + x @ fmap.W @ G @ eps)
+
+    _forbid_G(monkeypatch)
+    got = prediction_decomposition(model, teacher, data, x)
+    y_hat = 2.0 * np.maximum(0.0, fmap.W.T @ x) @ model.w_hat
+    assert abs(sum(got) - y_hat) <= 1e-12 * (1.0 + abs(y_hat))
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * (1.0 + abs(y_hat)))
