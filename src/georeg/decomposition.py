@@ -97,10 +97,8 @@ def draw_paired_replica(
     d1 = sample_dataset(config, teacher, key + (STREAM_TRAIN,))
     d2 = sample_dataset(config, teacher, key + (STREAM_TRAIN_PAIR,))
     dt = sample_dataset(config, teacher, key + (STREAM_TEST,))
-    # the sweep reads each fit's spectrum (sigma_Z_min, frob_I_minus_Pl), and
-    # both estimators reduce the same draws, so every replica takes it
-    m1 = fit(apply_features(fmap, d1.X), d1.y, lam=config.lam, feature_map=fmap, spectrum=True)
-    m2 = fit(apply_features(fmap, d2.X), d2.y, lam=config.lam, feature_map=fmap, spectrum=True)
+    m1 = fit(apply_features(fmap, d1.X), d1.y, lam=config.lam, feature_map=fmap)
+    m2 = fit(apply_features(fmap, d2.X), d2.y, lam=config.lam, feature_map=fmap)
     return PairedDraw(
         teacher=teacher,
         feature_map=fmap,

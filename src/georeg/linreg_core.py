@@ -25,8 +25,7 @@ np.linalg.cholesky accepts K and its pivots pass a guard against a
 numerically rank-deficient Z, and falls back to the thin SVD otherwise.
 The spectrum (rank, sigma_min, U_k) is taken only when it is read: eigh of
 Z^T Z for a tall Z, the thin SVD for a wide one.  A fit and its P_f never
-read it; a caller that will, on a wide Z, passes spectrum=True to take the
-SVD at once.
+read it.
 A FittedModel keeps the Factorization of Z; pseudoinverse, geometry and
 the sweep read rank, kept modes and G from one, so identities between the
 operators hold to round-off.
@@ -272,8 +271,10 @@ class Factorization:
 
     def effective_inverse(self) -> np.ndarray:
         """G = V diag(f) U^T, shape (columns of A) x (rows of A)."""
+        if self._K is not None and self._shape[0] > self._shape[1]:
+            return np.linalg.solve(self._K, self._A.T)
         if self._K is not None:
-            return self.solve(np.eye(self._shape[0]))
+            return self._A.T @ np.linalg.solve(self._K, np.eye(self._shape[0]))
         U, f, Vt = self._filtered
         return Vt.T @ (f[:, None] * U.T)
 
@@ -308,14 +309,13 @@ def factorize(
     lam: float = 0.0,
     rel_tol: float | None = None,
     *,
-    spectrum: bool = False,
     caller: str = "factorize",
 ) -> Factorization:
     """Factorize a finite 2-D A for the finite ridge lam >= 0, keeping the
     modes s > rel_tol * s_max (0 < rel_tol < 1, default
     default_rel_tol(A.shape)); errors name ``caller``.
 
-    Two routes, chosen by A, lam and spectrum alone:
+    Two routes, chosen by A and lam alone:
 
     * lam > 0 and A not square, the Gram route, on the smaller side of A:
       factorize forms K = A^T A + lam I for a tall A and K = A A^T + lam I
@@ -343,11 +343,10 @@ def factorize(
     or A A^T in the null directions of A by up to 1/lam.  A large lam
     keeps K well conditioned, and such a fit keeps the Gram route.
 
-    spectrum=True says that the caller will read U_k, rank or sigma_min.
-    On a wide A that spectrum is the thin SVD, which then serves the solves
-    too, so factorize takes the SVD at once instead of the Gram route.  On
-    a tall A it changes nothing.  Callers whose outputs must stay bitwise
-    those of the thin SVD of a wide A pass it.
+    A wide Gram-route fit whose spectrum is read runs the Gram solves and
+    then the thin SVD; forming K, its cholesky and the solves cost a small
+    fraction of that SVD.  Its spectrum, U_k included, has the bits of the
+    SVD route's, so only G and G B differ from that route, by round-off.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -360,7 +359,7 @@ def factorize(
     if not np.all(np.isfinite(A)):
         raise NumericError(f"{caller} input has non-finite entries")
     rows, cols = A.shape
-    if lam > 0 and rows != cols and not (spectrum and rows < cols):
+    if lam > 0 and rows != cols:
         cut = max(tol, 10.0 * np.sqrt(rows * np.finfo(float).eps)) if rows > cols else tol
         factors = Factorization._gram(A, lam, cut)
         if factors is not None:
@@ -407,8 +406,6 @@ def fit(
     lam: float = 0.0,
     rel_tol: float | None = None,
     feature_map: FeatureMap | None = None,
-    *,
-    spectrum: bool = False,
 ) -> FittedModel:
     """Least-squares fit of Z w ~ y.
 
@@ -418,8 +415,7 @@ def fit(
     or on a non-square Z through the Gram route of factorize.
     Records the train error; rank(Z) and the smallest retained singular
     value are read from the factorization, which on the Gram route computes
-    them the first time they are read.  spectrum=True says the caller will
-    read them or U_k (see factorize).
+    them the first time they are read.
     """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -428,7 +424,7 @@ def fit(
         raise ShapeError(f"fit needs one label per row of Z, got Z {Z.shape} and y {y.shape}")
     if not np.all(np.isfinite(y)):
         raise NumericError("fit input has non-finite entries")
-    factors = factorize(Z, lam, rel_tol, spectrum=spectrum, caller="fit")
+    factors = factorize(Z, lam, rel_tol, caller="fit")
     w_hat = factors.solve(y)
     r = y - Z @ w_hat
     return FittedModel(

@@ -9,9 +9,10 @@ P_f = (W G X)^T is built on every route without forming G.
 import numpy as np
 import pytest
 
-from georeg import ExperimentConfig, NumericError, ShapeError, draw_paired_replica, fit
+from georeg import ExperimentConfig, NumericError, ShapeError, apply_features, draw_paired_replica, fit
 from georeg.config import default_rel_tol
 from georeg.decomposition import _paired_metrics
+from georeg.experiments import _frob_complement_from_fit, _replica_metrics
 from georeg.geometry import feature_operator_from_model, prediction_decomposition
 from georeg.linreg_core import Dataset, Factorization, FeatureMap, TeacherModel
 
@@ -71,11 +72,22 @@ def test_one_sided_replica_skips_the_spectrum(monkeypatch):
     assert calls == ["eigh"]
 
 
-def test_paired_replica_takes_the_thin_svd_of_a_wide_fit(monkeypatch):
-    # the sweep reads every fit's spectrum, so a wide replica skips the Gram route
+def test_paired_replica_reads_the_thin_svd_spectrum_of_a_wide_fit(monkeypatch):
+    # a wide replica takes the Gram route; the sweep's metrics then read
+    # each fit's spectrum, which is the thin SVD's, bits and all
+    cfg = ExperimentConfig(m=32, n_f=8, n_p=64, activation="relu")
     svd, cholesky = _count_calls(monkeypatch, "svd"), _count_calls(monkeypatch, "cholesky")
-    draw_paired_replica(ExperimentConfig(m=32, n_f=8, n_p=64, activation="relu"), 0, 0)
-    assert (svd, cholesky) == (["svd", "svd"], [])
+    draw = draw_paired_replica(cfg, 0, 0)
+    assert (svd, cholesky) == ([], ["cholesky", "cholesky"])
+    frobs = [_frob_complement_from_fit(m) for m in (draw.model_1, draw.model_2)]
+    assert svd == ["svd", "svd"]
+    monkeypatch.undo()
+    assert _replica_metrics(cfg, 0, 0)["frob_I_minus_Pl"] == 0.5 * (frobs[0] + frobs[1])
+    for model, data in ((draw.model_1, draw.train_1), (draw.model_2, draw.train_2)):
+        U, s, _ = np.linalg.svd(apply_features(draw.feature_map, data.X), full_matrices=False)
+        keep = s > default_rel_tol((cfg.m, cfg.n_p)) * s[0]
+        assert model.factors.U_k.tobytes() == U[:, keep].tobytes()
+        assert model.sigma_z_min == s[keep].min()
 
 
 # ------------------------------------------------------ cholesky fallback
