@@ -254,6 +254,7 @@ def _run_grid_command(command: str, params: dict, out: str):
         "workers": workers,
         "blas_thread_vars": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
         "worker_blas_threads": result.worker_blas_threads,
+        "worker_malloc_vars": result.worker_malloc_vars,
     }
 
 

@@ -15,10 +15,13 @@ teacher, products across the pair are unbiased for the squared means:
     Bias^2 ~ mean[(T - A1)(T - A2)]      A_k = x_hat_k . beta,  T = x . beta
     Var    ~ mean[A1^2] - mean[A1 A2]
 
-One private per-replica kernel, _paired_metrics, forms these products: each
-fit's P_f is built once per replica (PairedDraw.p_fs), and T, A1, A2 and the
-test residuals once per call.  It has two reductions over the same draws.
-The one-sided one (_one_sided_metrics), which bias_variance_mc and georeg
+One private per-replica kernel, _paired_metrics, forms these products: T,
+A1, A2 and the test residuals once per call.  A_k reads P_f only through
+the vector P_f^T beta = W G (X_k beta), so paired_projections applies each
+fit's stored G to X_k beta, one vector solve per fit, and never builds the
+N_f x N_f operator; PairedDraw.p_fs builds it once per replica for the
+sweep's analyze_operator, its only reader.  The kernel has two reductions
+over the same draws.  The one-sided one (_one_sided_metrics), which bias_variance_mc and georeg
 bias-variance report, takes E_geom, the variance and the train and test
 errors from the D1 fit alone, keeping the estimator exactly the
 paired-product form above.  The symmetric one, which run_sweep in
@@ -75,7 +78,8 @@ class PairedDraw:
 
     @cached_property
     def p_fs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P_f of the D1 fit, P_f of the D2 fit), built once per replica."""
+        """(P_f of the D1 fit, P_f of the D2 fit), built once per replica;
+        only the sweep's analyze_operator reads them."""
         return (
             feature_operator_from_model(self.model_1, self.train_1.X),
             feature_operator_from_model(self.model_2, self.train_2.X),
@@ -111,9 +115,17 @@ def draw_paired_replica(
 
 
 def paired_projections(draw: PairedDraw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, A1, A2) over the test rows: true signal x.beta and both x_hat.beta."""
-    beta, X = draw.teacher.beta, draw.test.X
-    a1, a2 = (X @ (p_f.T @ beta) for p_f in draw.p_fs)
+    """(T, A1, A2) over the test rows: true signal x.beta and both x_hat.beta.
+
+    A_k = X_test P_f^T beta with P_f^T beta = W G (X_k beta), where X_k holds
+    the inputs of fit k and G is its stored effective inverse, so each fit
+    costs one vector solve and P_f is never formed.
+    """
+    beta, X, W = draw.teacher.beta, draw.test.X, draw.feature_map.W
+    a1, a2 = (
+        X @ (W @ model.factors.solve(train.X @ beta))
+        for model, train in ((draw.model_1, draw.train_1), (draw.model_2, draw.train_2))
+    )
     return X @ beta, a1, a2
 
 

@@ -34,28 +34,38 @@ thread; the serial path uses the BLAS the caller loaded.  Outputs are
 therefore identical across worker counts when the caller's BLAS also runs
 one thread (OPENBLAS_NUM_THREADS=1).
 
+The workers also start with glibc's MALLOC_MMAP_THRESHOLD_=33554432 and
+MALLOC_TRIM_THRESHOLD_=67108864, each unless the caller has set it.  By
+default glibc hands freed heap back to the kernel and maps it again, so a
+worker faulted its replica's arrays in afresh on every task: some 30,000
+minor faults for a bias-variance grid of 60 replicas at M = 256 on 2
+workers.  Fixed thresholds keep the heap; a top
+pad alone would not, since it turns off glibc's dynamic mmap threshold and
+every multi-megabyte array would then be mapped afresh.  Other allocators
+ignore both variables.
+
 The pool is kept for the life of the process: the first pooled call starts
-it, later calls at the same worker count reuse its workers, a call at another
-count replaces it, and concurrent.futures joins its workers at exit.  So a
-process that runs several grids (a notebook, a seed loop, a test suite) pays
-the workers' start-up once; a one-shot ``georeg`` command runs one grid and
-gains nothing.  A spawned worker re-imports the caller's __main__, so a script
-that runs replicas with workers > 1 still needs an
-``if __name__ == "__main__":`` guard and cannot be read from stdin.
+it, later calls at the same worker count and allocator variables reuse its
+workers, any other call replaces it, and an atexit hook shuts it down.  So
+a process that runs several grids (a notebook, a seed loop, a test suite)
+pays the workers' start-up once; a one-shot ``georeg`` command runs one grid
+and gains nothing.  The pool modules are imported by the first pooled call,
+so an in-process run never loads them.  A spawned worker re-imports the
+caller's __main__, so a script that runs replicas with workers > 1 still
+needs an ``if __name__ == "__main__":`` guard and cannot be read from stdin.
 
 A dropped replica is returned as its reason, the exception's type and
 message; each row counts its reasons in drop_reasons.
 """
 from __future__ import annotations
 
-import multiprocessing
+import atexit
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -64,6 +74,9 @@ from .decomposition import _PAIRED_METRICS, _drop_reason, _finite, _kept_replica
 from .decomposition import _paired_metrics, draw_paired_replica, summarize
 from .errors import ConfigurationError, ExperimentError, NumericError
 from .geometry import analyze_operator
+
+if TYPE_CHECKING:  # the pool modules are imported by the first pooled call
+    from concurrent.futures import ProcessPoolExecutor
 
 ALL_METRICS = (
     "train_error",
@@ -86,6 +99,8 @@ NORMALIZED_METRICS = frozenset(
 
 # thread-count variables read by OpenBLAS, OpenMP and MKL when they load
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# glibc malloc thresholds for the pool workers, in bytes (see the module docstring)
+_WORKER_MALLOC_VARS = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "67108864"}
 
 
 # ---------------------------------------------------------- sweep definition
@@ -134,6 +149,7 @@ class SweepResult:
     elapsed_seconds: float = 0.0
     normalized: bool = False
     worker_blas_threads: int | None = None  # 1 in pool workers; None when run in-process
+    worker_malloc_vars: dict | None = None  # the allocator variables the workers started with; None in-process
 
 
 # ------------------------------------------------------------- plumbing
@@ -183,16 +199,21 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _blas_pinned_env():
-    """Set the BLAS thread variables to 1 for processes started inside; restore them after.
+def _worker_env():
+    """The pool workers' environment for the processes started inside; os.environ
+    is restored after.
 
-    os.environ belongs to the whole process, so other threads see the pinned
-    values while the block runs.
+    The BLAS thread variables are set to 1, and each allocator variable of
+    _WORKER_MALLOC_VARS to its value where the caller has not set it.  Yields
+    the allocator variables in effect.  os.environ belongs to the whole
+    process, so other threads see these values while the block runs.
     """
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    saved = {name: os.environ.get(name) for name in (*_BLAS_THREAD_VARS, *_WORKER_MALLOC_VARS)}
     try:
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-        yield
+        for name, value in _WORKER_MALLOC_VARS.items():
+            os.environ.setdefault(name, value)
+        yield {name: os.environ[name] for name in _WORKER_MALLOC_VARS}
     finally:
         for name, value in saved.items():
             if value is None:
@@ -202,26 +223,47 @@ def _blas_pinned_env():
 
 
 # The process's replica pool, kept across calls: (executor, workers, pid of
-# the process that started it), or None before the first pooled call.
+# the process that started it, allocator variables its workers start with),
+# or None before the first pooled call.
 _pool: tuple | None = None
 _pool_lock = threading.Lock()
 
 
-def _kept_pool(workers: int) -> ProcessPoolExecutor:
-    """The kept pool of `workers` spawned workers, started or replaced as needed.
+def _kept_pool(workers: int, malloc_vars: dict) -> ProcessPoolExecutor:
+    """The kept pool of `workers` spawned workers started under `malloc_vars`,
+    started or replaced as needed.
 
-    Call with _pool_lock held.  A pool at another worker count is shut down
-    after its pending work finishes.  A pool started by another process (this
-    one is a forked child) belongs to that process and is only dropped.
+    Call with _pool_lock held and inside _worker_env, which gives malloc_vars.
+    A pool at another worker count or under other allocator variables is
+    shut down after its pending work finishes.  A pool started by another
+    process (this one is a forked child) belongs to that process and is only
+    dropped.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     global _pool
     pid = os.getpid()
-    if _pool is not None and _pool[1:] == (workers, pid):
+    if _pool is not None and _pool[1:] == (workers, pid, malloc_vars):
         return _pool[0]
     if _pool is not None and _pool[2] == pid:
         _pool[0].shutdown()
-    _pool = (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")), workers, pid)
+    _pool = (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")), workers, pid, malloc_vars)
     return _pool[0]
+
+
+@atexit.register
+def _shut_down_pool() -> None:
+    """Shut this process's kept pool down at exit.
+
+    atexit runs before the interpreter unloads modules, so the pool's own
+    finalizers still find the modules they use, which the first pooled call
+    imported after this one.
+    """
+    global _pool
+    if _pool is not None and _pool[2] == os.getpid():
+        pool, _pool = _pool[0], None
+        pool.shutdown()
 
 
 def _discard_pool(pool: ProcessPoolExecutor) -> None:
@@ -233,26 +275,30 @@ def _discard_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(cancel_futures=True)
 
 
-def _run_pooled(kernel, tasks: list, workers: int) -> list:
-    """kernel(*task) for every (config, grid_idx, replica_idx) task, in task order.
+def _run_pooled(kernel, tasks: list, workers: int) -> tuple[list, dict]:
+    """(kernel(*task) for every (config, grid_idx, replica_idx) task, in task
+    order; the allocator variables the workers started with).
 
     One task per replica, submitted costliest (largest n_p) first so that the
     last tasks to finish are short.  The tasks run on the process's kept pool
     (see the module docstring).  Its workers start lazily, inside submit, so
-    every submit runs while the BLAS variables are pinned: BLAS reads them
-    once, when a worker imports numpy, and every worker, first or late,
-    starts pinned.  A pool that dies is discarded and raises ExperimentError;
-    any other exception, KeyboardInterrupt included, cancels this call's
-    pending tasks and leaves the pool to later calls.
+    every submit runs inside _worker_env: BLAS reads its variables once,
+    when a worker imports numpy, glibc its own at start-up, and every
+    worker, first or late, starts with them.  A pool that dies is discarded
+    and raises ExperimentError; any other exception, KeyboardInterrupt
+    included, cancels this call's pending tasks and leaves the pool to later
+    calls.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0].n_p)
     futures = {}
     try:
-        with _pool_lock, _blas_pinned_env():
-            pool = _kept_pool(workers)
+        with _pool_lock, _worker_env() as malloc_vars:
+            pool = _kept_pool(workers, malloc_vars)
             for i in order:
                 futures[i] = pool.submit(kernel, *tasks[i])
-        return [futures[i].result() for i in range(len(tasks))]
+        return [futures[i].result() for i in range(len(tasks))], malloc_vars
     except BrokenProcessPool as exc:
         _discard_pool(pool)
         raise ExperimentError(
@@ -277,8 +323,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
     workers is an integer >= 1.  There is one task per (grid point,
     replica); when min(workers, tasks) > 1 they run in a pool of that many
-    spawned processes with BLAS pinned to one thread, and a pool that dies
-    raises ExperimentError.
+    spawned processes with BLAS pinned to one thread and glibc's allocator
+    set to keep its heap, and a pool that dies raises ExperimentError.
     """
     return _run_grid(spec, workers)
 
@@ -303,7 +349,7 @@ def _run_grid(spec: SweepSpec, workers: int, one_sided: bool = False) -> SweepRe
 
     tasks = [(cfg, gidx, r) for gidx, (_, cfg) in configs.items() for r in range(n)]
     workers = min(workers, len(tasks))
-    replicas = _run_pooled(kernel, tasks, workers) if workers > 1 else [kernel(*task) for task in tasks]
+    replicas, malloc_vars = _run_pooled(kernel, tasks, workers) if workers > 1 else ([kernel(*t) for t in tasks], None)
 
     # dividing by 1.0 leaves a metric's bits unchanged
     div = {name: base.sigma_y_sq if spec.normalize and name in NORMALIZED_METRICS else 1.0 for name in metrics}
@@ -335,4 +381,5 @@ def _run_grid(spec: SweepSpec, workers: int, one_sided: bool = False) -> SweepRe
         elapsed_seconds=time.perf_counter() - t0,
         normalized=spec.normalize,
         worker_blas_threads=1 if workers > 1 else None,
+        worker_malloc_vars=malloc_vars,
     )

@@ -305,6 +305,19 @@ def _fail_replica(bad):
 class TestBiasVarianceReplicaRunner:
     """bias-variance runs its replicas through the sweep's grid runner and pool."""
 
+    @pytest.mark.parametrize("command", ["sweep", "bias-variance"])
+    def test_manifest_records_the_workers_allocator_variables(self, tmp_path, monkeypatch, command):
+        # the pool workers' glibc settings; the caller's own value wins, and
+        # an in-process run records null
+        monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
+        monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "1048576")
+        expected = {"2": {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "1048576"}, "1": None}
+        for workers, malloc_vars in expected.items():
+            argv = _bv_args(tmp_path / workers, "--replicas", "2", "--workers", workers)
+            assert _run(command, *argv[1:]) == 0
+            manifest = json.loads((tmp_path / workers / "manifest.json").read_text())
+            assert manifest["worker_malloc_vars"] == malloc_vars
+
     def test_outputs_identical_across_worker_counts(self, tmp_path):
         # pool workers run BLAS at one thread, so the serial run must too
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",

@@ -101,8 +101,16 @@ class TestPairedDraw:
         t, a1, a2 = paired_projections(d)
         assert t.shape == a1.shape == a2.shape == (33,)
         assert np.allclose(t, d.test.X @ d.teacher.beta, atol=1e-14)
-        p_f = feature_operator_from_model(d.model_1, d.train_1.X)
-        assert np.allclose(a1, d.test.X @ (p_f.T @ d.teacher.beta), atol=1e-12)
+        # A_k = X_test P_f^T beta on every route, though P_f is never built:
+        # (n_p, lam) -> the tall Gram, wide Gram, square SVD and lam = 0 SVD
+        routes = {(16, 1e-8): "gram", (64, 1e-8): "gram", (32, 1e-8): "svd", (16, 0.0): "svd"}
+        for (n_p, lam), route in routes.items():
+            d = draw_paired_replica(ExperimentConfig(m=32, n_f=8, n_p=n_p, lam=lam), 0, 0)
+            _, *got = paired_projections(d)
+            for model, train, a in zip((d.model_1, d.model_2), (d.train_1, d.train_2), got):
+                assert (model.factors._K is not None) == (route == "gram")
+                expected = d.test.X @ (feature_operator_from_model(model, train.X).T @ d.teacher.beta)
+                assert np.linalg.norm(a - expected) <= 1e-12 * np.linalg.norm(expected), (n_p, lam)
 
 
 class TestBiasVarianceMC:
@@ -189,6 +197,16 @@ class TestBiasVarianceMC:
         assert kept == [{"x": 1.0}] * 18
         assert counts == {"NumericError: non-finite replica metrics: variance": 2}
 
+    def test_builds_no_feature_operator(self, monkeypatch):
+        # the one-sided metrics read P_f only through P_f^T beta
+        def forbidden(*args):
+            raise AssertionError("P_f built")
+
+        monkeypatch.setattr(georeg.decomposition, "feature_operator_from_model", forbidden)
+        for n_p in (24, 48):  # a tall and a wide Gram-route fit
+            est = bias_variance_mc(ExperimentConfig(m=32, n_f=8, n_p=n_p), n_replicas=3)
+            assert est.n_replicas == 3
+
     def test_variance_peaks_at_interpolation(self):
         # classic double-descent variance spike at n_p = m
         base = ExperimentConfig(m=64, n_f=16, activation="relu", n_p=64)
@@ -220,3 +238,49 @@ class TestLinearFamilyOracle:
         risk = cfg.sigma_eps**2 * (1.0 + n_f / (m - n_f - 1))
         z = (est.total_test_error - risk) / est.standard_errors["total_test_error"]
         assert abs(z) <= 4.0, z
+
+
+class TestIdentityFamilyOracle:
+    """Z = X at lam = 0: minimum-norm least squares on the inputs themselves.
+
+    With x ~ N(0, I/n_f) and beta ~ N(0, I), an under-parameterized fit
+    (n_f < M) has P_f = I, so the geometric error, bias^2 and variance
+    vanish and the risk is sigma_eps^2 (1 + n_f / (M - n_f - 1)).  An
+    over-parameterized one (n_f > M) has P_f = the projector onto the M
+    training rows, so E_geom = 1 - M/n_f and the risk is
+    E_geom + sigma_eps^2 (1 + M / (n_f - M - 1)) (Belkin, Hsu & Xu 2019,
+    arXiv:1903.07571; Hastie et al. 2019, arXiv:1903.08560).  The two
+    projectors of a pair are independent with mean (M/n_f) I, so
+    bias^2 = (1 - M/n_f)^2 and the variance is (M/n_f)(1 - M/n_f).
+    """
+
+    N_REPLICAS = 300
+
+    def _estimate(self, m, n_f):
+        cfg = ExperimentConfig(m=m, n_f=n_f, n_p=n_f, activation="identity", lam=0.0)
+        return cfg, bias_variance_mc(cfg, n_replicas=self.N_REPLICAS)
+
+    @staticmethod
+    def _z(est, field, expected):
+        return (getattr(est, field) - expected) / est.standard_errors[field]
+
+    def test_under_parameterized(self):
+        cfg, est = self._estimate(64, 16)
+        assert abs(est.geometric_error) <= 1e-12
+        assert abs(est.bias_squared) <= 1e-12
+        assert abs(est.variance) <= 1e-12
+        risk = cfg.sigma_eps**2 * (1.0 + cfg.n_f / (cfg.m - cfg.n_f - 1))
+        assert abs(self._z(est, "total_test_error", risk)) <= 4.0
+
+    def test_over_parameterized(self):
+        cfg, est = self._estimate(32, 64)
+        kept = cfg.m / cfg.n_f
+        geom = 1.0 - kept
+        expected = {
+            "geometric_error": geom,
+            "bias_squared": geom**2,
+            "variance": kept * geom,
+            "total_test_error": geom + cfg.sigma_eps**2 * (1.0 + cfg.m / (cfg.n_f - cfg.m - 1)),
+        }
+        for field, value in expected.items():
+            assert abs(self._z(est, field, value)) <= 4.0, field

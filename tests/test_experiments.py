@@ -40,6 +40,12 @@ def _blas_pinned_probe(*task):
     return dict.fromkeys(ALL_METRICS, float(pinned))
 
 
+def _malloc_probe(*task):
+    """Stands in for the replica kernel: sigma_max and theta_max_deg are the allocator thresholds here."""
+    return {**dict.fromkeys(ALL_METRICS, 0.0), "sigma_max": float(os.environ["MALLOC_MMAP_THRESHOLD_"]),
+            "theta_max_deg": float(os.environ["MALLOC_TRIM_THRESHOLD_"])}
+
+
 def _pid_probe(*task):
     """Stands in for the replica kernel: every metric is the pid of the process that runs it."""
     return dict.fromkeys(ALL_METRICS, float(os.getpid()))
@@ -233,6 +239,27 @@ class TestRunSweep:
         for row in run_sweep(spec, workers=2).rows:
             assert set(row.means.values()) == {1.0}
 
+    def test_only_the_sweep_builds_feature_operators(self, monkeypatch):
+        # the sweep builds each fit's P_f for analyze_operator; the one-sided
+        # grid of georeg bias-variance reads P_f^T beta alone and builds none
+        spec = SweepSpec(ExperimentConfig(m=16, n_f=4, n_p=16), np_over_m_grid=(0.5, 2.0), n_replicas=3)
+        build, calls = georeg.decomposition.feature_operator_from_model, []
+
+        def counted(model, X):
+            calls.append(X.shape)
+            return build(model, X)
+
+        monkeypatch.setattr(georeg.decomposition, "feature_operator_from_model", counted)
+        assert len(run_sweep(spec).rows) == 2
+        assert len(calls) == 2 * 2 * 3
+
+        def forbidden(model, X):
+            raise AssertionError("P_f built")
+
+        monkeypatch.setattr(georeg.decomposition, "feature_operator_from_model", forbidden)
+        result = experiments._run_grid(spec, 1, one_sided=True)
+        assert [row.n_effective for row in result.rows] == [3, 3]
+
     def test_unguarded_script_gets_a_typed_error(self, tmp_path):
         # a spawned worker re-imports the script, whose unguarded sweep then
         # fails in the worker and breaks the pool
@@ -319,9 +346,9 @@ class TestKeptPool:
         parent_pid = os.getpid()
         monkeypatch.setattr(os, "getpid", lambda: parent_pid + 1)
         with experiments._pool_lock:
-            fresh = experiments._kept_pool(2)
+            fresh = experiments._kept_pool(2, {})
         assert fresh is not kept[0]
-        assert experiments._pool == (fresh, 2, parent_pid + 1)
+        assert experiments._pool == (fresh, 2, parent_pid + 1, {})
         # the child's pool never started a worker; drop it under the pid
         # that made it, so that its queues' finalizers run
         experiments._pool = kept
@@ -342,6 +369,28 @@ class TestKeptPool:
             for row in run_sweep(self.PROBE_SPEC, workers=2).rows:
                 assert set(row.means.values()) == {1.0}
         assert len(_pool_pids()) == 2
+
+    def test_workers_start_with_the_allocator_variables(self, monkeypatch):
+        # each variable is set for the workers where the caller has not set
+        # it, a caller's own value wins and starts a pool of its own, and
+        # os.environ is left as it was found
+        monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
+        monkeypatch.delenv("MALLOC_TRIM_THRESHOLD_", raising=False)
+        assert run_sweep(self.SPEC, workers=1).worker_malloc_vars is None
+        monkeypatch.setattr(experiments, "_replica_metrics", _malloc_probe)
+        for mmap, trim in ((None, None), ("1048576", None), (None, "2097152")):
+            for name, value in (("MALLOC_MMAP_THRESHOLD_", mmap), ("MALLOC_TRIM_THRESHOLD_", trim)):
+                if value is None:
+                    monkeypatch.delenv(name, raising=False)
+                else:
+                    monkeypatch.setenv(name, value)
+            expected = {"MALLOC_MMAP_THRESHOLD_": mmap or "33554432", "MALLOC_TRIM_THRESHOLD_": trim or "67108864"}
+            before = dict(os.environ)
+            result = run_sweep(self.PROBE_SPEC, workers=2)
+            assert dict(os.environ) == before
+            assert result.worker_malloc_vars == expected
+            for row in result.rows:
+                assert (row.means["sigma_max"], row.means["theta_max_deg"]) == tuple(map(float, expected.values()))
 
     def test_concurrent_callers_share_and_replace_the_pool(self, monkeypatch):
         # more calling threads than cores, at two worker counts, so that pools
@@ -389,3 +438,28 @@ class TestKeptPool:
                               cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
+
+    def test_a_test_process_with_a_kept_pool_exits_cleanly(self, tmp_path):
+        # the pool modules are imported after georeg; in a pytest process that
+        # also ran a hypothesis test, the kept pool used to be collected after
+        # they were unloaded, and its finalizer printed an AttributeError
+        (tmp_path / "test_kept_pool.py").write_text(textwrap.dedent("""
+            from hypothesis import given, settings, strategies as st
+            from georeg import ExperimentConfig, SweepSpec, run_sweep
+
+            @settings(max_examples=5, database=None)
+            @given(st.integers(1, 3))
+            def test_property(n):
+                assert n > 0
+
+            def test_pooled():
+                spec = SweepSpec(ExperimentConfig(m=16, n_f=4, n_p=16), np_over_m_grid=(1.0, 2.0), n_replicas=2)
+                assert run_sweep(spec, workers=2).rows == run_sweep(spec, workers=2).rows
+        """))
+        src = Path(georeg.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-X", "dev", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               "test_kept_pool.py"], cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stdout
+        assert "Exception ignored" not in proc.stderr + proc.stdout, proc.stderr
