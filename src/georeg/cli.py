@@ -10,12 +10,13 @@ manifest alone.
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure.
 sweep and bias-variance drop a degenerate replica, counting its reason in the
 manifest's drop_reasons, fail a grid point when more than 10% of its replicas
-drop, and exit 2 only when every point fails.
+drop (its reasons are still counted), and exit 2 only when every point fails.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import platform
@@ -250,7 +251,10 @@ def _run_grid_command(command: str, params: dict, out: str):
         "elapsed_seconds": result.elapsed_seconds,
         "point_errors": {f"{k[0]},{k[1]}": v for k, v in result.point_errors.items()},
         "dropped_replicas": {f"{r.np_over_m},{r.nf_over_m}": r.n_dropped for r in result.rows},
-        "drop_reasons": {f"{r.np_over_m},{r.nf_over_m}": r.drop_reasons for r in result.rows},
+        "drop_reasons": {
+            **{f"{r.np_over_m},{r.nf_over_m}": r.drop_reasons for r in result.rows},
+            **{f"{k[0]},{k[1]}": v for k, v in result.point_drop_reasons.items()},
+        },
         "workers": workers,
         "blas_thread_vars": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
         "worker_blas_threads": result.worker_blas_threads,
@@ -353,6 +357,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: main calls it on every run
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="georeg", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)

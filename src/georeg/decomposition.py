@@ -17,19 +17,24 @@ teacher, products across the pair are unbiased for the squared means:
 
 One private per-replica kernel, _paired_metrics, forms these products: T,
 A1, A2 and the test residuals once per call.  A_k reads P_f only through
-the vector P_f^T beta = W G (X_k beta), so paired_projections applies each
-fit's stored G to X_k beta, one vector solve per fit, and never builds the
-N_f x N_f operator; PairedDraw.p_fs builds it once per replica for the
-sweep's analyze_operator, its only reader.  The kernel has two reductions
-over the same draws.  The one-sided one (_one_sided_metrics), which bias_variance_mc and georeg
-bias-variance report, takes E_geom, the variance and the train and test
-errors from the D1 fit alone, keeping the estimator exactly the
-paired-product form above.  The symmetric one, which run_sweep in
-experiments.py reports, averages them over the pair; that changes no
-expectation value (exchangeability) but tightens the standard errors.  The
-cross product bias^2 is the same in both.  Every estimator drops a
-degenerate replica, which a kernel returns as its reason (_drop_reason), and
-fails when more than 10% drop (_kept_replicas).
+beta_hat_k = P_f^T beta = W G (X_k beta), the teacher as fit k perceives
+it.  So draw_paired_replica solves each fit for the two columns
+[y_k, X_k beta] at once, which gives w_hat = G y_k and G (X_k beta) from one
+LU of K on the Gram route, and keeps both beta_hats; paired_projections
+only multiplies them by X_test.  The N_f x N_f operator is never built for
+these products.  PairedDraw.p_fs builds it, with a solve of its own, once
+per replica for the sweep's analyze_operator, its only reader.
+
+The kernel has two reductions over the same draws.  The one-sided one
+(_one_sided_metrics), which bias_variance_mc and georeg bias-variance
+report, takes E_geom, the variance and the train and test errors from the
+D1 fit alone, keeping the estimator exactly the paired-product form above.
+The symmetric one, which run_sweep in experiments.py reports, averages them
+over the pair; that changes no expectation value (exchangeability) but
+tightens the standard errors.  The cross product bias^2 is the same in
+both.  Every estimator drops a degenerate replica, which a kernel returns
+as its reason (_drop_reason), and fails when more than 10% drop
+(_kept_replicas).
 """
 from __future__ import annotations
 
@@ -54,8 +59,9 @@ from .linreg_core import (
     FeatureMap,
     FittedModel,
     TeacherModel,
+    _fit,
     apply_features,
-    fit,
+    fit,  # not called here; bench/test_bench.py checks that the tracer finds it bound in this module
     make_feature_map,
     sample_dataset,
     sample_teacher,
@@ -75,6 +81,7 @@ class PairedDraw:
     test: Dataset
     model_1: FittedModel
     model_2: FittedModel
+    beta_hats: tuple[np.ndarray, np.ndarray]  # P_f^T beta of the D1 fit, of the D2 fit
 
     @cached_property
     def p_fs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +100,9 @@ def draw_paired_replica(
 
     Streams are keyed (grid_idx, replica_idx, stream id), so any execution
     order — sequential, threaded, or process pools — produces identical
-    samples for the same seed.
+    samples for the same seed.  Each fit solves for y and X beta in one call
+    (see the module docstring), so its w_hat can differ from fit's in the
+    last digits.
     """
     key = (grid_idx, replica_idx)
     teacher = sample_teacher(config, key + (STREAM_TEACHER,))
@@ -101,8 +110,9 @@ def draw_paired_replica(
     d1 = sample_dataset(config, teacher, key + (STREAM_TRAIN,))
     d2 = sample_dataset(config, teacher, key + (STREAM_TRAIN_PAIR,))
     dt = sample_dataset(config, teacher, key + (STREAM_TEST,))
-    m1 = fit(apply_features(fmap, d1.X), d1.y, lam=config.lam, feature_map=fmap)
-    m2 = fit(apply_features(fmap, d2.X), d2.y, lam=config.lam, feature_map=fmap)
+    (m1, g1), (m2, g2) = (
+        _fit(apply_features(fmap, d.X), d.y, config.lam, None, fmap, also=d.X @ teacher.beta) for d in (d1, d2)
+    )
     return PairedDraw(
         teacher=teacher,
         feature_map=fmap,
@@ -111,22 +121,18 @@ def draw_paired_replica(
         test=dt,
         model_1=m1,
         model_2=m2,
+        beta_hats=(fmap.W @ g1, fmap.W @ g2),
     )
 
 
 def paired_projections(draw: PairedDraw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T, A1, A2) over the test rows: true signal x.beta and both x_hat.beta.
 
-    A_k = X_test P_f^T beta with P_f^T beta = W G (X_k beta), where X_k holds
-    the inputs of fit k and G is its stored effective inverse, so each fit
-    costs one vector solve and P_f is never formed.
+    A_k = X_test beta_hat_k with the draw's beta_hat_k = P_f^T beta of fit k,
+    which came out of that fit's own solve, so no solve runs here.
     """
-    beta, X, W = draw.teacher.beta, draw.test.X, draw.feature_map.W
-    a1, a2 = (
-        X @ (W @ model.factors.solve(train.X @ beta))
-        for model, train in ((draw.model_1, draw.train_1), (draw.model_2, draw.train_2))
-    )
-    return X @ beta, a1, a2
+    X = draw.test.X
+    return X @ draw.teacher.beta, X @ draw.beta_hats[0], X @ draw.beta_hats[1]
 
 
 # sweep metric name -> BiasVarianceEstimate field, in the order reported
@@ -193,7 +199,12 @@ def _kept_replicas(results: list) -> tuple[list, dict]:
     n_dropped = len(results) - len(kept)
     if n_dropped > 0.1 * len(results):
         raise NumericError(f"{n_dropped}/{len(results)} replicas degenerate")
-    return kept, dict(Counter(r for r in results if isinstance(r, str)))
+    return kept, _drop_counts(results)
+
+
+def _drop_counts(results: list) -> dict:
+    """{drop reason: count} over the dropped replicas of results."""
+    return dict(Counter(r for r in results if isinstance(r, str)))
 
 
 # ------------------------------------------------------------ estimator

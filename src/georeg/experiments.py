@@ -55,7 +55,8 @@ caller's __main__, so a script that runs replicas with workers > 1 still
 needs an ``if __name__ == "__main__":`` guard and cannot be read from stdin.
 
 A dropped replica is returned as its reason, the exception's type and
-message; each row counts its reasons in drop_reasons.
+message; each row counts its reasons in drop_reasons, and a point that
+fails on its drops keeps its counts in point_drop_reasons.
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import ExperimentConfig, ratio_to_count
-from .decomposition import _PAIRED_METRICS, _drop_reason, _finite, _kept_replicas, _one_sided_metrics
+from .decomposition import _PAIRED_METRICS, _drop_counts, _drop_reason, _finite, _kept_replicas, _one_sided_metrics
 from .decomposition import _paired_metrics, draw_paired_replica, summarize
 from .errors import ConfigurationError, ExperimentError, NumericError
 from .geometry import analyze_operator
@@ -145,6 +146,8 @@ class SweepRow:
 class SweepResult:
     rows: tuple = field(default_factory=tuple)
     point_errors: dict = field(default_factory=dict)
+    # {(np_over_m, nf_over_m): {reason: count}} of the points that failed on their dropped replicas
+    point_drop_reasons: dict = field(default_factory=dict)
     n_replicas: int = 0
     elapsed_seconds: float = 0.0
     normalized: bool = False
@@ -353,12 +356,14 @@ def _run_grid(spec: SweepSpec, workers: int, one_sided: bool = False) -> SweepRe
 
     # dividing by 1.0 leaves a metric's bits unchanged
     div = {name: base.sigma_y_sq if spec.normalize and name in NORMALIZED_METRICS else 1.0 for name in metrics}
-    rows = []
+    rows, point_drop_reasons = [], {}
     for k, (np_r, cfg) in enumerate(configs.values()):
+        point = replicas[k * n:(k + 1) * n]
         try:
-            results, reasons = _kept_replicas(replicas[k * n:(k + 1) * n])
+            results, reasons = _kept_replicas(point)
         except NumericError as exc:
             point_errors[(np_r, nf_r)] = str(exc)
+            point_drop_reasons[(np_r, nf_r)] = _drop_counts(point)
             continue
         stats = {name: summarize([r[name] for r in results]) for name in metrics}
         rows.append(
@@ -377,6 +382,7 @@ def _run_grid(spec: SweepSpec, workers: int, one_sided: bool = False) -> SweepRe
     return SweepResult(
         rows=tuple(rows),
         point_errors=point_errors,
+        point_drop_reasons=point_drop_reasons,
         n_replicas=n,
         elapsed_seconds=time.perf_counter() - t0,
         normalized=spec.normalize,

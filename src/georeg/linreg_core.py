@@ -151,10 +151,13 @@ def apply_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
         raise ShapeError(f"X has {X2.shape[1]} columns, feature map expects {fmap.W.shape[0]}")
     if fmap.kind == "identity":
         Z = X2
-    elif fmap.kind == "linear":
-        Z = X2 @ fmap.W
     else:
-        Z = RELU_PREFACTOR * np.maximum(0.0, X2 @ fmap.W)
+        Z = X2 @ fmap.W
+        if fmap.kind == "relu":
+            # in place on the fresh product; 0.0 first keeps the bits of
+            # np.maximum(0.0, Z) for signed zeros
+            np.maximum(0.0, Z, out=Z)
+            Z *= RELU_PREFACTOR
     return Z[0] if one_d else Z
 
 
@@ -196,8 +199,10 @@ class Factorization:
     def _gram(cls, A: np.ndarray, lam: float, cut: float) -> Factorization | None:
         """The Gram route of a non-square A at lam > 0, keeping s > cut * s_max;
         None when K fails the guard of factorize."""
-        gram = A.T @ A if A.shape[0] > A.shape[1] else A @ A.T
-        K = gram.copy()
+        K = A.T @ A if A.shape[0] > A.shape[1] else A @ A.T
+        # K is the Gram matrix with lam added in place; its diagonal is kept
+        # so that _spectrum can restore the Gram matrix bit for bit
+        gram_diagonal = np.diagonal(K).copy()
         K.flat[:: K.shape[0] + 1] += lam
         try:
             d2 = np.diagonal(np.linalg.cholesky(K)) ** 2
@@ -207,7 +212,7 @@ class Factorization:
             return None
         self = cls.__new__(cls)
         self.lam, self._shape, self._cut = float(lam), A.shape, cut
-        self._A, self._gram_matrix, self._K = A, gram, K
+        self._A, self._gram_diagonal, self._K = A, gram_diagonal, K
         return self
 
     @cached_property
@@ -216,7 +221,9 @@ class Factorization:
         if A.shape[0] < A.shape[1]:
             U, s, Vt = np.linalg.svd(A, full_matrices=False)
         else:
-            ev, V = np.linalg.eigh(self._gram_matrix)  # ascending
+            gram = self._K.copy()
+            np.fill_diagonal(gram, self._gram_diagonal)
+            ev, V = np.linalg.eigh(gram)  # ascending
             U, s, Vt = None, np.sqrt(np.maximum(ev[::-1], 0.0)), np.ascontiguousarray(V[:, ::-1].T)
         return U, s, Vt, s > self._cut * (s[0] if s.size else 0.0)
 
@@ -418,6 +425,25 @@ def fit(
     value are read from the factorization, which on the Gram route computes
     them the first time they are read.
     """
+    return _fit(Z, y, lam, rel_tol, feature_map)[0]
+
+
+def _fit(
+    Z: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+    rel_tol: float | None,
+    feature_map: FeatureMap | None,
+    also: np.ndarray | None = None,
+) -> tuple[FittedModel, np.ndarray | None]:
+    """(fit(Z, y, lam, rel_tol, feature_map), G also).
+
+    Without also, w_hat = G y is one vector solve and the second item is
+    None.  With also, a vector with one entry per row of Z, w_hat and G also
+    are the two columns of one solve of [y, also]: one LU of K on the Gram
+    route instead of two, though w_hat is then not bitwise the vector
+    solve's.
+    """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     # y is checked before the factorization, the costly step
@@ -426,12 +452,10 @@ def fit(
     if not np.all(np.isfinite(y)):
         raise NumericError("fit input has non-finite entries")
     factors = factorize(Z, lam, rel_tol, caller="fit")
-    w_hat = factors.solve(y)
+    if also is None:
+        w_hat, g_also = factors.solve(y), None
+    else:
+        w_hat, g_also = factors.solve(np.column_stack((y, also))).T.copy()
     r = y - Z @ w_hat
-    return FittedModel(
-        w_hat=w_hat,
-        feature_map=feature_map,
-        factors=factors,
-        train_error=float(np.mean(r * r)),
-    )
-
+    model = FittedModel(w_hat=w_hat, feature_map=feature_map, factors=factors, train_error=float(np.mean(r * r)))
+    return model, g_also

@@ -110,6 +110,31 @@ def test_unusable_out_exits_2_before_computing(tmp_path, capsys, monkeypatch, co
     assert "cannot create output directory" in capsys.readouterr().err
 
 
+def test_repeated_main_calls_write_what_fresh_processes_write(tmp_path):
+    # the parser is built once per process; a second call must not see the
+    # first call's flags
+    runs = {"first": ["--plot", "--seed", "5"], "second": []}
+    argv = ["perturb", "--model", "relu", "--m", "32", "--nf-ratio", "1.5", "--np-ratio", "3", "--pairs", "20"]
+    env = {**os.environ, "PYTHONPATH": str(Path(georeg.__file__).resolve().parents[1])}
+    for name, extra in runs.items():
+        assert main([*argv, *extra, "--out", str(tmp_path / "in-process" / name)]) == 0
+    for name, extra in runs.items():
+        subprocess.run([sys.executable, "-m", "georeg.cli", *argv, *extra, "--out", str(tmp_path / "fresh" / name)],
+                       env=env, check=True, capture_output=True, timeout=120)
+    for name in runs:
+        here, fresh = tmp_path / "in-process" / name, tmp_path / "fresh" / name
+        files = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in here.iterdir()) == files
+        assert ("perturb.svg" in files) == (name == "first")
+        for file in files:
+            if file == "manifest.json":
+                got, want = (json.loads((d / file).read_text()) for d in (here, fresh))
+                assert got.pop("timestamp") and want.pop("timestamp")
+                assert got == want
+            else:
+                assert (here / file).read_bytes() == (fresh / file).read_bytes(), (name, file)
+
+
 # each command with its plot flag where it has one, at a small M
 _RERUNS = {
     "sweep": ["--model", "relu", "--np-grid", "0.5,1", "--replicas", "4", "--normalize", "--plot"],
@@ -364,6 +389,8 @@ class TestBiasVarianceReplicaRunner:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["point_errors"] == {"1.0,0.25": "2/10 replicas degenerate"}
         assert manifest["dropped_replicas"] == {"0.5,0.25": 0}
+        # the failed point keeps its reason counts
+        assert manifest["drop_reasons"] == {"0.5,0.25": {}, "1.0,0.25": {TestDropReasons.REASON: 2}}
         assert "np_over_m=1.0 nf_over_m=0.25 failed: 2/10 replicas degenerate" in capsys.readouterr().err
 
 

@@ -209,6 +209,21 @@ class TestFeatureMaps:
         assert apply_features(fmap, np.array([1.0, 1.0]))[0] == 0.0
         assert apply_features(fmap, np.array([3.0, 1.0]))[0] == pytest.approx(4.0)  # 2*max(0,2)
 
+    def test_relu_is_computed_in_place_with_the_same_bits(self):
+        from georeg import FeatureMap
+
+        rng = np.random.default_rng(11)
+        fmap = FeatureMap(kind="relu", W=rng.normal(size=(64, 48)))
+        X, x = rng.normal(size=(40, 64)), rng.normal(size=64)
+        X[0, :] = 0.0  # a row of zeros in the product
+        saved = (X.copy(), x.copy(), fmap.W.copy())
+        for inp in (X, x):
+            got = apply_features(fmap, inp)
+            assert got.tobytes() == (2.0 * np.maximum(0.0, inp @ fmap.W)).tobytes()
+            assert not np.any(np.signbit(got))  # max(0.0, -0.0) is +0.0
+        for before, after in zip(saved, (X, x, fmap.W)):
+            assert after.tobytes() == before.tobytes()
+
     def test_relu_weight_scale(self):
         cfg = ExperimentConfig(n_f=2000, n_p=1000)
         fmap = make_feature_map(cfg)

@@ -42,7 +42,8 @@ def _geometric_error(X_train, beta, X_test):
     train = Dataset(X=X_train, y=X_train @ beta, eps=np.zeros(X_train.shape[0]))
     test = Dataset(X=X_test, y=X_test @ beta, eps=np.zeros(X_test.shape[0]))
     model = fit(X_train, train.y, lam=0.0, feature_map=fmap)
-    draw = PairedDraw(TeacherModel(beta), fmap, train, train, test, model, model)
+    beta_hat = feature_operator_from_model(model, X_train).T @ beta
+    draw = PairedDraw(TeacherModel(beta), fmap, train, train, test, model, model, (beta_hat, beta_hat))
     return _paired_metrics(draw, symmetric=False)["geom_error"]
 
 
@@ -111,6 +112,19 @@ class TestPairedDraw:
                 assert (model.factors._K is not None) == (route == "gram")
                 expected = d.test.X @ (feature_operator_from_model(model, train.X).T @ d.teacher.beta)
                 assert np.linalg.norm(a - expected) <= 1e-12 * np.linalg.norm(expected), (n_p, lam)
+
+    @pytest.mark.parametrize("n_p, lam, route", [(16, 1e-8, "gram"), (64, 1e-8, "gram"), (32, 1e-8, "svd"), (16, 0.0, "svd")])
+    def test_beta_hats_are_the_fits_P_f_transpose_beta(self, n_p, lam, route):
+        # the tall Gram, wide Gram, square SVD and lam = 0 SVD routes; the
+        # draw's two-column solve gives fit's w_hat up to round-off
+        d = draw_paired_replica(ExperimentConfig(m=32, n_f=8, n_p=n_p, lam=lam), 0, 0)
+        for model, train, beta_hat in zip((d.model_1, d.model_2), (d.train_1, d.train_2), d.beta_hats):
+            assert (model.factors._K is not None) == (route == "gram")
+            expected = feature_operator_from_model(model, train.X).T @ d.teacher.beta
+            assert np.linalg.norm(beta_hat - expected) <= 1e-12 * np.linalg.norm(expected)
+            ref = fit(georeg.apply_features(d.feature_map, train.X), train.y, lam=lam, feature_map=d.feature_map)
+            assert np.linalg.norm(model.w_hat - ref.w_hat) <= 1e-12 * np.linalg.norm(ref.w_hat)
+            assert model.train_error == pytest.approx(ref.train_error, rel=1e-6, abs=1e-14)
 
 
 class TestBiasVarianceMC:
@@ -238,6 +252,30 @@ class TestLinearFamilyOracle:
         risk = cfg.sigma_eps**2 * (1.0 + n_f / (m - n_f - 1))
         z = (est.total_test_error - risk) / est.standard_errors["total_test_error"]
         assert abs(z) <= 4.0, z
+
+
+@pytest.mark.parametrize("m,n_f,n_p", [(64, 128, 16), (64, 32, 8)])
+def test_linear_family_oracle_below_n_f(m, n_f, n_p):
+    """Linear features with N_p < N_f at lam = 0.
+
+    For isotropic Gaussian x the part of beta outside span(W) acts as
+    independent label noise of variance b = 1 - N_p/N_f, and the fit is least
+    squares on the N_p features.  With k = N_p / (M - N_p - 1):
+    bias^2 = b, variance = b k, E_geom = b (1 + k) and the test error is
+    (sigma_eps^2 + b)(1 + k).
+    """
+    cfg = ExperimentConfig(m=m, n_f=n_f, n_p=n_p, activation="linear", lam=0.0)
+    est = bias_variance_mc(cfg, n_replicas=300)
+    b, k = 1.0 - n_p / n_f, n_p / (m - n_p - 1)
+    expected = {
+        "bias_squared": b,
+        "variance": b * k,
+        "geometric_error": b * (1.0 + k),
+        "total_test_error": (cfg.sigma_eps**2 + b) * (1.0 + k),
+    }
+    for field, value in expected.items():
+        z = (getattr(est, field) - value) / est.standard_errors[field]
+        assert abs(z) <= 4.0, (field, z)
 
 
 class TestIdentityFamilyOracle:

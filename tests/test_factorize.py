@@ -123,6 +123,10 @@ def test_tall_ridge_calls_eigh_not_svd(monkeypatch):
     f = factorize(Z, 1e-8)
     assert f.U is None
     assert np.allclose(f.U_k.T @ f.U_k, np.eye(4), atol=1e-13)
+    # K holds Z^T Z + lam I, and the spectrum is eigh of Z^T Z itself
+    ev, V = np.linalg.eigh(Z.T @ Z)
+    assert f.s.tobytes() == np.sqrt(np.maximum(ev[::-1], 0.0)).tobytes()
+    assert f.Vt.tobytes() == np.ascontiguousarray(V[:, ::-1].T).tobytes()
 
 
 def _relu_or_linear_fit(m, n_f, n_p, activation, lam=1e-8):

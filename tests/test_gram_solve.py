@@ -11,7 +11,7 @@ import pytest
 
 from georeg import ExperimentConfig, NumericError, ShapeError, apply_features, draw_paired_replica, fit
 from georeg.config import default_rel_tol
-from georeg.decomposition import _paired_metrics
+from georeg.decomposition import _one_sided_metrics, _paired_metrics
 from georeg.experiments import _frob_complement_from_fit, _replica_metrics
 from georeg.geometry import feature_operator_from_model, prediction_decomposition
 from georeg.linreg_core import Dataset, Factorization, FeatureMap, TeacherModel
@@ -88,6 +88,29 @@ def test_paired_replica_reads_the_thin_svd_spectrum_of_a_wide_fit(monkeypatch):
         keep = s > default_rel_tol((cfg.m, cfg.n_p)) * s[0]
         assert model.factors.U_k.tobytes() == U[:, keep].tobytes()
         assert model.sigma_z_min == s[keep].min()
+
+
+# ------------------------------------------------- one solve per fit
+
+
+@pytest.mark.parametrize("n_p", [48, 96])  # a tall and a wide Gram-route fit
+def test_replica_solves_y_and_X_beta_together(monkeypatch, n_p):
+    # one LU per fit for [y, X beta]; the sweep's P_f adds one per fit
+    cfg = ExperimentConfig(m=64, n_f=16, n_p=n_p, activation="relu")
+    draw = draw_paired_replica(cfg, 0, 0)
+    assert all(m.factors._K is not None for m in (draw.model_1, draw.model_2))
+    rhs, orig = [], np.linalg.solve
+
+    def counted(K, B):
+        rhs.append(B.shape)
+        return orig(K, B)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    assert isinstance(_one_sided_metrics(cfg, 0, 0), dict)
+    assert [shape[1:] for shape in rhs] == [(2,), (2,)]
+    rhs.clear()
+    assert isinstance(_replica_metrics(cfg, 0, 0), dict)
+    assert len(rhs) == 4
 
 
 # ------------------------------------------------------ cholesky fallback
