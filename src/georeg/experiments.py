@@ -37,12 +37,10 @@ one thread (OPENBLAS_NUM_THREADS=1).
 The workers also start with glibc's MALLOC_MMAP_THRESHOLD_=33554432 and
 MALLOC_TRIM_THRESHOLD_=67108864, each unless the caller has set it.  By
 default glibc hands freed heap back to the kernel and maps it again, so a
-worker faulted its replica's arrays in afresh on every task: some 30,000
-minor faults for a bias-variance grid of 60 replicas at M = 256 on 2
-workers.  Fixed thresholds keep the heap; a top
-pad alone would not, since it turns off glibc's dynamic mmap threshold and
-every multi-megabyte array would then be mapped afresh.  Other allocators
-ignore both variables.
+worker faulted its replica's arrays in afresh on every task.  Fixed
+thresholds keep the heap; a top pad alone would not, since it turns off
+glibc's dynamic mmap threshold and every multi-megabyte array would then be
+mapped afresh.  Other allocators ignore both variables.
 
 The pool is kept for the life of the process: the first pooled call starts
 it, later calls at the same worker count and allocator variables reuse its

@@ -74,9 +74,7 @@ def feature_operator_from_model(model: FittedModel, X: np.ndarray) -> np.ndarray
     the fit's effective inverse: Z^+ for lam = 0 and the ridge-filtered
     inverse for lam > 0, so operator diagnostics describe the same estimator
     that was actually fitted.  G is applied between W and X without being
-    formed: W (K^-1 Z^T X) on the tall Gram route, (W Z^T) (K^-1 X) on the
-    wide one, (W V) diag(f) (U^T X) on the SVD route (see
-    linreg_core.Factorization.solve).
+    formed, by linreg_core.Factorization.solve on the fit's route.
     """
     if model.feature_map is None:
         raise ConfigurationError("model has no feature map attached")

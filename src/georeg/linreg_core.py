@@ -14,18 +14,9 @@ diagnostics rely on.
 
 Fitting minimizes |Z w - y|^2 + lam |w|^2 through the effective inverse
 G = V diag(f) U^T of the factorization Z = U diag(s) V^T.  factorize holds
-the package's only factorizations and singular-value rule: its
-Factorization keeps the modes s > rel_tol * s_max (rank(Z) counts them),
-with filter factors f = 1/s on those modes for lam = 0 (the minimum-norm
-what = Z^+ y) or f = s/(s^2 + lam) on every mode for lam > 0.  A non-square
-Z at lam > 0 takes the Gram route on its smaller side instead of the thin
-SVD, which every other call uses: it solves with K = Z^T Z + lam I (tall Z)
-or K = Z Z^T + lam I (wide Z) through np.linalg.solve once
-np.linalg.cholesky accepts K and its pivots pass a guard against a
-numerically rank-deficient Z, and falls back to the thin SVD otherwise.
-The spectrum (rank, sigma_min, U_k) is taken only when it is read: eigh of
-Z^T Z for a tall Z, the thin SVD for a wide one.  A fit and its P_f never
-read it.
+the package's only factorizations and singular-value rule; it and its
+Factorization state the routes (the thin SVD, and the Gram route of a
+non-square Z at lam > 0), the guard between them and the cuts.
 A FittedModel keeps the Factorization of Z; pseudoinverse, geometry and
 the sweep read rank, kept modes and G from one, so identities between the
 operators hold to round-off.
@@ -169,62 +160,54 @@ _GUARD_LAM = 1e3
 _GUARD_RATIO = np.sqrt(np.finfo(float).eps)
 
 
+def _guarded_gram(A: np.ndarray, lam: float) -> np.ndarray | None:
+    """K, the Gram matrix of the smaller side of a non-square A plus lam I,
+    or None when K fails the guard of factorize."""
+    K = A.T @ A if A.shape[0] > A.shape[1] else A @ A.T
+    K.flat[:: K.shape[0] + 1] += lam
+    try:
+        d2 = np.diagonal(np.linalg.cholesky(K)) ** 2
+    except np.linalg.LinAlgError:
+        return None
+    if d2.size and d2.min() < _GUARD_LAM * lam and d2.min() < _GUARD_RATIO * d2.max():
+        return None
+    return K
+
+
 class Factorization:
     """The effective inverse G = V diag(f) U^T of A for the ridge lam, with
-    the mask keep of the modes s > cut * s_max (see factorize for the cut).
+    the mask keep of the modes s > cut * s_max (factorize sets the cut).
 
-    The thin SVD route stores U, s and Vt as np.linalg.svd returns them, and
-    G and G B are read from them through the filter factors f.
+    Factorization(A, lam, cut) is the thin SVD route: G and G B are read
+    from the U, s and Vt of np.linalg.svd(A, full_matrices=False) through
+    the filter factors f = 1/s on the kept modes for lam = 0 and
+    f = s/(s^2 + lam) on every mode for lam > 0.
 
-    The Gram route (lam > 0, A not square, K accepted by the guard of
-    factorize) stores A and K, the Gram matrix of A's smaller side plus
-    lam I, and solves with np.linalg.solve: G B = K^-1 A^T B with
-    K = A^T A + lam I on a tall A, and G B = A^T K^-1 B with
-    K = A A^T + lam I on a wide one.  The spectrum -- s, Vt, keep, rank,
-    sigma_min and U_k -- is taken the first time one of them is read, and
-    the solves never read it.  On a tall A it is np.linalg.eigh of A^T A,
-    U is None and U_k = A V_k / s_k.  On a wide A it is the thin SVD of A
-    with the SVD route's cut, so every spectral attribute is bitwise the
-    SVD route's.
+    Factorization(A, lam, cut, K), with the K that the guard of factorize
+    accepted for a non-square A at lam > 0, is the Gram route, which solves
+    with np.linalg.solve: G B = K^-1 A^T B with K = A^T A + lam I on a tall
+    A, and G B = A^T K^-1 B with K = A A^T + lam I on a wide one.
+
+    Every route keeps A as given, not copied.  The spectrum -- U, s, Vt,
+    keep, rank, sigma_min and the kept modes -- is taken the first time
+    one of them, or a solve on the SVD route, reads it: np.linalg.eigh of
+    A^T A on the tall Gram route, where U is None and U_k = A V_k / s_k,
+    and the thin SVD of A on every other route, so that a wide Gram-route
+    fit's spectrum is bitwise the SVD route's.  The Gram solves never read
+    it.
     """
 
-    def __init__(self, U: np.ndarray, s: np.ndarray, Vt: np.ndarray, lam: float, keep: np.ndarray):
-        """The thin SVD A = U diag(s) Vt with its kept-mode mask."""
-        self.lam = float(lam)
-        self._shape = (U.shape[0], Vt.shape[1])
-        self._spectrum = (U, s, Vt, keep)
-        self._A = self._K = None
-
-    @classmethod
-    def _gram(cls, A: np.ndarray, lam: float, cut: float) -> Factorization | None:
-        """The Gram route of a non-square A at lam > 0, keeping s > cut * s_max;
-        None when K fails the guard of factorize."""
-        K = A.T @ A if A.shape[0] > A.shape[1] else A @ A.T
-        # K is the Gram matrix with lam added in place; its diagonal is kept
-        # so that _spectrum can restore the Gram matrix bit for bit
-        gram_diagonal = np.diagonal(K).copy()
-        K.flat[:: K.shape[0] + 1] += lam
-        try:
-            d2 = np.diagonal(np.linalg.cholesky(K)) ** 2
-        except np.linalg.LinAlgError:
-            return None
-        if d2.size and d2.min() < _GUARD_LAM * lam and d2.min() < _GUARD_RATIO * d2.max():
-            return None
-        self = cls.__new__(cls)
-        self.lam, self._shape, self._cut = float(lam), A.shape, cut
-        self._A, self._gram_diagonal, self._K = A, gram_diagonal, K
-        return self
+    def __init__(self, A: np.ndarray, lam: float, cut: float, K: np.ndarray | None = None):
+        self._A, self.lam, self._cut, self._K = A, float(lam), cut, K
 
     @cached_property
-    def _spectrum(self) -> tuple:  # (U, s, Vt, keep); the SVD route sets it in __init__
+    def _spectrum(self) -> tuple:  # (U, s, Vt, keep)
         A = self._A
-        if A.shape[0] < A.shape[1]:
-            U, s, Vt = np.linalg.svd(A, full_matrices=False)
-        else:
-            gram = self._K.copy()
-            np.fill_diagonal(gram, self._gram_diagonal)
-            ev, V = np.linalg.eigh(gram)  # ascending
+        if self._K is not None and A.shape[0] > A.shape[1]:
+            ev, V = np.linalg.eigh(A.T @ A)  # ascending
             U, s, Vt = None, np.sqrt(np.maximum(ev[::-1], 0.0)), np.ascontiguousarray(V[:, ::-1].T)
+        else:
+            U, s, Vt = np.linalg.svd(A, full_matrices=False)
         return U, s, Vt, s > self._cut * (s[0] if s.size else 0.0)
 
     @property
@@ -277,26 +260,22 @@ class Factorization:
         return self.U_k, 1.0 / self.s_k, self.Vt_k
 
     def effective_inverse(self) -> np.ndarray:
-        """G = V diag(f) U^T, shape (columns of A) x (rows of A)."""
-        if self._K is not None and self._shape[0] > self._shape[1]:
-            return np.linalg.solve(self._K, self._A.T)
-        if self._K is not None:
-            return self._A.T @ np.linalg.solve(self._K, np.eye(self._shape[0]))
-        U, f, Vt = self._filtered
-        return Vt.T @ (f[:, None] * U.T)
+        """G, shape (columns of A) x (rows of A): G applied to the identity."""
+        return self.solve(np.eye(self._A.shape[0]))
 
     def solve(self, B: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
         """G B, or left G B when left is given, without forming G.
 
         B is a vector or a matrix with one row per row of A, and left a
-        matrix with one column per column of A.  On the Gram route G B is
-        np.linalg.solve(K, A^T B) for a tall A and A^T np.linalg.solve(K, B)
-        for a wide one, and left G B is (left A^T) K^-1 B on a wide A.  On
-        the SVD route left G B is (left V) diag(f) (U^T B).  No intermediate
+        matrix with one column per column of A; any other shape is a
+        ShapeError.  On a wide Gram-route A, left G B is (left A^T) K^-1 B,
+        and on the SVD route (left V) diag(f) (U^T B), so no intermediate
         has a row per column of A.
         """
-        rows, cols = self._shape
-        if B.shape[0] != rows or (left is not None and (left.ndim != 2 or left.shape[1] != cols)):
+        B = np.asarray(B, dtype=float)
+        rows, cols = self._A.shape
+        bad_left = left is not None and (left.ndim != 2 or left.shape[1] != cols)
+        if B.ndim not in (1, 2) or B.shape[0] != rows or bad_left:
             shapes = f"B {B.shape}" if left is None else f"left {left.shape} and B {B.shape}"
             raise ShapeError(f"G of a {rows} x {cols} matrix cannot take {shapes}")
         A, K = self._A, self._K
@@ -322,23 +301,22 @@ def factorize(
     modes s > rel_tol * s_max (0 < rel_tol < 1, default
     default_rel_tol(A.shape)); errors name ``caller``.
 
-    Two routes, chosen by A and lam alone:
+    Two routes, chosen by A and lam alone (see Factorization for what each
+    computes):
 
     * lam > 0 and A not square, the Gram route, on the smaller side of A:
       factorize forms K = A^T A + lam I for a tall A and K = A A^T + lam I
       for a wide one, and reads the pivots d = diag(L) of
-      L = np.linalg.cholesky(K).  Every solve is then an np.linalg.solve
-      on K (see Factorization), and no spectrum is computed until it is
-      read.  On a tall A the spectrum is np.linalg.eigh of A^T A, which
-      moves the eigenvalues by up to about max(A.shape) eps s_max^2, so it
-      cannot resolve smaller s, and its cut is
-      s > max(rel_tol, 10 sqrt(max(A.shape) eps)) * s_max, about
+      L = np.linalg.cholesky(K).  On a tall A the spectrum is
+      np.linalg.eigh of A^T A, which moves the eigenvalues by up to about
+      max(A.shape) eps s_max^2, so it cannot resolve smaller s, and its cut
+      is s > max(rel_tol, 10 sqrt(max(A.shape) eps)) * s_max, about
       2.4e-6 s_max at 256 rows.  On a wide A it is the thin SVD of A with
       the plain cut.  For lam > 0 the cut feeds only rank, sigma_min and
       U_k; G and G B use every mode.
-    * otherwise the thin SVD of np.linalg.svd, whose U, s and Vt are stored
-      as it returns them.  That is every square A, every lam = 0, and a
-      Gram route that fails its guard.
+    * otherwise the thin SVD of np.linalg.svd, taken when it is first read.
+      That is every square A, every lam = 0, and a Gram route that fails
+      its guard.
 
     The guard sends a non-square lam > 0 fit to the thin SVD when cholesky
     rejects K, or when both
@@ -351,10 +329,8 @@ def factorize(
     keeps K well conditioned, and such a fit keeps the Gram route.
 
     A wide Gram-route fit whose spectrum is read runs the Gram solves and
-    then the thin SVD; forming K, its cholesky and the solves of a fit and
-    its P_f add 15-22% to that SVD at 256 rows on one BLAS thread.  Its
-    spectrum, U_k included, has the bits of the SVD route's, so only G and
-    G B differ from that route, by round-off.
+    then the thin SVD.  Its spectrum, U_k included, has the bits of the SVD
+    route's, so only G and G B differ from that route, by round-off.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -367,13 +343,10 @@ def factorize(
     if not np.all(np.isfinite(A)):
         raise NumericError(f"{caller} input has non-finite entries")
     rows, cols = A.shape
-    if lam > 0 and rows != cols:
-        cut = max(tol, 10.0 * np.sqrt(rows * np.finfo(float).eps)) if rows > cols else tol
-        factors = Factorization._gram(A, lam, cut)
-        if factors is not None:
-            return factors
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    return Factorization(U, s, Vt, float(lam), keep=s > tol * (s[0] if s.size else 0.0))
+    K = _guarded_gram(A, lam) if lam > 0 and rows != cols else None
+    if K is not None and rows > cols:
+        tol = max(tol, 10.0 * np.sqrt(rows * np.finfo(float).eps))
+    return Factorization(A, lam, tol, K)
 
 
 def pseudoinverse(A: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
@@ -417,13 +390,10 @@ def fit(
 ) -> FittedModel:
     """Least-squares fit of Z w ~ y.
 
-    lam = 0: minimum-norm solution what = Z^+ y (SVD truncation at
-    rel_tol * sigma_max, default rel_tol = 1e-10 * max(M, n_p)).
-    lam > 0: ridge solution through filter factors sigma/(sigma^2 + lam),
-    or on a non-square Z through the Gram route of factorize.
+    lam = 0: minimum-norm solution what = Z^+ y; lam > 0: the ridge
+    solution.  The route and the cut rel_tol are those of factorize.
     Records the train error; rank(Z) and the smallest retained singular
-    value are read from the factorization, which on the Gram route computes
-    them the first time they are read.
+    value are read from the factorization when first read.
     """
     return _fit(Z, y, lam, rel_tol, feature_map)[0]
 

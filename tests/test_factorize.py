@@ -3,9 +3,9 @@
 A non-square A at lam > 0 is factorized through the Gram matrix of its
 smaller side when its Cholesky pivots pass the guard of factorize; every
 other call is np.linalg.svd as it returns.  The differential test compares
-the fit with the normal equations and with a Factorization built from the
-SVD in the test, on tall and wide Z with s_min / s_max >= 1e-4.  The Gram
-route squares the condition number kappa of Z, so each tolerance is
+the fit with the normal equations and with Factorization(Z, lam, cut), the
+SVD route built by hand, on tall and wide Z with s_min / s_max >= 1e-4.
+The Gram route squares the condition number kappa of Z, so each tolerance is
 GRAM_TOL * max(M, N_p) * kappa^2 * eps in the natural scale of the quantity
 (the largest normalized gap seen over 4000 draws, tall and wide, was 2.0).
 """
@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from georeg import STREAM_TRAIN, ExperimentConfig, apply_features, fit, make_feature_map, sample_dataset, sample_teacher
+from georeg.cli import main
 from georeg.config import default_rel_tol
+from georeg.experiments import _replica_metrics
 from georeg.geometry import feature_operator_from_model, prediction_decomposition
 from georeg.linreg_core import Factorization, FeatureMap, FittedModel, factorize
 
@@ -25,8 +27,7 @@ GRAM_TOL = 50.0
 
 
 def _svd_reference(Z: np.ndarray, lam: float) -> Factorization:
-    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-    return Factorization(U, s, Vt, lam, keep=s > default_rel_tol(Z.shape) * s[0])
+    return Factorization(Z, lam, default_rel_tol(Z.shape))
 
 
 @st.composite
@@ -97,22 +98,24 @@ def _forbid_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_svd)
 
 
-# every (shape, lam) but a tall shape at lam > 0, whose spectrum is eigh of
-# Z^T Z; a wide shape at lam > 0 takes the Gram route and reads its spectrum
-# from the same thin SVD
-_SVD_CASES = [
-    (shape, lam)
-    for shape in [(5, 9), (8, 8), (1, 4), (9, 5), (6, 1)]
-    for lam in (0.0, 1e-8, 0.5)
-    if lam == 0 or shape[0] <= shape[1]
-]
+def _is_tall_ridge(shape, lam) -> bool:
+    return lam > 0 and shape[0] > shape[1]
+
+
+# every (shape, lam) that factorize sends to the thin SVD or, for a wide
+# shape at lam > 0, to the Gram route, which reads its spectrum from the
+# same thin SVD; then each tall shape at lam > 0, whose factorize spectrum is
+# eigh of Z^T Z, as the SVD route that Factorization(Z, lam, cut) builds
+_SHAPES, _LAMS = [(5, 9), (8, 8), (1, 4), (9, 5), (6, 1)], (0.0, 1e-8, 0.5)
+_SVD_CASES = [(shape, lam) for shape in _SHAPES for lam in _LAMS if not _is_tall_ridge(shape, lam)]
+_SVD_CASES += [(shape, lam) for shape in _SHAPES for lam in _LAMS if _is_tall_ridge(shape, lam)]
 
 
 @pytest.mark.parametrize("shape, lam", _SVD_CASES)
 def test_wide_square_and_lam_zero_are_the_thin_svd(shape, lam):
     Z = np.random.default_rng(sum(shape)).normal(size=shape)
     U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-    f = factorize(Z, lam)
+    f = Factorization(Z, lam, default_rel_tol(shape)) if _is_tall_ridge(shape, lam) else factorize(Z, lam)
     for got, want in ((f.U, U), (f.s, s), (f.Vt, Vt)):
         assert got.tobytes() == want.tobytes()
 
@@ -205,6 +208,24 @@ def test_wide_gram_fit_reads_the_spectrum_of_the_thin_svd(monkeypatch):
     assert model.sigma_z_min == ref.sigma_min
     assert model.factors.U_k.tobytes() == ref.U_k.tobytes()
     assert calls == ["svd", "svd"]  # the reference's, and the fit's once
+
+
+# ------------------------------------------------------- the deferred SVD
+
+
+def test_a_failing_deferred_svd_fails_the_fit_the_replica_and_the_command(monkeypatch, tmp_path):
+    # the SVD route takes its SVD at the first solve, inside fit, so a
+    # LinAlgError from it still fails the fit, drops the replica with its
+    # reason and ends a command with exit 3
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(np.linalg.LinAlgError):
+        fit(np.random.default_rng(0).normal(size=(8, 8)), np.ones(8), lam=1e-8)
+    square = ExperimentConfig(m=16, n_f=4, n_p=16, activation="relu")
+    assert _replica_metrics(square, 0, 0).startswith("LinAlgError:")
+    assert main(["angles", "--model", "linear", "--m", "16", "--out", str(tmp_path)]) == 3
 
 
 # ------------------------------------------------------------ rank rule

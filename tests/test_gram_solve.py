@@ -14,7 +14,7 @@ from georeg.config import default_rel_tol
 from georeg.decomposition import _one_sided_metrics, _paired_metrics
 from georeg.experiments import _frob_complement_from_fit, _replica_metrics
 from georeg.geometry import feature_operator_from_model, prediction_decomposition
-from georeg.linreg_core import Dataset, Factorization, FeatureMap, TeacherModel
+from georeg.linreg_core import Dataset, Factorization, FeatureMap, TeacherModel, factorize
 
 FACTOR_KERNELS = ("svd", "eigh", "cholesky", "qr", "solve", "lstsq")
 
@@ -113,6 +113,40 @@ def test_replica_solves_y_and_X_beta_together(monkeypatch, n_p):
     assert len(rhs) == 4
 
 
+# ------------------------------------------------------- the four routes
+
+_ROUTES = {  # name: (shape of Z, lam, whether factorize takes the Gram route)
+    "tall_gram": ((9, 4), 1e-8, True),
+    "wide_gram": ((4, 9), 1e-8, True),
+    "svd_ridge": ((8, 8), 0.5, False),
+    "svd_min_norm": ((9, 4), 0.0, False),
+}
+
+
+def _factorize_route(route: str) -> tuple[Factorization, int]:
+    """(the factorization of a random Z on the named route, rows of Z)."""
+    shape, lam, gram = _ROUTES[route]
+    factors = factorize(np.random.default_rng(sum(shape)).normal(size=shape), lam)
+    assert (factors._K is not None) == gram
+    return factors, shape[0]
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_effective_inverse_is_the_solve_of_the_identity(route):
+    factors, rows = _factorize_route(route)
+    assert factors.effective_inverse().tobytes() == factors.solve(np.eye(rows)).tobytes()
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_solve_takes_one_row_per_row_of_A_or_raises_a_shape_error(route):
+    factors, rows = _factorize_route(route)
+    y = np.random.default_rng(1).normal(size=rows)
+    assert factors.solve(list(y)).tobytes() == factors.solve(y).tobytes()
+    for B in (np.float64(1.0), 1.0, np.ones((rows, 2, 2)), np.ones(rows + 1), [[1.0, 2.0]] * (rows + 1)):
+        with pytest.raises(ShapeError):
+            factors.solve(B)
+
+
 # ------------------------------------------------------ cholesky fallback
 
 
@@ -127,8 +161,7 @@ def test_rejected_cholesky_falls_back_to_the_svd():
     y = rng.normal(size=m)
     fmap = FeatureMap("linear", rng.normal(size=(5, n)))
     model = fit(Z, y, lam=lam, feature_map=fmap)
-    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-    ref = Factorization(U, s, Vt, lam, keep=s > default_rel_tol(Z.shape) * s[0])
+    ref = Factorization(Z, lam, default_rel_tol(Z.shape))
     assert model.w_hat.tobytes() == ref.solve(y).tobytes()
     resid = y - Z @ model.w_hat
     assert model.train_error == np.mean(resid * resid)
