@@ -248,10 +248,11 @@ def bias_variance_mc(
 
 
 def summarize(values) -> tuple[float, float]:
-    """(mean, standard error); standard error is 0 for a single value."""
+    """(mean, standard error); equal values, or a single one, give that
+    value and 0 exactly, which a float mean of them need not."""
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ConfigurationError("summarize needs at least one value")
-    if arr.size == 1:
+    if np.all(arr == arr[0]):
         return float(arr[0]), 0.0
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))

@@ -156,14 +156,19 @@ class SweepResult:
 # ------------------------------------------------------------- plumbing
 
 
-def _frob_complement_from_fit(model) -> float:
-    """|I - P_l|_F via the Gram identity, from the fit's kept modes.
+def _frob_complement_from_fit(model, m: int) -> float:
+    """|I - P_l|_F of a fit to M = m labels, from the fit's kept modes.
 
-    |I - U U^T|_F^2 = M - 2 |U|_F^2 + |U^T U|_F^2 for the kept columns U of
-    Z's factorization, which measures the same matrix without forming it.
+    For the orthonormal kept columns U of Z's thin SVD it is exactly
+    sqrt(M - rank), which a fit without U (the tall Gram route) reports.
+    Where U exists it is read through the Gram identity
+    |I - U U^T|_F^2 = M - 2 |U|_F^2 + |U^T U|_F^2, which measures the same
+    matrix without forming it.
     """
     ur = model.factors.U_k
-    sq = ur.shape[0] - 2.0 * np.sum(ur * ur) + np.sum((ur.T @ ur) ** 2)
+    if ur is None:
+        return float(np.sqrt(m - model.rank_z))
+    sq = m - 2.0 * np.sum(ur * ur) + np.sum((ur.T @ ur) ** 2)
     return float(np.sqrt(max(sq, 0.0)))
 
 
@@ -175,7 +180,7 @@ def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) 
         out = _paired_metrics(draw, symmetric=True)
         per_fit = {
             "sigma_Z_min": [m.sigma_z_min for m in models],
-            "frob_I_minus_Pl": [_frob_complement_from_fit(m) for m in models],
+            "frob_I_minus_Pl": [_frob_complement_from_fit(m, config.m) for m in models],
         }
         analyses = [analyze_operator(p) for p in draw.p_fs]
         if any(a.rank == 0 for a in analyses):

@@ -16,7 +16,7 @@ Fitting minimizes |Z w - y|^2 + lam |w|^2 through the effective inverse
 G = V diag(f) U^T of the factorization Z = U diag(s) V^T.  factorize holds
 the package's only factorizations and singular-value rule; it and its
 Factorization state the routes (the thin SVD, and the Gram route of a
-non-square Z at lam > 0), the guard between them and the cuts.
+non-square Z at lam > 0), the guard between them and the cut.
 A FittedModel keeps the Factorization of Z; pseudoinverse, geometry and
 the sweep read rank, kept modes and G from one, so identities between the
 operators hold to round-off.
@@ -181,38 +181,37 @@ class Factorization:
     Factorization(A, lam, cut) is the thin SVD route: G and G B are read
     from the U, s and Vt of np.linalg.svd(A, full_matrices=False) through
     the filter factors f = 1/s on the kept modes for lam = 0 and
-    f = s/(s^2 + lam) on every mode for lam > 0.
+    f = s/(s^2 + lam) on every mode for lam > 0.  It takes that SVD here,
+    so a later write to A changes nothing.
 
     Factorization(A, lam, cut, K), with the K that the guard of factorize
     accepted for a non-square A at lam > 0, is the Gram route, which solves
     with np.linalg.solve: G B = K^-1 A^T B with K = A^T A + lam I on a tall
-    A, and G B = A^T K^-1 B with K = A A^T + lam I on a wide one.
+    A, and G B = A^T K^-1 B with K = A A^T + lam I on a wide one.  Its
+    solves read A, which is kept as given, not copied, and its spectrum is
+    taken the first time it is read.
 
-    Every route keeps A as given, not copied.  The spectrum -- U, s, Vt,
-    keep, rank, sigma_min and the kept modes -- is taken the first time
-    one of them, or a solve on the SVD route, reads it: np.linalg.eigh of
-    A^T A on the tall Gram route, where U is None and U_k = A V_k / s_k,
-    and the thin SVD of A on every other route, so that a wide Gram-route
-    fit's spectrum is bitwise the SVD route's.  The Gram solves never read
-    it.
+    Every route's spectrum is the thin SVD of A: on the tall Gram route its
+    singular values alone, so U, Vt, U_k and Vt_k are None there, and on a
+    wide one the full thin SVD, bitwise the SVD route's.
     """
 
     def __init__(self, A: np.ndarray, lam: float, cut: float, K: np.ndarray | None = None):
         self._A, self.lam, self._cut, self._K = A, float(lam), cut, K
+        if K is None:  # the SVD route takes its SVD now
+            self._spectrum
 
     @cached_property
     def _spectrum(self) -> tuple:  # (U, s, Vt, keep)
         A = self._A
         if self._K is not None and A.shape[0] > A.shape[1]:
-            ev, V = np.linalg.eigh(A.T @ A)  # ascending
-            U, s, Vt = None, np.sqrt(np.maximum(ev[::-1], 0.0)), np.ascontiguousarray(V[:, ::-1].T)
+            U, s, Vt = None, np.linalg.svd(A, compute_uv=False), None
         else:
             U, s, Vt = np.linalg.svd(A, full_matrices=False)
         return U, s, Vt, s > self._cut * (s[0] if s.size else 0.0)
 
     @property
     def U(self) -> np.ndarray | None:
-        """The left singular vectors; None on the tall Gram route, which never forms them."""
         return self._spectrum[0]
 
     @property
@@ -220,7 +219,7 @@ class Factorization:
         return self._spectrum[1]
 
     @property
-    def Vt(self) -> np.ndarray:
+    def Vt(self) -> np.ndarray | None:
         return self._spectrum[2]
 
     @property
@@ -232,18 +231,16 @@ class Factorization:
     # the products' round-off, hence the last digits of every reported
     # number, depends on that layout.
     @cached_property
-    def U_k(self) -> np.ndarray:
-        if self.U is None:
-            return (self._A @ self.Vt.T)[:, self.keep] / self.s_k
-        return self.U[:, self.keep]
+    def U_k(self) -> np.ndarray | None:
+        return None if self.U is None else self.U[:, self.keep]
 
     @cached_property
     def s_k(self) -> np.ndarray:
         return self.s[self.keep]
 
     @cached_property
-    def Vt_k(self) -> np.ndarray:
-        return self.Vt[self.keep]
+    def Vt_k(self) -> np.ndarray | None:
+        return None if self.Vt is None else self.Vt[self.keep]
 
     @property
     def rank(self) -> int:
@@ -273,6 +270,7 @@ class Factorization:
         has a row per column of A.
         """
         B = np.asarray(B, dtype=float)
+        left = None if left is None else np.asarray(left, dtype=float)
         rows, cols = self._A.shape
         bad_left = left is not None and (left.ndim != 2 or left.shape[1] != cols)
         if B.ndim not in (1, 2) or B.shape[0] != rows or bad_left:
@@ -297,9 +295,10 @@ def factorize(
     *,
     caller: str = "factorize",
 ) -> Factorization:
-    """Factorize a finite 2-D A for the finite ridge lam >= 0, keeping the
-    modes s > rel_tol * s_max (0 < rel_tol < 1, default
-    default_rel_tol(A.shape)); errors name ``caller``.
+    """Factorize a finite 2-D A for the finite ridge lam >= 0; errors name
+    ``caller``.  Every route's spectrum is the thin SVD of A (see
+    Factorization), kept by one cut, s > rel_tol * s_max (0 < rel_tol < 1,
+    default default_rel_tol(A.shape)).
 
     Two routes, chosen by A and lam alone (see Factorization for what each
     computes):
@@ -307,16 +306,10 @@ def factorize(
     * lam > 0 and A not square, the Gram route, on the smaller side of A:
       factorize forms K = A^T A + lam I for a tall A and K = A A^T + lam I
       for a wide one, and reads the pivots d = diag(L) of
-      L = np.linalg.cholesky(K).  On a tall A the spectrum is
-      np.linalg.eigh of A^T A, which moves the eigenvalues by up to about
-      max(A.shape) eps s_max^2, so it cannot resolve smaller s, and its cut
-      is s > max(rel_tol, 10 sqrt(max(A.shape) eps)) * s_max, about
-      2.4e-6 s_max at 256 rows.  On a wide A it is the thin SVD of A with
-      the plain cut.  For lam > 0 the cut feeds only rank, sigma_min and
-      U_k; G and G B use every mode.
-    * otherwise the thin SVD of np.linalg.svd, taken when it is first read.
-      That is every square A, every lam = 0, and a Gram route that fails
-      its guard.
+      L = np.linalg.cholesky(K).  For lam > 0 the cut feeds only rank,
+      sigma_min and the kept modes; G and G B use every mode.
+    * otherwise the thin SVD of np.linalg.svd.  That is every square A,
+      every lam = 0, and a Gram route that fails its guard.
 
     The guard sends a non-square lam > 0 fit to the thin SVD when cholesky
     rejects K, or when both
@@ -329,8 +322,8 @@ def factorize(
     keeps K well conditioned, and such a fit keeps the Gram route.
 
     A wide Gram-route fit whose spectrum is read runs the Gram solves and
-    then the thin SVD.  Its spectrum, U_k included, has the bits of the SVD
-    route's, so only G and G B differ from that route, by round-off.
+    then the thin SVD, so only G and G B differ from the SVD route's, by
+    round-off.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -344,8 +337,6 @@ def factorize(
         raise NumericError(f"{caller} input has non-finite entries")
     rows, cols = A.shape
     K = _guarded_gram(A, lam) if lam > 0 and rows != cols else None
-    if K is not None and rows > cols:
-        tol = max(tol, 10.0 * np.sqrt(rows * np.finfo(float).eps))
     return Factorization(A, lam, tol, K)
 
 

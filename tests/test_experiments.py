@@ -78,6 +78,12 @@ class TestSummarize:
         assert mean == 2.5
         assert se == 0.0
 
+    def test_equal_values_give_their_value_exactly(self):
+        # np.mean of 100 copies of sqrt(128) rounds away from it
+        x = float(np.sqrt(128))
+        assert np.mean([x] * 100) != x
+        assert summarize([x] * 100) == (x, 0.0)
+
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             summarize([])
@@ -115,6 +121,15 @@ class TestFrobeniusComplements:
         assert value == pytest.approx(np.sqrt(base.m - under.n_p), rel=1e-12)
         assert value == pytest.approx(formed, rel=1e-12)
         assert over.means["frob_I_minus_Pl"] <= 1e-6
+
+    def test_sweep_label_complement_is_exact_below_the_threshold(self):
+        # a tall relu fit takes the Gram route, which forms no U, and reports
+        # sqrt(M - rank) for the orthonormal kept columns of the thin SVD
+        base = ExperimentConfig(m=64, n_f=16, n_p=64)
+        rows = run_sweep(SweepSpec(base, np_over_m_grid=(0.25, 0.5, 0.75), n_replicas=5)).rows
+        for row in rows:
+            assert row.means["frob_I_minus_Pl"] == np.sqrt(base.m - row.n_p)
+            assert row.standard_errors["frob_I_minus_Pl"] == 0.0
 
 
 class TestSweepSpec:

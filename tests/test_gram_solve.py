@@ -53,7 +53,7 @@ def test_fit_checks_y_before_factorizing(monkeypatch, shape, lam):
         fit(Z, y, lam=lam)
 
 
-# ---------------------------------------------------------- deferred eigh
+# ------------------------------------------------------ deferred spectrum
 
 
 def test_one_sided_replica_skips_the_spectrum(monkeypatch):
@@ -65,11 +65,12 @@ def test_one_sided_replica_skips_the_spectrum(monkeypatch):
 
     model = draw.model_1
     monkeypatch.undo()
-    calls = _count_calls(monkeypatch, "eigh")
+    _forbid(monkeypatch, "eigh")
+    calls = _count_calls(monkeypatch, "svd")
     assert model.rank_z == 48
     assert model.rank_z == 48
-    assert model.factors.U is None  # the tall Gram route forms no U
-    assert calls == ["eigh"]
+    assert model.factors.U is None  # the tall Gram route forms no singular vectors
+    assert calls == ["svd"]
 
 
 def test_paired_replica_reads_the_thin_svd_spectrum_of_a_wide_fit(monkeypatch):
@@ -79,7 +80,7 @@ def test_paired_replica_reads_the_thin_svd_spectrum_of_a_wide_fit(monkeypatch):
     svd, cholesky = _count_calls(monkeypatch, "svd"), _count_calls(monkeypatch, "cholesky")
     draw = draw_paired_replica(cfg, 0, 0)
     assert (svd, cholesky) == ([], ["cholesky", "cholesky"])
-    frobs = [_frob_complement_from_fit(m) for m in (draw.model_1, draw.model_2)]
+    frobs = [_frob_complement_from_fit(m, cfg.m) for m in (draw.model_1, draw.model_2)]
     assert svd == ["svd", "svd"]
     monkeypatch.undo()
     assert _replica_metrics(cfg, 0, 0)["frob_I_minus_Pl"] == 0.5 * (frobs[0] + frobs[1])
@@ -145,6 +146,13 @@ def test_solve_takes_one_row_per_row_of_A_or_raises_a_shape_error(route):
     for B in (np.float64(1.0), 1.0, np.ones((rows, 2, 2)), np.ones(rows + 1), [[1.0, 2.0]] * (rows + 1)):
         with pytest.raises(ShapeError):
             factors.solve(B)
+    # left is converted as B is, and needs one column per column of A
+    cols = _ROUTES[route][0][1]
+    B, left = np.ones((rows, 2)), np.random.default_rng(2).normal(size=(3, cols))
+    assert factors.solve(B, left=left.tolist()).tobytes() == factors.solve(B, left=left).tobytes()
+    for bad in (np.ones(cols), [1.0] * cols, np.ones((3, cols + 1)), [[1.0] * (cols + 1)]):
+        with pytest.raises(ShapeError):
+            factors.solve(B, left=bad)
 
 
 # ------------------------------------------------------ cholesky fallback
