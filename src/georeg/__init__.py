@@ -25,9 +25,7 @@ from .config import (
     stream_rng,
 )
 from .decomposition import (
-    BiasVarianceEstimate,
     PairedDraw,
-    bias_variance_mc,
     draw_paired_replica,
     paired_projections,
     summarize,
@@ -45,6 +43,7 @@ from .experiments import (
     SweepResult,
     SweepRow,
     SweepSpec,
+    run_bias_variance,
     run_sweep,
 )
 from .geometry import (

@@ -8,9 +8,9 @@ manifest.json recording that record, so a run can be reproduced from the
 manifest alone.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure.
-sweep and bias-variance drop a degenerate replica, counting its reason in the
-manifest's drop_reasons, fail a grid point when more than 10% of its replicas
-drop (its reasons are still counted), and exit 2 only when every point fails.
+sweep and bias-variance drop degenerate replicas and fail grid points as
+georeg.experiments states, count the drop reasons of every point in the
+manifest's drop_reasons, and exit 2 only when every point fails.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .config import (
 )
 from .decomposition import _PAIRED_METRICS
 from .errors import ConfigurationError, ExperimentError, NumericError
-from .experiments import _BLAS_THREAD_VARS, ALL_METRICS, SweepSpec, _run_grid, _usable_cpus, run_sweep
+from .experiments import _BLAS_THREAD_VARS, ALL_METRICS, SweepSpec, _usable_cpus, run_bias_variance, run_sweep
 from .geometry import analysis_to_json_dict, analyze_operator, feature_operator_from_model
 from .linreg_core import fit, apply_features, make_feature_map, sample_dataset, sample_teacher
 from .perturbation import perturbation_experiment
@@ -60,6 +60,13 @@ def _real(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float, str)) or float(v) != float(v):
         raise ValueError("expected a number")
     return float(v)
+
+
+def _as_json(v):
+    """v, or each item of a tuple v, with an infinite float as "inf" or "-inf", which _real reads back."""
+    if isinstance(v, tuple):
+        return [_as_json(x) for x in v]
+    return str(v) if isinstance(v, float) and np.isinf(v) else v
 
 
 def _switch(v) -> bool:
@@ -171,10 +178,7 @@ def _single_point(config: ExperimentConfig):
 
 
 def _environment() -> dict:
-    """The georeg, numpy and Python versions and the name of numpy's BLAS.
-
-    The BLAS name is None on numpy < 1.25, whose show_config has no mode.
-    """
+    """The georeg, numpy and Python versions and numpy's BLAS name (None on numpy < 1.25)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     except (TypeError, KeyError):
@@ -217,18 +221,16 @@ class _Outputs:
         svg.line_chart(self.path(name), series, x_label="N_p / M", y_label="error", title=title, log_y=True)
 
     def manifest(self, **extra) -> None:
-        self.write_json(
-            "manifest.json",
-            {
-                "command": self.command,
-                "resolved_config": self.params,
-                "seed": self.params["seed"],
-                "output_paths": self.paths + ["manifest.json"],
-                "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                "environment": _environment(),
-                **extra,
-            },
-        )
+        record = {
+            "command": self.command,
+            "resolved_config": {key: _as_json(v) for key, v in self.params.items()},
+            "seed": self.params["seed"],
+            "output_paths": self.paths + ["manifest.json"],
+            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "environment": _environment(),
+            **extra,
+        }
+        self.path("manifest.json").write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------- commands
@@ -244,17 +246,14 @@ def _run_grid_command(command: str, params: dict, out: str):
     )
     outputs = _Outputs(out, command, params)
     workers = _usable_cpus() if params["workers"] is None else params["workers"]
-    result = run_sweep(spec, workers=workers) if command == "sweep" else _run_grid(spec, workers, one_sided=True)
+    result = (run_sweep if command == "sweep" else run_bias_variance)(spec, workers=workers)
     for (np_r, nf_r), msg in sorted(result.point_errors.items()):
         print(f"{command}: grid point np_over_m={np_r} nf_over_m={nf_r} failed: {msg}", file=sys.stderr)
     return outputs, result, {
         "elapsed_seconds": result.elapsed_seconds,
         "point_errors": {f"{k[0]},{k[1]}": v for k, v in result.point_errors.items()},
-        "dropped_replicas": {f"{r.np_over_m},{r.nf_over_m}": r.n_dropped for r in result.rows},
-        "drop_reasons": {
-            **{f"{r.np_over_m},{r.nf_over_m}": r.drop_reasons for r in result.rows},
-            **{f"{k[0]},{k[1]}": v for k, v in result.point_drop_reasons.items()},
-        },
+        "dropped_replicas": {f"{r.np_over_m},{r.nf_over_m}": result.n_replicas - r.n_effective for r in result.rows},
+        "drop_reasons": {f"{k[0]},{k[1]}": v for k, v in result.drop_reasons.items()},
         "workers": workers,
         "blas_thread_vars": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
         "worker_blas_threads": result.worker_blas_threads,
@@ -287,8 +286,6 @@ def cmd_sweep(params: dict, out: str) -> int:
 
 
 def cmd_bias_variance(params: dict, out: str) -> int:
-    if params["replicas"] < 2:  # estimator precondition, not a per-point problem
-        raise ConfigurationError(f"replicas must be >= 2, got {params['replicas']}")
     outputs, result, manifest = _run_grid_command("bias-variance", params, out)
     outputs.write_csv(
         "bias_variance.csv",

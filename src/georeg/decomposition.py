@@ -21,26 +21,22 @@ beta_hat_k = P_f^T beta = W G (X_k beta), the teacher as fit k perceives
 it.  So draw_paired_replica solves each fit for the two columns
 [y_k, X_k beta] at once, which gives w_hat = G y_k and G (X_k beta) from one
 LU of K on the Gram route, and keeps both beta_hats; paired_projections
-only multiplies them by X_test.  The N_f x N_f operator is never built for
-these products.  PairedDraw.p_fs builds it, with a solve of its own, once
-per replica for the sweep's analyze_operator, its only reader.
+only multiplies them by X_test.  The N_f x N_f operator is never built
+here; the sweep builds it for analyze_operator.
 
 The kernel has two reductions over the same draws.  The one-sided one
-(_one_sided_metrics), which bias_variance_mc and georeg bias-variance
-report, takes E_geom, the variance and the train and test errors from the
-D1 fit alone, keeping the estimator exactly the paired-product form above.
-The symmetric one, which run_sweep in experiments.py reports, averages them
-over the pair; that changes no expectation value (exchangeability) but
-tightens the standard errors.  The cross product bias^2 is the same in
-both.  Every estimator drops a degenerate replica, which a kernel returns
-as its reason (_drop_reason), and fails when more than 10% drop
-(_kept_replicas).
+(_one_sided_metrics), which experiments.run_bias_variance and georeg
+bias-variance report, takes E_geom, the variance and the train and test
+errors from the D1 fit alone, keeping the estimator exactly the
+paired-product form above.  The symmetric one, which run_sweep reports,
+averages them over the pair; that changes no expectation value
+(exchangeability) but tightens the standard errors.  The cross product
+bias^2 is the same in both.  experiments states how a degenerate replica
+is dropped.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,8 +48,7 @@ from .config import (
     STREAM_TRAIN_PAIR,
     STREAM_WEIGHTS,
 )
-from .errors import ConfigurationError, NumericError
-from .geometry import feature_operator_from_model
+from .errors import ConfigurationError
 from .linreg_core import (
     Dataset,
     FeatureMap,
@@ -82,15 +77,6 @@ class PairedDraw:
     model_1: FittedModel
     model_2: FittedModel
     beta_hats: tuple[np.ndarray, np.ndarray]  # P_f^T beta of the D1 fit, of the D2 fit
-
-    @cached_property
-    def p_fs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P_f of the D1 fit, P_f of the D2 fit), built once per replica;
-        only the sweep's analyze_operator reads them."""
-        return (
-            feature_operator_from_model(self.model_1, self.train_1.X),
-            feature_operator_from_model(self.model_2, self.train_2.X),
-        )
 
 
 def draw_paired_replica(
@@ -135,18 +121,12 @@ def paired_projections(draw: PairedDraw) -> tuple[np.ndarray, np.ndarray, np.nda
     return X @ draw.teacher.beta, X @ draw.beta_hats[0], X @ draw.beta_hats[1]
 
 
-# sweep metric name -> BiasVarianceEstimate field, in the order reported
-_PAIRED_METRICS = {
-    "geom_error": "geometric_error",
-    "bias_sq": "bias_squared",
-    "variance": "variance",
-    "test_error": "total_test_error",
-    "train_error": "train_error",
-}
+# the paired-product metrics, in the column order of bias_variance.csv
+_PAIRED_METRICS = ("geom_error", "bias_sq", "variance", "test_error", "train_error")
 
 
 def _paired_metrics(draw: PairedDraw, symmetric: bool) -> dict:
-    """The paired-product metrics of one replica, keyed as in _PAIRED_METRICS.
+    """The paired-product metrics of one replica, keyed by _PAIRED_METRICS.
 
     symmetric=False is the one-sided reduction (every metric but bias_sq from
     the D1 fit); symmetric=True averages each over both fits.  bias_sq is the
@@ -168,83 +148,9 @@ def _paired_metrics(draw: PairedDraw, symmetric: bool) -> dict:
     }
 
 
-def _finite(metrics: dict) -> dict:
-    """metrics with float values; NumericError naming the metrics that are not finite."""
-    bad = [k for k, v in metrics.items() if not np.isfinite(v)]
-    if bad:
-        raise NumericError(f"non-finite replica metrics: {', '.join(bad)}")
-    return {k: float(v) for k, v in metrics.items()}
-
-
-def _drop_reason(exc: Exception) -> str:
-    """What a replica kernel returns in place of its metrics: the exception's type and message."""
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _one_sided_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict | str:
-    """The one-sided paired metrics of one replica; the drop reason if its draw raises or a metric is not finite."""
-    try:
-        return _finite(_paired_metrics(draw_paired_replica(config, grid_idx, replica_idx), symmetric=False))
-    except (NumericError, np.linalg.LinAlgError) as exc:
-        return _drop_reason(exc)
-
-
-def _kept_replicas(results: list) -> tuple[list, dict]:
-    """(the replicas kept, {drop reason: count}); NumericError if more than 10% are dropped.
-
-    A kernel returns a kept replica as its dict of metrics and a dropped one as
-    its reason, a string.
-    """
-    kept = [r for r in results if isinstance(r, dict)]
-    n_dropped = len(results) - len(kept)
-    if n_dropped > 0.1 * len(results):
-        raise NumericError(f"{n_dropped}/{len(results)} replicas degenerate")
-    return kept, _drop_counts(results)
-
-
-def _drop_counts(results: list) -> dict:
-    """{drop reason: count} over the dropped replicas of results."""
-    return dict(Counter(r for r in results if isinstance(r, str)))
-
-
-# ------------------------------------------------------------ estimator
-
-
-@dataclass(frozen=True)
-class BiasVarianceEstimate:
-    """Monte-Carlo decomposition of the geometric test error."""
-
-    geometric_error: float
-    bias_squared: float
-    variance: float
-    total_test_error: float
-    train_error: float
-    n_replicas: int
-    n_test_points: int
-    standard_errors: dict
-
-
-def bias_variance_mc(
-    config: ExperimentConfig, n_replicas: int, grid_idx: int = 0
-) -> BiasVarianceEstimate:
-    """Paired-training-set estimator of bias^2, variance, and E_geom.
-
-    Per replica: draw (teacher, W, D1, D2, test), fit both training sets, and
-    take the one-sided reduction of the paired products described in the
-    module docstring: E_geom, the total test error, and the training error
-    come from the D1 fit.  Returns means over the kept replicas (n_replicas
-    counts them) with standard errors for every field; see _kept_replicas.
-    """
-    if not isinstance(n_replicas, (int, np.integer)) or n_replicas < 2:
-        raise ConfigurationError(f"n_replicas must be an integer >= 2, got {n_replicas!r}")
-    per, _ = _kept_replicas([_one_sided_metrics(config, grid_idx, r) for r in range(n_replicas)])
-    stats = {attr: summarize([p[name] for p in per]) for name, attr in _PAIRED_METRICS.items()}
-    return BiasVarianceEstimate(
-        **{attr: mean for attr, (mean, _) in stats.items()},
-        n_replicas=len(per),
-        n_test_points=config.m,
-        standard_errors={attr: se for attr, (_, se) in stats.items()},
-    )
+def _one_sided_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict:
+    """The one-sided paired metrics of one replica (experiments.run_bias_variance's kernel)."""
+    return _paired_metrics(draw_paired_replica(config, grid_idx, replica_idx), symmetric=False)
 
 
 def summarize(values) -> tuple[float, float]:

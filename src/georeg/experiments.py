@@ -16,45 +16,42 @@ averaged; bias_sq is the cross product, already symmetric.  The pair is
 exchangeable, so this changes no mean, but per-replica bias_sq + variance
 then telescopes exactly to geom_error, and reported standard errors shrink.
 The five error metrics are the symmetric reduction of decomposition's
-paired-replica kernel, the same per-replica products that bias_variance_mc
-reduces one-sidedly; the P_f metrics, frob_I_minus_Pf among them, are
-properties of each cached operator's analysis; sigma_Z_min and
-frob_I_minus_Pl read each fit's stored factorization of Z.
+paired-replica kernel; run_bias_variance reports its one-sided reduction
+over the same draws.  The P_f metrics, frob_I_minus_Pf among them, are
+properties of each fit's operator analysis; sigma_Z_min and frob_I_minus_Pl
+read each fit's stored factorization of Z.
 
-One grid runner, _run_grid, serves run_sweep and georeg bias-variance with
-one task per (grid point, replica) and one degenerate-replica rule.  Only the
-replica kernel differs: _replica_metrics here, _one_sided_metrics for bias-variance.
+One grid runner, _run_grid, serves run_sweep and run_bias_variance with one
+task per (grid point, replica); only the replica kernel differs.  Every
+replica runs through _replica, which drops it, returning its reason
+"Type: message", when its kernel raises NumericError or LinAlgError or
+returns a metric that is not finite.  A grid point fails, in point_errors,
+when more than 10% of its replicas drop; SweepResult.drop_reasons counts
+the reasons of every point that ran.
 
 RNG streams are keyed by (grid-point index, replica index), and results are
 reduced in replica-index order, so they do not depend on execution order.
-run_sweep's workers defaults to 1, in-process; georeg sweep and georeg
-bias-variance pass --workers, else the usable CPU count.  With workers > 1
-the replicas run in a pool of spawned processes whose BLAS is pinned to one
-thread; the serial path uses the BLAS the caller loaded.  Outputs are
-therefore identical across worker counts when the caller's BLAS also runs
-one thread (OPENBLAS_NUM_THREADS=1).
+workers defaults to 1, in-process; georeg sweep and georeg bias-variance
+pass --workers, else the usable CPU count.  With workers > 1 the replicas
+run in a pool of spawned processes whose BLAS is pinned to one thread; the
+serial path uses the BLAS the caller loaded.  Outputs are therefore
+identical across worker counts when the caller's BLAS also runs one thread
+(OPENBLAS_NUM_THREADS=1).
 
 The workers also start with glibc's MALLOC_MMAP_THRESHOLD_=33554432 and
-MALLOC_TRIM_THRESHOLD_=67108864, each unless the caller has set it.  By
-default glibc hands freed heap back to the kernel and maps it again, so a
-worker faulted its replica's arrays in afresh on every task.  Fixed
-thresholds keep the heap; a top pad alone would not, since it turns off
-glibc's dynamic mmap threshold and every multi-megabyte array would then be
-mapped afresh.  Other allocators ignore both variables.
+MALLOC_TRIM_THRESHOLD_=67108864, each unless the caller has set it: fixed
+thresholds keep the heap, where glibc's default hands it back and faults
+each replica's arrays in afresh.  A top pad alone would not keep it, as it
+turns off the dynamic mmap threshold; other allocators ignore both.
 
 The pool is kept for the life of the process: the first pooled call starts
 it, later calls at the same worker count and allocator variables reuse its
-workers, any other call replaces it, and an atexit hook shuts it down.  So
-a process that runs several grids (a notebook, a seed loop, a test suite)
-pays the workers' start-up once; a one-shot ``georeg`` command runs one grid
-and gains nothing.  The pool modules are imported by the first pooled call,
-so an in-process run never loads them.  A spawned worker re-imports the
-caller's __main__, so a script that runs replicas with workers > 1 still
-needs an ``if __name__ == "__main__":`` guard and cannot be read from stdin.
-
-A dropped replica is returned as its reason, the exception's type and
-message; each row counts its reasons in drop_reasons, and a point that
-fails on its drops keeps its counts in point_drop_reasons.
+workers, any other call replaces it, and an atexit hook shuts it down, so a
+process that runs several grids pays the workers' start-up once.  The pool
+modules are imported by the first pooled call, so an in-process run never
+loads them.  A spawned worker re-imports the caller's __main__, so a script
+that runs replicas with workers > 1 still needs an
+``if __name__ == "__main__":`` guard and cannot be read from stdin.
 """
 from __future__ import annotations
 
@@ -62,6 +59,7 @@ import atexit
 import os
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -69,10 +67,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import ExperimentConfig, ratio_to_count
-from .decomposition import _PAIRED_METRICS, _drop_counts, _drop_reason, _finite, _kept_replicas, _one_sided_metrics
-from .decomposition import _paired_metrics, draw_paired_replica, summarize
+from .decomposition import _PAIRED_METRICS, _one_sided_metrics, _paired_metrics, draw_paired_replica, summarize
 from .errors import ConfigurationError, ExperimentError, NumericError
-from .geometry import analyze_operator
+from .geometry import analyze_operator, feature_operator_from_model
 
 if TYPE_CHECKING:  # the pool modules are imported by the first pooled call
     from concurrent.futures import ProcessPoolExecutor
@@ -92,9 +89,7 @@ ALL_METRICS = (
 )
 
 # metrics divided by sigma_y^2 when a sweep is normalized
-NORMALIZED_METRICS = frozenset(
-    {"train_error", "test_error", "geom_error", "bias_sq", "variance"}
-)
+NORMALIZED_METRICS = frozenset(_PAIRED_METRICS)
 
 # thread-count variables read by OpenBLAS, OpenMP and MKL when they load
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -121,6 +116,8 @@ class SweepSpec:
         for r in self.np_over_m_grid:
             if not 0 < r < np.inf:
                 raise ConfigurationError(f"grid ratios must be finite and > 0, got {r}")
+            if self.np_over_m_grid.count(r) > 1:
+                raise ConfigurationError(f"np_over_m_grid repeats the ratio {r}")
         if not isinstance(self.n_replicas, (int, np.integer)) or self.n_replicas < 1:
             raise ConfigurationError(f"n_replicas must be a positive integer, got {self.n_replicas!r}")
 
@@ -136,16 +133,14 @@ class SweepRow:
     means: dict
     standard_errors: dict
     n_effective: int
-    n_dropped: int
-    drop_reasons: dict = field(default_factory=dict)  # {reason: count} over the dropped replicas
 
 
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple = field(default_factory=tuple)
     point_errors: dict = field(default_factory=dict)
-    # {(np_over_m, nf_over_m): {reason: count}} of the points that failed on their dropped replicas
-    point_drop_reasons: dict = field(default_factory=dict)
+    # {(np_over_m, nf_over_m): {reason: count}} over the dropped replicas of every point that ran
+    drop_reasons: dict = field(default_factory=dict)
     n_replicas: int = 0
     elapsed_seconds: float = 0.0
     normalized: bool = False
@@ -157,14 +152,9 @@ class SweepResult:
 
 
 def _frob_complement_from_fit(model, m: int) -> float:
-    """|I - P_l|_F of a fit to M = m labels, from the fit's kept modes.
-
-    For the orthonormal kept columns U of Z's thin SVD it is exactly
-    sqrt(M - rank), which a fit without U (the tall Gram route) reports.
-    Where U exists it is read through the Gram identity
-    |I - U U^T|_F^2 = M - 2 |U|_F^2 + |U^T U|_F^2, which measures the same
-    matrix without forming it.
-    """
+    """|I - P_l|_F of a fit to M = m labels: sqrt(M - rank) exactly for a fit
+    without the kept columns U of Z's thin SVD (the tall Gram route), else
+    the Gram identity |I - U U^T|_F^2 = M - 2 |U|_F^2 + |U^T U|_F^2."""
     ur = model.factors.U_k
     if ur is None:
         return float(np.sqrt(m - model.rank_z))
@@ -172,25 +162,34 @@ def _frob_complement_from_fit(model, m: int) -> float:
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict | str:
-    """Every metric in ALL_METRICS for one paired replica; the drop reason if degenerate."""
+def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict:
+    """Every metric in ALL_METRICS for one paired replica (run_sweep's kernel)."""
+    draw = draw_paired_replica(config, grid_idx, replica_idx)
+    models = (draw.model_1, draw.model_2)
+    out = _paired_metrics(draw, symmetric=True)
+    per_fit = {
+        "sigma_Z_min": [m.sigma_z_min for m in models],
+        "frob_I_minus_Pl": [_frob_complement_from_fit(m, config.m) for m in models],
+    }
+    analyses = [analyze_operator(feature_operator_from_model(m, d.X)) for m, d in zip(models, (draw.train_1, draw.train_2))]
+    if any(a.rank == 0 for a in analyses):
+        raise NumericError("P_f has rank 0")
+    for name in ("frob_I_minus_Pf", "sigma_max", "theta_max_deg", "delta_phi_max_deg"):
+        per_fit[name] = [getattr(a, name) for a in analyses]
+    out.update({name: 0.5 * (v1 + v2) for name, (v1, v2) in per_fit.items()})
+    return out
+
+
+def _replica(kernel, config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict | str:
+    """kernel's metrics of one replica as floats, or the reason it is dropped (see the module docstring)."""
     try:
-        draw = draw_paired_replica(config, grid_idx, replica_idx)
-        models = (draw.model_1, draw.model_2)
-        out = _paired_metrics(draw, symmetric=True)
-        per_fit = {
-            "sigma_Z_min": [m.sigma_z_min for m in models],
-            "frob_I_minus_Pl": [_frob_complement_from_fit(m, config.m) for m in models],
-        }
-        analyses = [analyze_operator(p) for p in draw.p_fs]
-        if any(a.rank == 0 for a in analyses):
-            raise NumericError("P_f has rank 0")
-        for name in ("frob_I_minus_Pf", "sigma_max", "theta_max_deg", "delta_phi_max_deg"):
-            per_fit[name] = [getattr(a, name) for a in analyses]
-        out.update({name: 0.5 * (v1 + v2) for name, (v1, v2) in per_fit.items()})
-        return _finite(out)
+        metrics = kernel(config, grid_idx, replica_idx)
     except (NumericError, np.linalg.LinAlgError) as exc:
-        return _drop_reason(exc)
+        return f"{type(exc).__name__}: {exc}"
+    bad = [k for k, v in metrics.items() if not np.isfinite(v)]
+    if bad:
+        return f"NumericError: non-finite replica metrics: {', '.join(bad)}"
+    return {k: float(v) for k, v in metrics.items()}
 
 
 # ------------------------------------------------------------------ run
@@ -237,13 +236,9 @@ _pool_lock = threading.Lock()
 
 def _kept_pool(workers: int, malloc_vars: dict) -> ProcessPoolExecutor:
     """The kept pool of `workers` spawned workers started under `malloc_vars`,
-    started or replaced as needed.
-
-    Call with _pool_lock held and inside _worker_env, which gives malloc_vars.
-    A pool at another worker count or under other allocator variables is
-    shut down after its pending work finishes.  A pool started by another
-    process (this one is a forked child) belongs to that process and is only
-    dropped.
+    started or replaced as needed; call with _pool_lock held, inside
+    _worker_env.  A replaced pool is shut down after its pending work
+    finishes, or only dropped if another process (whose fork this is) started it.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -282,18 +277,15 @@ def _discard_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _run_pooled(kernel, tasks: list, workers: int) -> tuple[list, dict]:
-    """(kernel(*task) for every (config, grid_idx, replica_idx) task, in task
-    order; the allocator variables the workers started with).
+    """(_replica(kernel, *task) for every (config, grid_idx, replica_idx) task,
+    in task order; the allocator variables the workers started with).
 
-    One task per replica, submitted costliest (largest n_p) first so that the
-    last tasks to finish are short.  The tasks run on the process's kept pool
-    (see the module docstring).  Its workers start lazily, inside submit, so
-    every submit runs inside _worker_env: BLAS reads its variables once,
-    when a worker imports numpy, glibc its own at start-up, and every
-    worker, first or late, starts with them.  A pool that dies is discarded
-    and raises ExperimentError; any other exception, KeyboardInterrupt
-    included, cancels this call's pending tasks and leaves the pool to later
-    calls.
+    Tasks go to the kept pool costliest (largest n_p) first, so that the last
+    to finish are short.  Its workers start lazily, inside submit, so every
+    submit runs inside _worker_env, whose variables BLAS and glibc read once,
+    as a worker starts.  A pool that dies is discarded and raises
+    ExperimentError; any other exception, KeyboardInterrupt included,
+    cancels this call's pending tasks and leaves the pool to later calls.
     """
     from concurrent.futures.process import BrokenProcessPool
 
@@ -303,7 +295,7 @@ def _run_pooled(kernel, tasks: list, workers: int) -> tuple[list, dict]:
         with _pool_lock, _worker_env() as malloc_vars:
             pool = _kept_pool(workers, malloc_vars)
             for i in order:
-                futures[i] = pool.submit(kernel, *tasks[i])
+                futures[i] = pool.submit(_replica, kernel, *tasks[i])
         return [futures[i].result() for i in range(len(tasks))], malloc_vars
     except BrokenProcessPool as exc:
         _discard_pool(pool)
@@ -323,7 +315,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute the sweep; infeasible points are recorded, not fatal.
 
     A grid point fails (recorded in point_errors) if its config is invalid or
-    if more than 10% of its replicas come back degenerate.  Aggregation is an
+    on its dropped replicas (see the module docstring).  Aggregation is an
     ordered reduction over replica indices, so output does not depend on the
     order in which replicas finish.
 
@@ -332,15 +324,21 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     spawned processes with BLAS pinned to one thread and glibc's allocator
     set to keep its heap, and a pool that dies raises ExperimentError.
     """
-    return _run_grid(spec, workers)
+    return _run_grid(spec, workers, _replica_metrics, ALL_METRICS)
 
 
-def _run_grid(spec: SweepSpec, workers: int, one_sided: bool = False) -> SweepResult:
-    """run_sweep; with one_sided, the same grid in decomposition's one-sided
-    reduction, reporting the five _PAIRED_METRICS (georeg bias-variance)."""
+def run_bias_variance(spec: SweepSpec, workers: int = 1) -> SweepResult:
+    """run_sweep in decomposition's one-sided reduction: each row reports the
+    five _PAIRED_METRICS (georeg bias-variance).  n_replicas must be >= 2."""
+    if spec.n_replicas < 2:
+        raise ConfigurationError(f"n_replicas must be >= 2, got {spec.n_replicas}")
+    return _run_grid(spec, workers, _one_sided_metrics, _PAIRED_METRICS)
+
+
+def _run_grid(spec: SweepSpec, workers: int, kernel, metrics: tuple) -> SweepResult:
+    """spec's grid with kernel as the replica kernel, reporting metrics."""
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
-    kernel, metrics = (_one_sided_metrics, tuple(_PAIRED_METRICS)) if one_sided else (_replica_metrics, ALL_METRICS)
     t0 = time.perf_counter()
     base, n = spec.base_config, spec.n_replicas
     nf_r = base.n_f / base.m
@@ -355,20 +353,19 @@ def _run_grid(spec: SweepSpec, workers: int, one_sided: bool = False) -> SweepRe
 
     tasks = [(cfg, gidx, r) for gidx, (_, cfg) in configs.items() for r in range(n)]
     workers = min(workers, len(tasks))
-    replicas, malloc_vars = _run_pooled(kernel, tasks, workers) if workers > 1 else ([kernel(*t) for t in tasks], None)
+    replicas, malloc_vars = _run_pooled(kernel, tasks, workers) if workers > 1 else ([_replica(kernel, *t) for t in tasks], None)
 
     # dividing by 1.0 leaves a metric's bits unchanged
     div = {name: base.sigma_y_sq if spec.normalize and name in NORMALIZED_METRICS else 1.0 for name in metrics}
-    rows, point_drop_reasons = [], {}
+    rows, drop_reasons = [], {}
     for k, (np_r, cfg) in enumerate(configs.values()):
         point = replicas[k * n:(k + 1) * n]
-        try:
-            results, reasons = _kept_replicas(point)
-        except NumericError as exc:
-            point_errors[(np_r, nf_r)] = str(exc)
-            point_drop_reasons[(np_r, nf_r)] = _drop_counts(point)
+        kept = [r for r in point if isinstance(r, dict)]
+        drop_reasons[(np_r, nf_r)] = dict(Counter(r for r in point if isinstance(r, str)))
+        if n - len(kept) > 0.1 * n:
+            point_errors[(np_r, nf_r)] = f"{n - len(kept)}/{n} replicas degenerate"
             continue
-        stats = {name: summarize([r[name] for r in results]) for name in metrics}
+        stats = {name: summarize([r[name] for r in kept]) for name in metrics}
         rows.append(
             SweepRow(
                 np_over_m=float(np_r),
@@ -377,15 +374,13 @@ def _run_grid(spec: SweepSpec, workers: int, one_sided: bool = False) -> SweepRe
                 n_f=cfg.n_f,
                 means={name: mean / div[name] for name, (mean, _) in stats.items()},
                 standard_errors={name: se / div[name] for name, (_, se) in stats.items()},
-                n_effective=len(results),
-                n_dropped=n - len(results),
-                drop_reasons=reasons,
+                n_effective=len(kept),
             )
         )
     return SweepResult(
         rows=tuple(rows),
         point_errors=point_errors,
-        point_drop_reasons=point_drop_reasons,
+        drop_reasons=drop_reasons,
         n_replicas=n,
         elapsed_seconds=time.perf_counter() - t0,
         normalized=spec.normalize,

@@ -102,7 +102,7 @@ def test_unusable_out_exits_2_before_computing(tmp_path, capsys, monkeypatch, co
     def never(*args, **kwargs):
         raise AssertionError("computed before the output directory was checked")
 
-    for name in ("run_sweep", "_run_grid", "fit"):  # the grid runners of sweep and bias-variance
+    for name in ("run_sweep", "run_bias_variance", "fit"):  # the grid runners of sweep and bias-variance
         monkeypatch.setattr(cli, name, never)
     taken = tmp_path / "a-file"
     taken.write_text("")
@@ -157,6 +157,24 @@ def test_manifest_reproduces_every_output(tmp_path, command):
     assert len(names) == len(manifest["output_paths"]) - 1
     for name in names:
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_infinite_snr_manifest_is_strict_json_and_reproduces(tmp_path):
+    # --snr inf is noise-free; the manifest writes it as "inf", which the
+    # config file reads back
+    def strict(name):
+        raise ValueError(f"{name} in the manifest")
+
+    first, again = tmp_path / "first", tmp_path / "again"
+    argv = ["angles", "--model", "linear", "--m", "32", "--snr", "inf"]
+    assert main([*argv, "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text(), parse_constant=strict)
+    assert manifest["resolved_config"]["snr"] == "inf"
+    cfg = tmp_path / "resolved.json"
+    cfg.write_text(json.dumps(manifest["resolved_config"]))
+    assert main(["angles", "--config", str(cfg), "--out", str(again)]) == 0
+    assert (first / "angles.json").read_bytes() == (again / "angles.json").read_bytes()
+    assert json.loads((again / "manifest.json").read_text(), parse_constant=strict)["resolved_config"] == manifest["resolved_config"]
 
 
 @pytest.mark.parametrize("command", sorted(_RERUNS))
@@ -222,6 +240,14 @@ class TestSweepCommand:
     def test_all_points_failing_exits_2(self, tmp_path):
         argv = _sweep_args(tmp_path, **{"--model": "identity", "--np-grid": "1,2"})
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "bias-variance"])
+    def test_repeated_grid_ratio_exits_2(self, tmp_path, capsys, command):
+        # each point's record in the manifest is keyed by its ratio
+        argv = _sweep_args(tmp_path, **{"--np-grid": "0.5,0.5,2", "--replicas": "3", "--workers": "1"})
+        assert main([command, *argv[1:]]) == 2
+        assert "repeats the ratio 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_plot_is_deterministic_and_untimestamped(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -358,17 +384,18 @@ class TestBiasVarianceReplicaRunner:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_rows_equal_bias_variance_mc(self, tmp_path):
+        # the command's rows are run_bias_variance's on the same spec
         assert _run(*_bv_args(tmp_path, "--replicas", "5", "--workers", "1")) == 0
         with open(tmp_path / "bias_variance.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
-        for gidx, row in enumerate(rows):
-            cfg = georeg.ExperimentConfig(m=32, n_f=8, n_p=int(float(row["np_over_m"]) * 32), activation="relu",
-                                          sigma_eps=sigma_eps_for_snr(10.0))
-            est = georeg.bias_variance_mc(cfg, 5, grid_idx=gidx)
-            for col, attr in georeg.decomposition._PAIRED_METRICS.items():
-                assert float(row[col]) == getattr(est, attr), col
-                assert float(row[f"se_{col}"]) == est.standard_errors[attr], col
+        cfg = georeg.ExperimentConfig(m=32, n_f=8, n_p=32, activation="relu", sigma_eps=sigma_eps_for_snr(10.0))
+        est = georeg.run_bias_variance(georeg.SweepSpec(cfg, (0.5, 1.0), 5)).rows
+        assert len(rows) == len(est) == 2
+        for row, want in zip(rows, est):
+            assert float(row["np_over_m"]) == want.np_over_m
+            for col in georeg.decomposition._PAIRED_METRICS:
+                assert float(row[col]) == want.means[col], col
+                assert float(row[f"se_{col}"]) == want.standard_errors[col], col
 
     def test_single_drop_keeps_the_point(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(georeg.decomposition, "draw_paired_replica", _fail_replica({(0, 3)}))

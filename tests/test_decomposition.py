@@ -1,4 +1,4 @@
-"""Paired draws and the Monte-Carlo bias-variance estimator.
+"""Paired draws and the Monte-Carlo bias-variance estimator, run_bias_variance.
 
 Closed-form oracle: a linear family with N_p >= N_f at lam = 0 has
 Z = X W with W of full row rank, so Z^+ = W^+ X^+ and P_f = (W Z^+ X)^T = I.
@@ -21,17 +21,29 @@ from georeg import (
     Dataset,
     ExperimentConfig,
     NumericError,
+    SweepSpec,
     TeacherModel,
     apply_features,
-    bias_variance_mc,
     draw_paired_replica,
     feature_operator_from_model,
     fit,
     paired_projections,
+    run_bias_variance,
     sigma_eps_for_snr,
 )
+from georeg import experiments
 from georeg.decomposition import PairedDraw, _paired_metrics
 from georeg.linreg_core import FeatureMap
+
+
+def _spec(cfg, n_replicas):
+    """The one-point grid at cfg's N_p/M, whose replica streams are grid index 0's."""
+    return SweepSpec(cfg, (cfg.n_p / cfg.m,), n_replicas)
+
+
+def _estimate(cfg, n_replicas):
+    """run_bias_variance's row for cfg, run in-process."""
+    return run_bias_variance(_spec(cfg, n_replicas)).rows[0]
 
 
 def _geometric_error(X_train, beta, X_test):
@@ -130,61 +142,55 @@ class TestPairedDraw:
 
 
 class TestBiasVarianceMC:
+    """The Monte-Carlo estimator, run_bias_variance, at one grid point."""
+
     def test_identity_noiseless_is_exact(self):
         # square identity features on noiseless linear labels: the fit is the
         # teacher itself, so every error component collapses to round-off
         cfg = ExperimentConfig(
             m=24, n_f=8, n_p=8, activation="identity", sigma_eps=0.0, lam=0.0
         )
-        est = bias_variance_mc(cfg, n_replicas=10)
+        est = _estimate(cfg, 10).means
         tol = 1e-12 * cfg.sigma_y_sq
-        assert est.geometric_error <= tol
-        assert abs(est.bias_squared) <= tol
-        assert abs(est.variance) <= tol
-        assert est.total_test_error <= tol
-        assert est.train_error <= tol
+        assert est["geom_error"] <= tol
+        assert abs(est["bias_sq"]) <= tol
+        assert abs(est["variance"]) <= tol
+        assert est["test_error"] <= tol
+        assert est["train_error"] <= tol
 
     def test_decomposition_consistency(self):
         cfg = ExperimentConfig(m=32, n_f=8, n_p=48, activation="relu")
-        est = bias_variance_mc(cfg, n_replicas=80)
-        gap = est.bias_squared + est.variance - est.geometric_error
-        se = np.hypot(
-            np.hypot(est.standard_errors["bias_squared"], est.standard_errors["variance"]),
-            est.standard_errors["geometric_error"],
-        )
-        assert abs(gap) <= 4.0 * se
+        row = _estimate(cfg, 80)
+        est, se = row.means, row.standard_errors
+        gap = est["bias_sq"] + est["variance"] - est["geom_error"]
+        assert abs(gap) <= 4.0 * np.hypot(np.hypot(se["bias_sq"], se["variance"]), se["geom_error"])
 
     def test_metadata_and_se_fields(self):
         cfg = ExperimentConfig(m=16, n_f=4, n_p=24)
-        est = bias_variance_mc(cfg, n_replicas=5)
-        assert est.n_replicas == 5
-        assert est.n_test_points == cfg.m
-        for key in (
-            "geometric_error",
-            "bias_squared",
-            "variance",
-            "total_test_error",
-            "train_error",
-        ):
-            assert est.standard_errors[key] >= 0.0
+        row = _estimate(cfg, 5)
+        assert row.n_effective == 5
+        assert (row.n_p, row.n_f) == (cfg.n_p, cfg.n_f)
+        assert tuple(row.means) == tuple(row.standard_errors) == georeg.decomposition._PAIRED_METRICS
+        for key in georeg.decomposition._PAIRED_METRICS:
+            assert row.standard_errors[key] >= 0.0
 
     def test_deterministic(self):
         cfg = ExperimentConfig(m=16, n_f=4, n_p=24)
-        a = bias_variance_mc(cfg, n_replicas=4)
-        b = bias_variance_mc(cfg, n_replicas=4)
-        assert a.geometric_error == b.geometric_error
-        assert a.variance == b.variance
+        a = _estimate(cfg, 4)
+        b = _estimate(cfg, 4)
+        assert a.means["geom_error"] == b.means["geom_error"]
+        assert a.means["variance"] == b.means["variance"]
 
     def test_rejects_single_replica(self):
         cfg = ExperimentConfig(m=16, n_f=4, n_p=24)
         with pytest.raises(ConfigurationError):
-            bias_variance_mc(cfg, n_replicas=1)
+            _estimate(cfg, 1)
         with pytest.raises(ConfigurationError):
-            bias_variance_mc(cfg, n_replicas=2.5)
+            _estimate(cfg, 2.5)
 
     def test_degenerate_replicas_are_dropped_up_to_ten_percent(self, monkeypatch):
         cfg = ExperimentConfig(m=16, n_f=4, n_p=24)
-        full = bias_variance_mc(cfg, n_replicas=10)
+        full = _estimate(cfg, 10)
         draw = georeg.decomposition.draw_paired_replica
         bad = {3}
 
@@ -194,12 +200,15 @@ class TestBiasVarianceMC:
             return draw(config, grid_idx, replica_idx)
 
         monkeypatch.setattr(georeg.decomposition, "draw_paired_replica", degenerate_at)
-        est = bias_variance_mc(cfg, n_replicas=10)
-        assert est.n_replicas == 9
-        assert est.geometric_error != full.geometric_error
+        est = _estimate(cfg, 10)
+        assert est.n_effective == 9
+        assert est.means["geom_error"] != full.means["geom_error"]
         bad.add(7)
-        with pytest.raises(NumericError, match="2/10 replicas degenerate"):
-            bias_variance_mc(cfg, n_replicas=10)
+        result = run_bias_variance(_spec(cfg, 10))
+        point = (cfg.n_p / cfg.m, cfg.n_f / cfg.m)
+        assert result.rows == ()
+        assert result.point_errors == {point: "2/10 replicas degenerate"}
+        assert result.drop_reasons == {point: {"NumericError: degenerate on purpose": 2}}
 
     def test_dropped_replica_returns_its_reason(self, monkeypatch):
         # a non-finite metric is named in the reason, so equal failures count together
@@ -207,21 +216,20 @@ class TestBiasVarianceMC:
         paired = georeg.decomposition._paired_metrics
         monkeypatch.setattr(georeg.decomposition, "_paired_metrics",
                             lambda draw, symmetric: {**paired(draw, symmetric), "variance": np.nan})
-        reasons = [georeg.decomposition._one_sided_metrics(cfg, 0, r) for r in range(2)]
+        kernel = georeg.decomposition._one_sided_metrics
+        reasons = [experiments._replica(kernel, cfg, 0, r) for r in range(2)]
         assert reasons == ["NumericError: non-finite replica metrics: variance"] * 2
-        kept, counts = georeg.decomposition._kept_replicas([{"x": 1.0}] * 18 + reasons)
-        assert kept == [{"x": 1.0}] * 18
-        assert counts == {"NumericError: non-finite replica metrics: variance": 2}
+        result = run_bias_variance(_spec(cfg, 2))
+        assert result.drop_reasons == {(cfg.n_p / cfg.m, cfg.n_f / cfg.m): {reasons[0]: 2}}
 
     def test_builds_no_feature_operator(self, monkeypatch):
         # the one-sided metrics read P_f only through P_f^T beta
         def forbidden(*args):
             raise AssertionError("P_f built")
 
-        monkeypatch.setattr(georeg.decomposition, "feature_operator_from_model", forbidden)
+        monkeypatch.setattr(experiments, "feature_operator_from_model", forbidden)
         for n_p in (24, 48):  # a tall and a wide Gram-route fit
-            est = bias_variance_mc(ExperimentConfig(m=32, n_f=8, n_p=n_p), n_replicas=3)
-            assert est.n_replicas == 3
+            assert _estimate(ExperimentConfig(m=32, n_f=8, n_p=n_p), 3).n_effective == 3
 
     def test_variance_peaks_at_interpolation(self):
         # classic double-descent variance spike at n_p = m
@@ -229,7 +237,7 @@ class TestBiasVarianceMC:
         var = {}
         for ratio in (0.5, 1.0, 2.0):
             cfg = base.with_updates(n_p=int(round(ratio * base.m)))
-            var[ratio] = bias_variance_mc(cfg, n_replicas=60).variance
+            var[ratio] = _estimate(cfg, 60).means["variance"]
         assert var[1.0] > var[0.5]
         assert var[1.0] > var[2.0]
 
@@ -242,17 +250,20 @@ class TestLinearFamilyOracle:
     def test_feature_operator_is_identity(self, m, n_f, n_p):
         cfg = self._config(m, n_f, n_p)
         for r in range(20):
-            for p_f in draw_paired_replica(cfg, 0, r).p_fs:
+            d = draw_paired_replica(cfg, 0, r)
+            for model, train in ((d.model_1, d.train_1), (d.model_2, d.train_2)):
+                p_f = feature_operator_from_model(model, train.X)
                 assert np.linalg.norm(p_f - np.eye(n_f)) <= 1e-12
 
     def test_risk_is_ordinary_least_squares(self, m, n_f, n_p):
         cfg = self._config(m, n_f, n_p)
-        est = bias_variance_mc(cfg, n_replicas=300)
-        assert abs(est.geometric_error) <= 1e-12
-        assert abs(est.bias_squared) <= 1e-12
-        assert abs(est.variance) <= 1e-12
+        row = _estimate(cfg, 300)
+        est = row.means
+        assert abs(est["geom_error"]) <= 1e-12
+        assert abs(est["bias_sq"]) <= 1e-12
+        assert abs(est["variance"]) <= 1e-12
         risk = cfg.sigma_eps**2 * (1.0 + n_f / (m - n_f - 1))
-        z = (est.total_test_error - risk) / est.standard_errors["total_test_error"]
+        z = (est["test_error"] - risk) / row.standard_errors["test_error"]
         assert abs(z) <= 4.0, z
 
 
@@ -267,16 +278,16 @@ def test_linear_family_oracle_below_n_f(m, n_f, n_p):
     (sigma_eps^2 + b)(1 + k).
     """
     cfg = ExperimentConfig(m=m, n_f=n_f, n_p=n_p, activation="linear", lam=0.0)
-    est = bias_variance_mc(cfg, n_replicas=300)
+    est = _estimate(cfg, 300)
     b, k = 1.0 - n_p / n_f, n_p / (m - n_p - 1)
     expected = {
-        "bias_squared": b,
+        "bias_sq": b,
         "variance": b * k,
-        "geometric_error": b * (1.0 + k),
-        "total_test_error": (cfg.sigma_eps**2 + b) * (1.0 + k),
+        "geom_error": b * (1.0 + k),
+        "test_error": (cfg.sigma_eps**2 + b) * (1.0 + k),
     }
     for field, value in expected.items():
-        z = (getattr(est, field) - value) / est.standard_errors[field]
+        z = (est.means[field] - value) / est.standard_errors[field]
         assert abs(z) <= 4.0, (field, z)
 
 
@@ -298,29 +309,29 @@ class TestIdentityFamilyOracle:
 
     def _estimate(self, m, n_f):
         cfg = ExperimentConfig(m=m, n_f=n_f, n_p=n_f, activation="identity", lam=0.0)
-        return cfg, bias_variance_mc(cfg, n_replicas=self.N_REPLICAS)
+        return cfg, _estimate(cfg, self.N_REPLICAS)
 
     @staticmethod
     def _z(est, field, expected):
-        return (getattr(est, field) - expected) / est.standard_errors[field]
+        return (est.means[field] - expected) / est.standard_errors[field]
 
     def test_under_parameterized(self):
         cfg, est = self._estimate(64, 16)
-        assert abs(est.geometric_error) <= 1e-12
-        assert abs(est.bias_squared) <= 1e-12
-        assert abs(est.variance) <= 1e-12
+        assert abs(est.means["geom_error"]) <= 1e-12
+        assert abs(est.means["bias_sq"]) <= 1e-12
+        assert abs(est.means["variance"]) <= 1e-12
         risk = cfg.sigma_eps**2 * (1.0 + cfg.n_f / (cfg.m - cfg.n_f - 1))
-        assert abs(self._z(est, "total_test_error", risk)) <= 4.0
+        assert abs(self._z(est, "test_error", risk)) <= 4.0
 
     def test_over_parameterized(self):
         cfg, est = self._estimate(32, 64)
         kept = cfg.m / cfg.n_f
         geom = 1.0 - kept
         expected = {
-            "geometric_error": geom,
-            "bias_squared": geom**2,
+            "geom_error": geom,
+            "bias_sq": geom**2,
             "variance": kept * geom,
-            "total_test_error": geom + cfg.sigma_eps**2 * (1.0 + cfg.m / (cfg.n_f - cfg.m - 1)),
+            "test_error": geom + cfg.sigma_eps**2 * (1.0 + cfg.m / (cfg.n_f - cfg.m - 1)),
         }
         for field, value in expected.items():
             assert abs(self._z(est, field, value)) <= 4.0, field

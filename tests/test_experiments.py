@@ -20,9 +20,9 @@ from georeg import (
     SweepSpec,
     analyze_operator,
     apply_features,
-    bias_variance_mc,
     draw_paired_replica,
     label_projector,
+    run_bias_variance,
     run_sweep,
     summarize,
 )
@@ -49,6 +49,13 @@ def _malloc_probe(*task):
 def _pid_probe(*task):
     """Stands in for the replica kernel: every metric is the pid of the process that runs it."""
     return dict.fromkeys(ALL_METRICS, float(os.getpid()))
+
+
+def _dropping_probe(config, grid_idx, replica_idx):
+    """Stands in for the replica kernel: replica 0 raises and replica 1 returns a NaN variance."""
+    if replica_idx == 0:
+        raise georeg.NumericError("dropped on purpose")
+    return {**dict.fromkeys(ALL_METRICS, 1.0), "variance": np.nan if replica_idx == 1 else 1.0}
 
 
 def _pool_pids() -> set:
@@ -148,6 +155,13 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError):
             SweepSpec(self._base(), np_over_m_grid=(0.5, -1.0))
 
+    def test_repeated_ratio_rejected(self):
+        # a point's record is keyed by its ratio, so a repeat would overwrite the other's
+        with pytest.raises(ConfigurationError, match="repeats the ratio 0.5"):
+            SweepSpec(self._base(), np_over_m_grid=(0.5, 0.5, 2.0))
+        with pytest.raises(ConfigurationError, match="repeats the ratio 1"):
+            SweepSpec(self._base(), np_over_m_grid=(1, 2.0, 1.0))
+
     def test_zero_replicas_rejected(self):
         for n in (0, 2.5):
             with pytest.raises(ConfigurationError):
@@ -180,7 +194,7 @@ class TestRunSweep:
         row = res.rows[1]
         assert row.np_over_m == 1.0
         assert row.n_p == 32 and row.n_f == 8
-        assert row.n_effective == 8 and row.n_dropped == 0
+        assert row.n_effective == 8
         assert set(row.means) == set(ALL_METRICS)
         assert res.elapsed_seconds > 0.0
 
@@ -258,22 +272,32 @@ class TestRunSweep:
         # the sweep builds each fit's P_f for analyze_operator; the one-sided
         # grid of georeg bias-variance reads P_f^T beta alone and builds none
         spec = SweepSpec(ExperimentConfig(m=16, n_f=4, n_p=16), np_over_m_grid=(0.5, 2.0), n_replicas=3)
-        build, calls = georeg.decomposition.feature_operator_from_model, []
+        build, calls = experiments.feature_operator_from_model, []
 
         def counted(model, X):
             calls.append(X.shape)
             return build(model, X)
 
-        monkeypatch.setattr(georeg.decomposition, "feature_operator_from_model", counted)
+        monkeypatch.setattr(experiments, "feature_operator_from_model", counted)
         assert len(run_sweep(spec).rows) == 2
         assert len(calls) == 2 * 2 * 3
 
         def forbidden(model, X):
             raise AssertionError("P_f built")
 
-        monkeypatch.setattr(georeg.decomposition, "feature_operator_from_model", forbidden)
-        result = experiments._run_grid(spec, 1, one_sided=True)
+        monkeypatch.setattr(experiments, "feature_operator_from_model", forbidden)
+        result = run_bias_variance(spec)
         assert [row.n_effective for row in result.rows] == [3, 3]
+
+    def test_serial_and_pooled_replicas_drop_through_one_guard(self, monkeypatch):
+        spec = SweepSpec(ExperimentConfig(m=16, n_f=4, n_p=16), np_over_m_grid=(1.0, 2.0), n_replicas=20)
+        monkeypatch.setattr(experiments, "_replica_metrics", _dropping_probe)
+        reasons = {"NumericError: dropped on purpose": 1, "NumericError: non-finite replica metrics: variance": 1}
+        for workers in (1, 2):
+            result = run_sweep(spec, workers=workers)
+            assert [row.n_effective for row in result.rows] == [18, 18]
+            assert result.drop_reasons == {(1.0, 0.25): reasons, (2.0, 0.25): reasons}
+            assert result.point_errors == {}
 
     def test_unguarded_script_gets_a_typed_error(self, tmp_path):
         # a spawned worker re-imports the script, whose unguarded sweep then
@@ -306,17 +330,17 @@ class TestRunSweep:
             run_sweep(spec, workers=2.5)
 
     def test_sweep_and_mc_reduce_the_same_cross_product(self):
-        # a tall and a wide grid point: the sweep's replica streams are
-        # bias_variance_mc's at the same grid_idx, both fit every replica the
-        # same way, and bias_sq is the same cross product in both reductions
+        # a tall and a wide grid point: run_sweep and run_bias_variance draw
+        # the same replicas from one spec, fit them the same way, and bias_sq
+        # is the same cross product in both reductions
         cfg = ExperimentConfig(m=32, n_f=8, n_p=16, activation="relu")
-        res = run_sweep(SweepSpec(cfg, np_over_m_grid=(0.5, 2.0), n_replicas=6, normalize=False))
+        spec = SweepSpec(cfg, np_over_m_grid=(0.5, 2.0), n_replicas=6, normalize=False)
+        res, est = run_sweep(spec), run_bias_variance(spec)
         for grid_idx, n_p in ((0, 16), (1, 64)):
-            est = bias_variance_mc(cfg.with_updates(n_p=n_p), 6, grid_idx=grid_idx)
-            row = res.rows[grid_idx]
-            assert (row.n_p, row.n_f, row.n_effective) == (n_p, cfg.n_f, 6)
-            assert row.means["bias_sq"] == est.bias_squared
-            assert row.standard_errors["bias_sq"] == est.standard_errors["bias_squared"]
+            row, bv = res.rows[grid_idx], est.rows[grid_idx]
+            assert (row.n_p, row.n_f, row.n_effective) == (bv.n_p, bv.n_f, bv.n_effective) == (n_p, cfg.n_f, 6)
+            assert row.means["bias_sq"] == bv.means["bias_sq"]
+            assert row.standard_errors["bias_sq"] == bv.standard_errors["bias_sq"]
 
 
 class TestKeptPool:

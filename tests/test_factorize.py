@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from georeg import STREAM_TRAIN, ExperimentConfig, apply_features, fit, make_feature_map, sample_dataset, sample_teacher
 from georeg.cli import main
 from georeg.config import default_rel_tol
-from georeg.experiments import _replica_metrics
+from georeg.experiments import _replica, _replica_metrics
 from georeg.geometry import feature_operator_from_model, label_projector, prediction_decomposition
 from georeg.linreg_core import Factorization, FeatureMap, FittedModel, factorize
 
@@ -270,7 +270,7 @@ def test_a_failing_deferred_svd_fails_the_fit_the_replica_and_the_command(monkey
     with pytest.raises(np.linalg.LinAlgError):
         fit(np.random.default_rng(0).normal(size=(8, 8)), np.ones(8), lam=1e-8)
     square = ExperimentConfig(m=16, n_f=4, n_p=16, activation="relu")
-    assert _replica_metrics(square, 0, 0).startswith("LinAlgError:")
+    assert _replica(_replica_metrics, square, 0, 0).startswith("LinAlgError:")
     assert main(["angles", "--model", "linear", "--m", "16", "--out", str(tmp_path)]) == 3
 
 
