@@ -67,11 +67,7 @@ from .linreg_core import (
     sample_dataset,
     sample_teacher,
 )
-from .perturbation import (
-    PerturbationRecord,
-    decompose_perturbation,
-    perturbation_experiment,
-)
+from .perturbation import decompose_perturbation, perturbation_experiment
 
 __version__ = "0.1.0"
 

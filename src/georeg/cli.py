@@ -218,7 +218,7 @@ class _Outputs:
     def error_chart(self, name: str, title: str, xs: list, curves: dict) -> None:
         """Log-scale line chart of error curves (label -> values) against N_p/M."""
         series = [{"label": label, "x": xs, "y": ys} for label, ys in curves.items()]
-        svg.line_chart(self.path(name), series, x_label="N_p / M", y_label="error", title=title, log_y=True)
+        svg.line_chart(self.path(name), series, x_label="N_p / M", y_label="error", title=title)
 
     def manifest(self, **extra) -> None:
         record = {
@@ -319,23 +319,25 @@ def cmd_perturb(params: dict, out: str) -> int:
     x0 = stream_rng(config.seed, (0, 0, STREAM_TEST)).normal(
         0.0, config.sigma_x / np.sqrt(config.n_f), config.n_f
     )
-    records, summary = perturbation_experiment(
+    responses, summary = perturbation_experiment(
         model, teacher, analysis, x0, config,
         n_pairs=params["pairs"], eta=params["eta"],
     )
 
-    outputs.write_csv("perturb.csv", ["kind", "d_y_true", "d_y_pred"], ([r.kind, r.d_y_true, r.d_y_pred] for r in records))
+    # one row per kind of each kept pair, adversarial first
+    rows = ([kind, t[i], p[i]] for i in range(summary["n_adversarial"]) for kind, (_, t, p) in responses.items())
+    outputs.write_csv("perturb.csv", ["kind", "d_y_true", "d_y_pred"], rows)
     outputs.write_json("perturb_summary.json", {**summary, "eta": params["eta"], "n_pairs": params["pairs"]})
     if params["plot"]:
         groups = [
             {
                 "label": kind,
-                "x": [r.d_y_true for r in records if r.kind == kind],
-                "y": [r.d_y_pred for r in records if r.kind == kind],
+                "x": t.tolist(),
+                "y": p.tolist(),
                 "color": color,
                 "slope": summary.get(f"slope_{kind}"),
             }
-            for kind, color in (("adversarial", "#1f77b4"), ("invariant", "#ff7f0e"))
+            for (kind, (_, t, p)), color in zip(responses.items(), ("#1f77b4", "#ff7f0e"))
         ]
         svg.scatter_chart(outputs.path("perturb.svg"), groups, x_label="dy/deta (true)", y_label="dyhat/deta (model)", title="perturbation response")
     outputs.manifest()

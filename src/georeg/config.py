@@ -48,6 +48,13 @@ def stream_rng(seed: int, stream_tag: tuple) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def check_integer(name: str, v, lo: int = 1, hi: float = np.inf) -> None:
+    """Raise ConfigurationError unless v is an integer in [lo, hi]; a bool is not one."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v <= hi:
+        bound = f">= {lo}" if hi == np.inf else f"in [{lo}, {hi}]"
+        raise ConfigurationError(f"{name} must be an integer {bound}, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -77,9 +84,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("m", "n_f", "n_p"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
+            check_integer(name, getattr(self, name))
         # written as "not lo <= v < inf" so that NaN, which fails every
         # comparison, is rejected too
         for name in ("sigma_eps", "lam"):
@@ -91,8 +96,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"identity activation requires n_p == n_f, got n_p={self.n_p}, n_f={self.n_f}"
             )
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed <= 2**64 - 1:
-            raise ConfigurationError(f"seed must be an integer that fits in 64 unsigned bits, got {self.seed!r}")
+        check_integer("seed", self.seed, lo=0, hi=2**64 - 1)
 
     # -- derived quantities -------------------------------------------------
 

@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ExperimentConfig, ratio_to_count
+from .config import ExperimentConfig, check_integer, ratio_to_count
 from .decomposition import _PAIRED_METRICS, _one_sided_metrics, _paired_metrics, draw_paired_replica, summarize
 from .errors import ConfigurationError, ExperimentError, NumericError
 from .geometry import analyze_operator, feature_operator_from_model
@@ -118,8 +118,7 @@ class SweepSpec:
                 raise ConfigurationError(f"grid ratios must be finite and > 0, got {r}")
             if self.np_over_m_grid.count(r) > 1:
                 raise ConfigurationError(f"np_over_m_grid repeats the ratio {r}")
-        if not isinstance(self.n_replicas, (int, np.integer)) or self.n_replicas < 1:
-            raise ConfigurationError(f"n_replicas must be a positive integer, got {self.n_replicas!r}")
+        check_integer("n_replicas", self.n_replicas)
 
 
 @dataclass(frozen=True)
@@ -337,8 +336,7 @@ def run_bias_variance(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
 def _run_grid(spec: SweepSpec, workers: int, kernel, metrics: tuple) -> SweepResult:
     """spec's grid with kernel as the replica kernel, reporting metrics."""
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
+    check_integer("workers", workers)
     t0 = time.perf_counter()
     base, n = spec.base_config, spec.n_replicas
     nf_r = base.n_f / base.m

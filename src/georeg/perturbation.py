@@ -16,11 +16,9 @@ with one featurization of the moved points, then correlates the two.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import ExperimentConfig, STREAM_PERTURB, stream_rng
+from .config import ExperimentConfig, STREAM_PERTURB, check_integer, stream_rng
 from .errors import (
     ConfigurationError,
     DegenerateDirectionError,
@@ -32,24 +30,6 @@ from .geometry import FeatureOperatorAnalysis
 from .linreg_core import FittedModel, TeacherModel, apply_features
 
 KINDS = ("adversarial", "invariant")
-
-
-@dataclass(frozen=True)
-class PerturbationRecord:
-    """One measured direction: true and predicted label response rates."""
-
-    kind: str
-    d_y_true: float
-    d_y_pred: float
-    eta: float
-    direction: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigurationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        n = np.linalg.norm(self.direction)
-        if abs(n - 1.0) > 1e-12:
-            raise ConfigurationError(f"direction is not unit length (norm {n:.3e})")
 
 
 # ------------------------------------------------------------- geometry
@@ -132,20 +112,21 @@ def perturbation_experiment(
     config: ExperimentConfig,
     n_pairs: int = 200,
     eta: float = 1e-2,
-) -> tuple[list[PerturbationRecord], dict]:
+) -> tuple[dict, dict]:
     """Measure label responses along random adversarial/invariant directions.
 
     Draws n_pairs perturbations e on the (0, 0, STREAM_PERTURB) stream from
     the input distribution (normal with the same per-entry scale as x),
-    splits each, and records dy/d_eta and dyhat/d_eta for both components at
+    splits each, and measures dy/d_eta and dyhat/d_eta for both components at
     the base point x.  The teacher is linear, so dy/d_eta is beta . e_hat,
     the exact value of the finite difference at any eta; dyhat/d_eta is the
     one-sided difference at the given eta.  Degenerate splits are skipped
-    and counted.  Returns the records, adversarial then invariant per kept
-    pair, plus per-kind correlations and OLS slopes.
+    and counted.  Returns (responses, summary): responses[kind] is
+    (directions, d_y_true, d_y_pred) for each kind in KINDS, one row or entry
+    per kept pair in draw order; summary holds per-kind correlations and OLS
+    slopes.
     """
-    if not isinstance(n_pairs, (int, np.integer)) or n_pairs < 2:
-        raise ConfigurationError(f"n_pairs must be an integer >= 2, got {n_pairs!r}")
+    check_integer("n_pairs", n_pairs, lo=2)
     if not 0 < eta < np.inf:
         raise ConfigurationError(f"eta must be finite and positive, got {eta}")
     if model.feature_map is None:
@@ -173,17 +154,10 @@ def perturbation_experiment(
             raise NumericError(f"{kind} label responses are not finite")
         responses[kind] = (D, d_true, d_pred)
 
-    records = [
-        PerturbationRecord(
-            kind=kind, d_y_true=float(t[i]), d_y_pred=float(p[i]), eta=eta, direction=D[i]
-        )
-        for i in range(n_kept)
-        for kind, (D, t, p) in responses.items()
-    ]
     summary = {"skipped_degenerate": int(n_pairs - n_kept)}
     for kind, (_, t, p) in responses.items():
         corr, slope = _pearson(t, p) if n_kept >= 2 else (float("nan"), float("nan"))
         summary[f"corr_{kind}"] = corr
         summary[f"slope_{kind}"] = slope
         summary[f"n_{kind}"] = n_kept
-    return records, summary
+    return responses, summary

@@ -134,32 +134,21 @@ def _write(path, parts: list[str], legend: list[tuple[str, str]]) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def line_chart(
-    path,
-    series: list[dict],
-    x_label: str,
-    y_label: str,
-    title: str = "",
-    log_y: bool = False,
-) -> None:
-    """Write a multi-series line chart.
+def line_chart(path, series: list[dict], x_label: str, y_label: str, title: str = "") -> None:
+    """Write a multi-series line chart on a log-scale y axis.
 
-    Each series is {"label", "x", "y"} with an optional "color"; points are
-    drawn as circles joined by a polyline.
+    Each series is {"label", "x", "y"}, coloured from PALETTE in order;
+    points are drawn as circles joined by a polyline.
     """
     all_x = [x for s in series for x in s["x"]]
     all_y = [y for s in series for y in s["y"]]
-    ax = _Axes(all_x, all_y, log_y)
+    ax = _Axes(all_x, all_y, log_y=True)
     parts = _frame(ax, title, x_label, y_label)
     legend = []
     for i, s in enumerate(series):
-        color = s.get("color", PALETTE[i % len(PALETTE)])
+        color = PALETTE[i % len(PALETTE)]
         legend.append((s["label"], color))
-        pts = [
-            (xv, yv)
-            for xv, yv in zip(s["x"], s["y"])
-            if not (log_y and yv <= 0)
-        ]
+        pts = [(xv, yv) for xv, yv in zip(s["x"], s["y"]) if not yv <= 0]  # keeps a NaN, as yv > 0 would not
         if not pts:
             continue
         coords = " ".join(f"{_fmt(ax.px(x))},{_fmt(ax.py(y))}" for x, y in pts)

@@ -271,13 +271,12 @@ def test_c09_perturbation_contrast():
     x0 = stream_rng(cfg.seed, (0, 0, STREAM_TEST)).normal(
         0.0, cfg.sigma_x / np.sqrt(cfg.n_f), cfg.n_f
     )
-    records, summary = perturbation_experiment(
+    responses, summary = perturbation_experiment(
         model, teacher, analysis, x0, cfg, n_pairs=200, eta=1e-2
     )
     assert summary["skipped_degenerate"] == 0
 
-    adv = np.array([(r.d_y_true, r.d_y_pred) for r in records if r.kind == "adversarial"])
-    inv = np.array([(r.d_y_true, r.d_y_pred) for r in records if r.kind == "invariant"])
+    adv, inv = (np.column_stack(responses[kind][1:]) for kind in ("adversarial", "invariant"))
 
     def corr(a):
         return float(np.corrcoef(a[:, 0], a[:, 1])[0, 1])
@@ -291,11 +290,7 @@ def test_c09_perturbation_contrast():
         diffs[b] = corr(adv[idx]) - corr(inv[idx])
     se = float(diffs.std(ddof=1))
 
-    kernel_worst = max(
-        float(np.linalg.norm(analysis.p_f @ r.direction))
-        for r in records
-        if r.kind == "invariant"
-    )
+    kernel_worst = max(float(np.linalg.norm(analysis.p_f @ d)) for d in responses["invariant"][0])
     print(
         f"criterion 9 (perturbation contrast): corr_adv - corr_inv = {diff:.4f}, "
         f"bootstrap SE = {se:.4f}, t = {diff / se:.2f} (need >= 4); worst "

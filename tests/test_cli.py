@@ -486,10 +486,23 @@ class TestPerturbCommand:
             reader = csv.reader(fh)
             assert next(reader) == ["kind", "d_y_true", "d_y_pred"]
             rows = list(reader)
-        assert len(rows) == 400
-        kinds = {r[0] for r in rows}
-        assert kinds == {"adversarial", "invariant"}
-        float(rows[0][1]), float(rows[0][2])  # parse cleanly
+        # the same single point through the library: the rows are its
+        # response arrays, interleaved per kept pair, adversarial first,
+        # and every cell reads back to its array value exactly
+        cfg = georeg.ExperimentConfig(m=32, n_f=48, n_p=96, activation="relu", sigma_eps=sigma_eps_for_snr(10.0))
+        teacher = georeg.sample_teacher(cfg, (0, 0, georeg.STREAM_TEACHER))
+        fmap = georeg.make_feature_map(cfg, (0, 0, georeg.STREAM_WEIGHTS))
+        data = georeg.sample_dataset(cfg, teacher, (0, 0, georeg.STREAM_TRAIN))
+        model = georeg.fit(georeg.apply_features(fmap, data.X), data.y, lam=cfg.lam, feature_map=fmap)
+        analysis = georeg.analyze_operator(georeg.feature_operator_from_model(model, data.X))
+        x0 = georeg.stream_rng(cfg.seed, (0, 0, georeg.STREAM_TEST)).normal(0.0, 1 / np.sqrt(cfg.n_f), cfg.n_f)
+        responses, _ = georeg.perturbation_experiment(model, teacher, analysis, x0, cfg)
+        expected = [
+            (kind, responses[kind][1][i], responses[kind][2][i])
+            for i in range(200)
+            for kind in ("adversarial", "invariant")
+        ]
+        assert [(kind, float(t), float(p)) for kind, t, p in rows] == expected
 
     def test_plot_written(self, tmp_path):
         code = _run(

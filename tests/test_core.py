@@ -18,6 +18,7 @@ from georeg import (
     make_feature_map,
     pseudoinverse,
     ratio_to_count,
+    run_sweep,
     sample_dataset,
     sample_teacher,
     sigma_eps_for_snr,
@@ -108,6 +109,24 @@ NAN, INF = float("nan"), float("inf")
 )
 def test_nan_and_inf_rejected(call):
     # NaN fails every comparison, so a range check written as "v < 0" lets it through
+    with pytest.raises(ConfigurationError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ExperimentConfig(m=True),
+        lambda: ExperimentConfig(n_f=True),
+        lambda: ExperimentConfig(n_p=True),
+        lambda: ExperimentConfig(seed=True),
+        lambda: SweepSpec(ExperimentConfig(m=8, n_f=2, n_p=8), np_over_m_grid=(0.5,), n_replicas=True),
+        lambda: run_sweep(SweepSpec(ExperimentConfig(m=8, n_f=2, n_p=8), np_over_m_grid=(0.5,), n_replicas=1), workers=True),
+    ],
+    ids=["config-m", "config-n_f", "config-n_p", "config-seed", "sweep-n_replicas", "sweep-workers"],
+)
+def test_bool_counts_rejected(call):
+    # bool is a subclass of int, so an isinstance(v, int) check alone passes True as 1
     with pytest.raises(ConfigurationError):
         call()
 

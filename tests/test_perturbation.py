@@ -14,7 +14,6 @@ from georeg import (
     ExperimentConfig,
     ExperimentError,
     NumericError,
-    PerturbationRecord,
     STREAM_PERTURB,
     STREAM_TRAIN,
     TeacherModel,
@@ -100,25 +99,23 @@ class TestBatchedResponses:
         cfg, teacher, data, model, an = _setup(activation=activation, n_p=24 if activation == "identity" else 48)
         x = np.random.default_rng(34).normal(0.0, cfg.sigma_x / np.sqrt(cfg.n_f), cfg.n_f)
         eta = 1e-2
-        records, summary = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=12, eta=eta)
+        responses, summary = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=12, eta=eta)
         assert summary["skipped_degenerate"] == 0
         rng = stream_rng(cfg.seed, (0, 0, STREAM_PERTURB))
         scale = cfg.sigma_x / np.sqrt(cfg.n_f)
-        expected = []
-        for _ in range(12):
-            e_par, e_perp = decompose_perturbation(rng.normal(0.0, scale, cfg.n_f), an)
-            expected += [("adversarial", e_par), ("invariant", e_perp)]
-        assert [r.kind for r in records] == [kind for kind, _ in expected]
+        expected = np.array([decompose_perturbation(rng.normal(0.0, scale, cfg.n_f), an) for _ in range(12)])
+        assert list(responses) == ["adversarial", "invariant"]
 
         def y_hat(v):
             return float(apply_features(model.feature_map, v) @ model.w_hat)
 
-        for r, (_, d) in zip(records, expected):
-            assert np.allclose(r.direction, d, rtol=0.0, atol=1e-15)
-            fd = (y_hat(x + eta * r.direction) - y_hat(x)) / eta
-            assert abs(r.d_y_pred - fd) <= 1e-12
-            assert r.d_y_true == teacher.beta @ r.direction
-            assert r.eta == eta
+        for side, (D, d_true, d_pred) in enumerate(responses.values()):
+            assert D.shape == (12, cfg.n_f) and d_true.shape == d_pred.shape == (12,)
+            for d, e, t, p in zip(D, expected[:, side], d_true, d_pred):
+                assert np.allclose(d, e, rtol=0.0, atol=1e-15)
+                fd = (y_hat(x + eta * d) - y_hat(x)) / eta
+                assert abs(p - fd) <= 1e-12
+                assert t == teacher.beta @ d
 
     @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_eta(self, eta):
@@ -154,13 +151,14 @@ class TestExperiment:
     def test_record_counts_and_summary_schema(self):
         cfg, teacher, data, model, an = _setup()
         x = np.zeros(cfg.n_f)
-        records, summary = perturbation_experiment(
+        responses, summary = perturbation_experiment(
             model, teacher, an, x, cfg, n_pairs=50, eta=1e-2
         )
         assert summary["skipped_degenerate"] == 0
         assert summary["n_adversarial"] == summary["n_invariant"] == 50
-        assert len(records) == 100
-        assert {r.kind for r in records} == {"adversarial", "invariant"}
+        assert list(responses) == ["adversarial", "invariant"]
+        for D, d_true, d_pred in responses.values():
+            assert D.shape == (50, cfg.n_f) and d_true.shape == d_pred.shape == (50,)
         for key in ("corr_adversarial", "corr_invariant", "slope_adversarial", "slope_invariant"):
             assert key in summary
 
@@ -170,9 +168,9 @@ class TestExperiment:
         r1, s1 = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=20)
         r2, s2 = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=20)
         assert s1 == s2
-        assert all(
-            a.d_y_true == b.d_y_true and a.d_y_pred == b.d_y_pred for a, b in zip(r1, r2)
-        )
+        for kind in r1:
+            for a, b in zip(r1[kind], r2[kind]):
+                assert np.array_equal(a, b)
 
     def test_identity_recovery_slopes(self):
         # noiseless identity fit: P_f is the orthogonal projector onto the
@@ -203,9 +201,11 @@ class TestExperiment:
         x = np.zeros(cfg.n_f)
         r_big, _ = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=20, eta=1e-2)
         r_small, _ = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=20, eta=1e-3)
-        for a, b in zip(r_big, r_small):
-            assert a.d_y_true == b.d_y_true  # analytic, eta plays no role
-            assert abs(a.d_y_pred - b.d_y_pred) <= 1e-12
+        for kind in r_big:
+            _, t_big, p_big = r_big[kind]
+            _, t_small, p_small = r_small[kind]
+            assert np.array_equal(t_big, t_small)  # analytic, eta plays no role
+            assert np.max(np.abs(p_big - p_small)) <= 1e-12
 
     def test_all_degenerate_raises(self):
         # square-feature identity fit: P_f row space is all of input space,
@@ -222,18 +222,3 @@ class TestExperiment:
             with pytest.raises(ConfigurationError):
                 perturbation_experiment(model, teacher, an, np.zeros(cfg.n_f), cfg, n_pairs=n_pairs)
 
-
-class TestRecordValidation:
-    def test_bad_kind(self):
-        with pytest.raises(ConfigurationError):
-            PerturbationRecord(
-                kind="sideways", d_y_true=0.0, d_y_pred=0.0, eta=1e-2,
-                direction=np.array([1.0, 0.0]),
-            )
-
-    def test_non_unit_direction(self):
-        with pytest.raises(ConfigurationError):
-            PerturbationRecord(
-                kind="adversarial", d_y_true=0.0, d_y_pred=0.0, eta=1e-2,
-                direction=np.array([1.0, 1.0]),
-            )

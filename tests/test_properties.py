@@ -1,17 +1,27 @@
-"""Property tests of pseudoinverse and fit: identities to round-off, typed errors.
+"""Property tests of pseudoinverse, fit, analyze_operator and decompose_perturbation.
 
-A is drawn as U diag(s) V^T with orthonormal U, V, a planted rank r (r = 0
-is the zero matrix), singular values spread over 0, 4 or 8 decades and
-scaled by 1e-8, 1 or 1e8, so that every case is well inside or far from the
-relative cutoff.  Each bound is a multiple c of round-off, and each c sits
-a few times above the largest ratio measured over 4000 such cases (see the
+Each test checks identities to round-off or typed errors.  A is drawn as
+U diag(s) V^T with orthonormal U, V, a planted rank r (r = 0 is the zero
+matrix), singular values spread over 0, 4 or 8 decades and scaled by 1e-8,
+1 or 1e8, so that every case is well inside or far from the relative
+cutoff.  Each bound is a multiple c of round-off, and each c sits a few
+times above the largest ratio measured over 4000 or more such cases (see the
 constants).
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from georeg import NumericError, ShapeError, fit, pseudoinverse
+from georeg import (
+    ConfigurationError,
+    DegenerateDirectionError,
+    NumericError,
+    ShapeError,
+    analyze_operator,
+    decompose_perturbation,
+    fit,
+    pseudoinverse,
+)
 
 EPS = np.finfo(float).eps
 # Largest measured |residual| / (max(m, n) eps |A| |A^+| |term|) over the
@@ -20,6 +30,19 @@ C_PENROSE = 20.0
 # Largest measured ridge residual over its bound with c = 1: 1.4, on a
 # square A (SVD route); 0.2 tall and 0.3 wide (Gram routes).
 C_RIDGE = 5.0
+# analyze_operator.  Largest measured |F^T F - I| / (n eps) over the columns
+# F of f_x and f_w: 3.5.
+C_ORTHONORMAL = 10.0
+# Largest measured |P f_w - f_x diag(sigma)| / (n eps |P|): 16.
+C_SVD = 50.0
+# Largest measured |sigma cos theta - 1| / (n eps |P|) on oblique projectors: 1.5.
+C_OBLIQUE = 5.0
+# decompose_perturbation.  Largest measured unit-length error / (n eps): 0.5,
+# and |e_par . e_perp| / (n eps |e|^2 / (|e_par'| |e_perp'|)), with e_par'
+# and e_perp' the parts before normalization: 1.6.
+C_SPLIT = 5.0
+# Largest measured |P e_perp| / (n eps |P| |e| / |e_perp'|): 3.8.
+C_KERNEL = 15.0
 
 
 def _orthonormal(rng, n, r):
@@ -98,3 +121,85 @@ def test_non_2d_input_raises_shape_error(dims):
         pseudoinverse(A)
     with pytest.raises(ShapeError):
         fit(A, np.ones(dims[0] if dims else 1), lam=1e-8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(matrices("square"))
+def test_analyze_operator_returns_the_kept_svd_of_p(case):
+    P, _ = case
+    an = analyze_operator(P)
+    n, s = P.shape[0], an.sigmas
+    # descending and above the cut rank_tol * sigma_max, rank_tol = 1e-10
+    assert np.all(np.diff(s) <= 0) and np.all(s > 1e-10 * s[:1])
+    for F in (an.f_x, an.f_w):
+        assert F.shape == (n, an.rank)
+        assert np.linalg.norm(F.T @ F - np.eye(an.rank), 2) <= C_ORTHONORMAL * n * EPS
+    assert np.linalg.norm(P @ an.f_w - an.f_x * s, 2) <= C_SVD * n * EPS * np.linalg.norm(P, 2)
+    assert np.all((an.thetas_deg >= 0) & (an.thetas_deg <= 180))
+
+
+@st.composite
+def oblique_projectors(draw):
+    """(B (C^T B)^-1 C^T, k): orthonormal n x k B and C, k principal angles up to 89.99 degrees."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n // 2))
+    phi = np.radians(draw(st.lists(st.sampled_from([0.0, 30.0, 60.0, 85.0, 89.0, 89.9, 89.99]), min_size=k, max_size=k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = _orthonormal(rng, n, 2 * k)
+    B = (Q[:, :k] * np.cos(phi) + Q[:, k:] * np.sin(phi)) @ _orthonormal(rng, k, k)
+    C = Q[:, :k] @ _orthonormal(rng, k, k)
+    return B @ np.linalg.solve(C.T @ B, C.T), k
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(oblique_projectors())
+def test_oblique_projector_modes_have_sigma_cos_theta_one(case):
+    P, k = case
+    an = analyze_operator(P)
+    assert an.rank == k
+    err = np.abs(an.sigmas * np.cos(np.radians(an.thetas_deg)) - 1.0)
+    assert np.all(err <= C_OBLIQUE * P.shape[0] * EPS * np.linalg.norm(P, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(matrices("square"), st.sampled_from([1.0, 1e-4, 1e-8]), st.sampled_from([1.0, 1e-4, 1e-8]))
+def test_decompose_perturbation_splits_into_orthogonal_unit_parts(case, a, b):
+    """e = a f_w x + b g: the parts are unit, orthogonal and e_perp is in the kernel of P."""
+    P, rng = case
+    an = analyze_operator(P)
+    n = P.shape[0]
+    assume(0 < an.rank < n)
+    e = a * an.f_w @ rng.normal(size=an.rank) + b * rng.normal(size=n)
+    e_par, e_perp = decompose_perturbation(e, an)
+    par = an.f_w @ (an.f_w.T @ e)
+    n_e, n_par, n_perp = (np.linalg.norm(v) for v in (e, par, e - par))
+    for v in (e_par, e_perp):
+        assert abs(np.linalg.norm(v) - 1.0) <= C_SPLIT * n * EPS
+    assert abs(e_par @ e_perp) <= C_SPLIT * n * EPS * n_e**2 / (n_par * n_perp)
+    assert np.linalg.norm(P @ e_perp) <= C_KERNEL * n * EPS * np.linalg.norm(P, 2) * n_e / n_perp
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(matrices("square"), st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 2**16))
+def test_decompose_perturbation_raises_typed_errors(case, bad, where):
+    P, rng = case
+    an = analyze_operator(P)
+    n = P.shape[0]
+    e = rng.normal(size=n)
+    if an.rank == 0:  # P_f is null: there is no split
+        with pytest.raises(ConfigurationError):
+            decompose_perturbation(e, an)
+        return
+    with pytest.raises(ShapeError):
+        decompose_perturbation(np.append(e, 1.0), an)
+    with pytest.raises(ConfigurationError):
+        decompose_perturbation(np.zeros(n), an)
+    e_bad = e.copy()
+    e_bad[where % n] = bad
+    with pytest.raises(NumericError):
+        decompose_perturbation(e_bad, an)
+    with pytest.raises(DegenerateDirectionError, match="perpendicular"):
+        decompose_perturbation(an.f_w @ rng.normal(size=an.rank), an)
+    if an.rank < n:
+        with pytest.raises(DegenerateDirectionError, match="parallel"):
+            decompose_perturbation(e - an.f_w @ (an.f_w.T @ e), an)
