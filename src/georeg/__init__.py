@@ -19,7 +19,6 @@ from .config import (
     STREAM_TRAIN,
     STREAM_TRAIN_PAIR,
     STREAM_WEIGHTS,
-    default_rel_tol,
     ratio_to_count,
     sigma_eps_for_snr,
     stream_rng,

@@ -125,8 +125,3 @@ def ratio_to_count(ratio: float, m: int) -> int:
     if not 0 < ratio < np.inf:
         raise ConfigurationError(f"grid ratio must be finite and > 0, got {ratio}")
     return max(1, int(np.floor(ratio * m + 1e-9)))
-
-
-def default_rel_tol(shape: tuple) -> float:
-    """Default relative cutoff for singular-value truncation."""
-    return 1e-10 * max(shape)

@@ -97,7 +97,7 @@ def draw_paired_replica(
     d2 = sample_dataset(config, teacher, key + (STREAM_TRAIN_PAIR,))
     dt = sample_dataset(config, teacher, key + (STREAM_TEST,))
     (m1, g1), (m2, g2) = (
-        _fit(apply_features(fmap, d.X), d.y, config.lam, None, fmap, also=d.X @ teacher.beta) for d in (d1, d2)
+        _fit(apply_features(fmap, d.X), d.y, config.lam, fmap, also=d.X @ teacher.beta) for d in (d1, d2)
     )
     return PairedDraw(
         teacher=teacher,

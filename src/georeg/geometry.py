@@ -57,13 +57,14 @@ class LabelProjector:
     rank: int
 
 
-def label_projector(Z: np.ndarray, rel_tol: float | None = None) -> LabelProjector:
-    """P_l = Z Z^+ = U_r U_r^T from the truncated SVD of Z.
+def label_projector(Z: np.ndarray) -> LabelProjector:
+    """P_l = Z Z^+ = U_r U_r^T from the SVD of Z, truncated by the one cut
+    of linreg_core.Factorization.
 
     When rank(Z) = M this is the identity on label space and the model can
     interpolate any label vector.
     """
-    factors = factorize(Z, rel_tol=rel_tol, caller="label_projector")
+    factors = factorize(Z, caller="label_projector")
     return LabelProjector(p_l=factors.U_k @ factors.U_k.T, rank=factors.rank)
 
 
@@ -142,8 +143,9 @@ def _stable_angles(sig: np.ndarray, U: np.ndarray, V: np.ndarray):
     return np.degrees(th), np.degrees(dphi)
 
 
-def analyze_operator(p_f: np.ndarray, rank_tol: float = 1e-10) -> FeatureOperatorAnalysis:
-    """SVD of P_f truncated at rank_tol * sigma_max, with per-mode angles.
+def analyze_operator(p_f: np.ndarray) -> FeatureOperatorAnalysis:
+    """SVD of P_f truncated by the one cut of linreg_core.Factorization,
+    with per-mode angles.
 
     The paired sign freedom of the SVD cannot change f_X_i . f_W_i (both
     vectors flip together), so theta_i is well defined in [0, 180] degrees;
@@ -152,7 +154,7 @@ def analyze_operator(p_f: np.ndarray, rank_tol: float = 1e-10) -> FeatureOperato
     p_f = np.asarray(p_f, dtype=float)
     if p_f.ndim != 2 or p_f.shape[0] != p_f.shape[1]:
         raise ShapeError(f"P_f must be square, got shape {p_f.shape}")
-    factors = factorize(p_f, rel_tol=rank_tol, caller="analyze_operator")
+    factors = factorize(p_f, caller="analyze_operator")
     sig, U, V = factors.s_k, factors.U_k, factors.Vt_k.T
     th_deg, dphi_deg = _stable_angles(sig, U, V)
     return FeatureOperatorAnalysis(

@@ -33,7 +33,6 @@ from .config import (
     ExperimentConfig,
     STREAM_TEACHER,
     STREAM_WEIGHTS,
-    default_rel_tol,
     stream_rng,
 )
 from .errors import ConfigurationError, NumericError, ShapeError
@@ -176,15 +175,16 @@ def _guarded_gram(A: np.ndarray, lam: float) -> np.ndarray | None:
 
 class Factorization:
     """The effective inverse G = V diag(f) U^T of A for the ridge lam, with
-    the mask keep of the modes s > cut * s_max (factorize sets the cut).
+    the mask keep of the modes that pass the package's one singular-value
+    cut, s > 1e-10 * max(A.shape) * s_max.
 
-    Factorization(A, lam, cut) is the thin SVD route: G and G B are read
+    Factorization(A, lam) is the thin SVD route: G and G B are read
     from the U, s and Vt of np.linalg.svd(A, full_matrices=False) through
     the filter factors f = 1/s on the kept modes for lam = 0 and
     f = s/(s^2 + lam) on every mode for lam > 0.  It takes that SVD here,
     so a later write to A changes nothing.
 
-    Factorization(A, lam, cut, K), with the K that the guard of factorize
+    Factorization(A, lam, K), with the K that the guard of factorize
     accepted for a non-square A at lam > 0, is the Gram route, which solves
     with np.linalg.solve: G B = K^-1 A^T B with K = A^T A + lam I on a tall
     A, and G B = A^T K^-1 B with K = A A^T + lam I on a wide one.  Its
@@ -196,8 +196,8 @@ class Factorization:
     wide one the full thin SVD, bitwise the SVD route's.
     """
 
-    def __init__(self, A: np.ndarray, lam: float, cut: float, K: np.ndarray | None = None):
-        self._A, self.lam, self._cut, self._K = A, float(lam), cut, K
+    def __init__(self, A: np.ndarray, lam: float, K: np.ndarray | None = None):
+        self._A, self.lam, self._K = A, float(lam), K
         if K is None:  # the SVD route takes its SVD now
             self._spectrum
 
@@ -208,7 +208,7 @@ class Factorization:
             U, s, Vt = None, np.linalg.svd(A, compute_uv=False), None
         else:
             U, s, Vt = np.linalg.svd(A, full_matrices=False)
-        return U, s, Vt, s > self._cut * (s[0] if s.size else 0.0)
+        return U, s, Vt, s > 1e-10 * max(A.shape) * (s[0] if s.size else 0.0)
 
     @property
     def U(self) -> np.ndarray | None:
@@ -288,17 +288,10 @@ class Factorization:
         return Vt.T @ fUB if left is None else (left @ Vt.T) @ fUB
 
 
-def factorize(
-    A: np.ndarray,
-    lam: float = 0.0,
-    rel_tol: float | None = None,
-    *,
-    caller: str = "factorize",
-) -> Factorization:
+def factorize(A: np.ndarray, lam: float = 0.0, *, caller: str = "factorize") -> Factorization:
     """Factorize a finite 2-D A for the finite ridge lam >= 0; errors name
-    ``caller``.  Every route's spectrum is the thin SVD of A (see
-    Factorization), kept by one cut, s > rel_tol * s_max (0 < rel_tol < 1,
-    default default_rel_tol(A.shape)).
+    ``caller``.  Every route's spectrum is the thin SVD of A, kept by the
+    one cut of Factorization.
 
     Two routes, chosen by A and lam alone (see Factorization for what each
     computes):
@@ -330,22 +323,17 @@ def factorize(
         raise ShapeError(f"{caller} input must be 2-D, got shape {A.shape}")
     if not 0 <= lam < np.inf:
         raise ConfigurationError(f"lam must be finite and >= 0, got {lam}")
-    tol = default_rel_tol(A.shape) if rel_tol is None else float(rel_tol)
-    if not 0 < tol < 1:
-        raise ConfigurationError(f"{caller}: the relative cutoff must lie in (0, 1), got {rel_tol}")
     if not np.all(np.isfinite(A)):
         raise NumericError(f"{caller} input has non-finite entries")
     rows, cols = A.shape
     K = _guarded_gram(A, lam) if lam > 0 and rows != cols else None
-    return Factorization(A, lam, tol, K)
+    return Factorization(A, lam, K)
 
 
-def pseudoinverse(A: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse by SVD, zeroing sigma <= rel_tol * sigma_max.
-
-    rel_tol defaults to 1e-10 * max(A.shape).
-    """
-    return factorize(A, rel_tol=rel_tol, caller="pseudoinverse").effective_inverse()
+def pseudoinverse(A: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverse by SVD, zeroing the modes that the one cut of
+    Factorization drops."""
+    return factorize(A, caller="pseudoinverse").effective_inverse()
 
 
 @dataclass(frozen=True)
@@ -376,28 +364,28 @@ def fit(
     Z: np.ndarray,
     y: np.ndarray,
     lam: float = 0.0,
-    rel_tol: float | None = None,
     feature_map: FeatureMap | None = None,
 ) -> FittedModel:
     """Least-squares fit of Z w ~ y.
 
     lam = 0: minimum-norm solution what = Z^+ y; lam > 0: the ridge
-    solution.  The route and the cut rel_tol are those of factorize.
+    solution.  The route and the cut are those of factorize.  Z needs at
+    least one row; a Z with no columns fits w_hat = [] with train error
+    mean(y^2).
     Records the train error; rank(Z) and the smallest retained singular
     value are read from the factorization when first read.
     """
-    return _fit(Z, y, lam, rel_tol, feature_map)[0]
+    return _fit(Z, y, lam, feature_map)[0]
 
 
 def _fit(
     Z: np.ndarray,
     y: np.ndarray,
     lam: float,
-    rel_tol: float | None,
     feature_map: FeatureMap | None,
     also: np.ndarray | None = None,
 ) -> tuple[FittedModel, np.ndarray | None]:
-    """(fit(Z, y, lam, rel_tol, feature_map), G also).
+    """(fit(Z, y, lam, feature_map), G also).
 
     Without also, w_hat = G y is one vector solve and the second item is
     None.  With also, a vector with one entry per row of Z, w_hat and G also
@@ -408,11 +396,11 @@ def _fit(
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     # y is checked before the factorization, the costly step
-    if y.ndim != 1 or Z.shape[:1] != y.shape:
-        raise ShapeError(f"fit needs one label per row of Z, got Z {Z.shape} and y {y.shape}")
+    if y.ndim != 1 or Z.shape[:1] != y.shape or not y.size:
+        raise ShapeError(f"fit needs one label per row of Z and at least one row, got Z {Z.shape} and y {y.shape}")
     if not np.all(np.isfinite(y)):
         raise NumericError("fit input has non-finite entries")
-    factors = factorize(Z, lam, rel_tol, caller="fit")
+    factors = factorize(Z, lam, caller="fit")
     if also is None:
         w_hat, g_also = factors.solve(y), None
     else:

@@ -3,7 +3,7 @@
 A non-square A at lam > 0 is factorized through the Gram matrix of its
 smaller side when its Cholesky pivots pass the guard of factorize; every
 other call is np.linalg.svd as it returns.  The differential test compares
-the fit with the normal equations and with Factorization(Z, lam, cut), the
+the fit with the normal equations and with Factorization(Z, lam), the
 SVD route built by hand, on tall and wide Z with s_min / s_max >= 1e-4.
 The Gram route squares the condition number kappa of Z, so each tolerance is
 GRAM_TOL * max(M, N_p) * kappa^2 * eps in the natural scale of the quantity
@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from georeg import STREAM_TRAIN, ExperimentConfig, apply_features, fit, make_feature_map, sample_dataset, sample_teacher
 from georeg.cli import main
-from georeg.config import default_rel_tol
 from georeg.experiments import _replica, _replica_metrics
 from georeg.geometry import feature_operator_from_model, label_projector, prediction_decomposition
 from georeg.linreg_core import Factorization, FeatureMap, FittedModel, factorize
@@ -29,10 +28,6 @@ from georeg.linreg_core import Factorization, FeatureMap, FittedModel, factorize
 EPS = np.finfo(float).eps
 GRAM_TOL = 50.0
 SPECTRUM_TOL = 4.0
-
-
-def _svd_reference(Z: np.ndarray, lam: float) -> Factorization:
-    return Factorization(Z, lam, default_rel_tol(Z.shape))
 
 
 @st.composite
@@ -65,7 +60,7 @@ def test_gram_route_matches_normal_equations_and_svd(case):
     # The guard sends a fit to the SVD only when K is ill-conditioned, and
     # cond(K) <= kappa^2 bounds the pivot ratio it reads.
     assert svd.call_count == 0 or kappa**2 > 1.0 / np.sqrt(EPS)
-    ref = _svd_reference(Z, lam)
+    ref = Factorization(Z, lam)
     G_ref = ref.effective_inverse()
     g_norm = np.linalg.norm(G_ref, 2)
 
@@ -112,7 +107,7 @@ def _is_tall_ridge(shape, lam) -> bool:
 # every (shape, lam) that factorize sends to the thin SVD or, for a wide
 # shape at lam > 0, to the Gram route, which reads its spectrum from the
 # same thin SVD; then each tall shape at lam > 0, whose factorize spectrum is
-# the singular values alone, as the SVD route that Factorization(Z, lam, cut)
+# the singular values alone, as the SVD route that Factorization(Z, lam)
 # builds
 _SHAPES, _LAMS = [(5, 9), (8, 8), (1, 4), (9, 5), (6, 1)], (0.0, 1e-8, 0.5)
 _SVD_CASES = [(shape, lam) for shape in _SHAPES for lam in _LAMS if not _is_tall_ridge(shape, lam)]
@@ -123,7 +118,7 @@ _SVD_CASES += [(shape, lam) for shape in _SHAPES for lam in _LAMS if _is_tall_ri
 def test_wide_square_and_lam_zero_are_the_thin_svd(shape, lam):
     Z = np.random.default_rng(sum(shape)).normal(size=shape)
     U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-    f = Factorization(Z, lam, default_rel_tol(shape)) if _is_tall_ridge(shape, lam) else factorize(Z, lam)
+    f = Factorization(Z, lam) if _is_tall_ridge(shape, lam) else factorize(Z, lam)
     for got, want in ((f.U, U), (f.s, s), (f.Vt, Vt)):
         assert got.tobytes() == want.tobytes()
 
@@ -185,7 +180,7 @@ def test_rank_deficient_linear_fits_fall_back_to_the_svd(m, n_f, n_p):
     # bitwise the one built from np.linalg.svd here
     teacher, data, model = _relu_or_linear_fit(m, n_f, n_p, "linear")
     Z = apply_features(model.feature_map, data.X)
-    ref = _svd_reference(Z, model.factors.lam)
+    ref = Factorization(Z, model.factors.lam)
     assert model.w_hat.tobytes() == ref.solve(data.y).tobytes()
     assert model.factors.U.tobytes() == ref.U.tobytes()
     p_f = feature_operator_from_model(model, data.X)
@@ -202,7 +197,7 @@ def test_large_lam_keeps_a_rank_deficient_design_on_the_gram_route(monkeypatch, 
     with monkeypatch.context() as patched:
         _forbid_svd(patched)
         teacher, data, model = _relu_or_linear_fit(m, n_f, n_p, "linear", lam=lam)
-    w_ref = _svd_reference(apply_features(model.feature_map, data.X), lam).solve(data.y)
+    w_ref = Factorization(apply_features(model.feature_map, data.X), lam).solve(data.y)
     assert np.linalg.norm(model.w_hat - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
     assert _decomposition_residual(model, teacher, data) <= 1e-12
 
@@ -220,7 +215,7 @@ def test_wide_gram_fit_reads_the_spectrum_of_the_thin_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     _, data, model = _relu_or_linear_fit(64, 32, 96, "relu")
     assert calls == []
-    ref = _svd_reference(apply_features(model.feature_map, data.X), model.factors.lam)
+    ref = Factorization(apply_features(model.feature_map, data.X), model.factors.lam)
     assert model.rank_z == ref.rank == 64
     assert model.sigma_z_min == ref.sigma_min
     assert model.factors.U_k.tobytes() == ref.U_k.tobytes()

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from georeg import (
-    ConfigurationError,
     Dataset,
     ExperimentConfig,
     NumericError,
@@ -180,11 +179,9 @@ class TestAnalyzeOperator:
         an = analyze_operator(np.diag([-1.0, 0.0]))
         assert an.theta_max_deg == pytest.approx(180.0)
 
-    def test_rejects_nonsquare_and_bad_tol(self):
+    def test_rejects_nonsquare(self):
         with pytest.raises(ShapeError):
             analyze_operator(np.zeros((2, 3)))
-        with pytest.raises(ConfigurationError):
-            analyze_operator(np.eye(2), rank_tol=0.0)
 
     def test_json_view(self):
         an = analyze_operator(np.array([[1.0, 1.0], [0.0, 0.0]]))

@@ -129,8 +129,8 @@ def test_analyze_operator_returns_the_kept_svd_of_p(case):
     P, _ = case
     an = analyze_operator(P)
     n, s = P.shape[0], an.sigmas
-    # descending and above the cut rank_tol * sigma_max, rank_tol = 1e-10
-    assert np.all(np.diff(s) <= 0) and np.all(s > 1e-10 * s[:1])
+    # descending and above the one cut 1e-10 * n * sigma_max
+    assert np.all(np.diff(s) <= 0) and np.all(s > 1e-10 * n * s[:1])
     for F in (an.f_x, an.f_w):
         assert F.shape == (n, an.rank)
         assert np.linalg.norm(F.T @ F - np.eye(an.rank), 2) <= C_ORTHONORMAL * n * EPS
