@@ -38,7 +38,6 @@ from .errors import (
 )
 from .experiments import (
     ALL_METRICS,
-    NORMALIZED_METRICS,
     SweepResult,
     SweepRow,
     SweepSpec,
@@ -58,7 +57,6 @@ from .linreg_core import (
     Dataset,
     FeatureMap,
     FittedModel,
-    TeacherModel,
     apply_features,
     fit,
     make_feature_map,

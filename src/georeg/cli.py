@@ -166,12 +166,12 @@ def _config(params: dict, np_ratio: float) -> ExperimentConfig:
 
 
 def _single_point(config: ExperimentConfig):
-    """(teacher, model, analysis of P_f) of one fit on the (0, 0, ...) streams."""
-    teacher = sample_teacher(config, (0, 0, STREAM_TEACHER))
+    """(beta, model, analysis of P_f) of one fit on the (0, 0, ...) streams."""
+    beta = sample_teacher(config, (0, 0, STREAM_TEACHER))
     fmap = make_feature_map(config, (0, 0, STREAM_WEIGHTS))
-    data = sample_dataset(config, teacher, (0, 0, STREAM_TRAIN))
+    data = sample_dataset(config, beta, (0, 0, STREAM_TRAIN))
     model = fit(apply_features(fmap, data.X), data.y, lam=config.lam, feature_map=fmap)
-    return teacher, model, analyze_operator(feature_operator_from_model(model, data.X))
+    return beta, model, analyze_operator(feature_operator_from_model(model, data.X))
 
 
 # ---------------------------------------------------------------- outputs
@@ -213,7 +213,12 @@ class _Outputs:
             w.writerows([f"{float(v):.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
     def write_json(self, name: str, data: dict) -> None:
-        self.path(name).write_text(json.dumps(data, indent=2) + "\n")
+        """Strict JSON: a NaN or an infinity is a NumericError, not written."""
+        try:
+            text = json.dumps(data, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise NumericError(f"{name}: {exc}") from None
+        self.path(name).write_text(text + "\n")
 
     def error_chart(self, name: str, title: str, xs: list, curves: dict) -> None:
         """Log-scale line chart of error curves (label -> values) against N_p/M."""
@@ -230,7 +235,7 @@ class _Outputs:
             "environment": _environment(),
             **extra,
         }
-        self.path("manifest.json").write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
+        self.write_json("manifest.json", record)
 
 
 # ---------------------------------------------------------------- commands
@@ -252,7 +257,6 @@ def _run_grid_command(command: str, params: dict, out: str):
     return outputs, result, {
         "elapsed_seconds": result.elapsed_seconds,
         "point_errors": {f"{k[0]},{k[1]}": v for k, v in result.point_errors.items()},
-        "dropped_replicas": {f"{r.np_over_m},{r.nf_over_m}": result.n_replicas - r.n_effective for r in result.rows},
         "drop_reasons": {f"{k[0]},{k[1]}": v for k, v in result.drop_reasons.items()},
         "workers": workers,
         "blas_thread_vars": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
@@ -315,12 +319,12 @@ def cmd_angles(params: dict, out: str) -> int:
 def cmd_perturb(params: dict, out: str) -> int:
     config = _config(params, params["np_ratio"])
     outputs = _Outputs(out, "perturb", params)
-    teacher, model, analysis = _single_point(config)
+    beta, model, analysis = _single_point(config)
     x0 = stream_rng(config.seed, (0, 0, STREAM_TEST)).normal(
         0.0, config.sigma_x / np.sqrt(config.n_f), config.n_f
     )
     responses, summary = perturbation_experiment(
-        model, teacher, analysis, x0, config,
+        model, beta, analysis, x0, config,
         n_pairs=params["pairs"], eta=params["eta"],
     )
 

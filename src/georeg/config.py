@@ -19,7 +19,7 @@ scale sigma_eps is the one scale a caller sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -104,9 +104,6 @@ class ExperimentConfig:
     def sigma_y_sq(self) -> float:
         """Theoretical label variance for a linear teacher."""
         return 1.0 + self.sigma_eps**2
-
-    def with_updates(self, **kw) -> "ExperimentConfig":
-        return replace(self, **kw)
 
 
 def sigma_eps_for_snr(snr: float) -> float:

@@ -53,7 +53,6 @@ from .linreg_core import (
     Dataset,
     FeatureMap,
     FittedModel,
-    TeacherModel,
     _fit,
     apply_features,
     fit,  # not called here; bench/test_bench.py checks that the tracer finds it bound in this module
@@ -67,9 +66,9 @@ from .linreg_core import (
 
 @dataclass(frozen=True)
 class PairedDraw:
-    """One replica: shared teacher/weights, two training fits, one test set."""
+    """One replica: shared teacher beta and weights, two training fits, one test set."""
 
-    teacher: TeacherModel
+    beta: np.ndarray
     feature_map: FeatureMap
     train_1: Dataset
     train_2: Dataset
@@ -91,16 +90,16 @@ def draw_paired_replica(
     last digits.
     """
     key = (grid_idx, replica_idx)
-    teacher = sample_teacher(config, key + (STREAM_TEACHER,))
+    beta = sample_teacher(config, key + (STREAM_TEACHER,))
     fmap = make_feature_map(config, key + (STREAM_WEIGHTS,))
-    d1 = sample_dataset(config, teacher, key + (STREAM_TRAIN,))
-    d2 = sample_dataset(config, teacher, key + (STREAM_TRAIN_PAIR,))
-    dt = sample_dataset(config, teacher, key + (STREAM_TEST,))
+    d1 = sample_dataset(config, beta, key + (STREAM_TRAIN,))
+    d2 = sample_dataset(config, beta, key + (STREAM_TRAIN_PAIR,))
+    dt = sample_dataset(config, beta, key + (STREAM_TEST,))
     (m1, g1), (m2, g2) = (
-        _fit(apply_features(fmap, d.X), d.y, config.lam, fmap, also=d.X @ teacher.beta) for d in (d1, d2)
+        _fit(apply_features(fmap, d.X), d.y, config.lam, fmap, also=d.X @ beta) for d in (d1, d2)
     )
     return PairedDraw(
-        teacher=teacher,
+        beta=beta,
         feature_map=fmap,
         train_1=d1,
         train_2=d2,
@@ -118,7 +117,7 @@ def paired_projections(draw: PairedDraw) -> tuple[np.ndarray, np.ndarray, np.nda
     which came out of that fit's own solve, so no solve runs here.
     """
     X = draw.test.X
-    return X @ draw.teacher.beta, X @ draw.beta_hats[0], X @ draw.beta_hats[1]
+    return X @ draw.beta, X @ draw.beta_hats[0], X @ draw.beta_hats[1]
 
 
 # the paired-product metrics, in the column order of bias_variance.csv

@@ -61,7 +61,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -87,9 +87,6 @@ ALL_METRICS = (
     "theta_max_deg",
     "delta_phi_max_deg",
 )
-
-# metrics divided by sigma_y^2 when a sweep is normalized
-NORMALIZED_METRICS = frozenset(_PAIRED_METRICS)
 
 # thread-count variables read by OpenBLAS, OpenMP and MKL when they load
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -140,9 +137,7 @@ class SweepResult:
     point_errors: dict = field(default_factory=dict)
     # {(np_over_m, nf_over_m): {reason: count}} over the dropped replicas of every point that ran
     drop_reasons: dict = field(default_factory=dict)
-    n_replicas: int = 0
     elapsed_seconds: float = 0.0
-    normalized: bool = False
     worker_blas_threads: int | None = None  # 1 in pool workers; None when run in-process
     worker_malloc_vars: dict | None = None  # the allocator variables the workers started with; None in-process
 
@@ -345,7 +340,7 @@ def _run_grid(spec: SweepSpec, workers: int, kernel, metrics: tuple) -> SweepRes
     point_errors: dict[tuple[float, float], str] = {}  # keyed (np_over_m, nf_over_m)
     for gidx, np_r in enumerate(spec.np_over_m_grid):
         try:
-            configs[gidx] = (np_r, base.with_updates(n_p=ratio_to_count(np_r, base.m)))
+            configs[gidx] = (np_r, replace(base, n_p=ratio_to_count(np_r, base.m)))
         except ConfigurationError as exc:
             point_errors[(np_r, nf_r)] = str(exc)
 
@@ -353,8 +348,9 @@ def _run_grid(spec: SweepSpec, workers: int, kernel, metrics: tuple) -> SweepRes
     workers = min(workers, len(tasks))
     replicas, malloc_vars = _run_pooled(kernel, tasks, workers) if workers > 1 else ([_replica(kernel, *t) for t in tasks], None)
 
-    # dividing by 1.0 leaves a metric's bits unchanged
-    div = {name: base.sigma_y_sq if spec.normalize and name in NORMALIZED_METRICS else 1.0 for name in metrics}
+    # spec.normalize divides the paired metrics by sigma_y^2; dividing by 1.0
+    # leaves a metric's bits unchanged
+    div = {name: base.sigma_y_sq if spec.normalize and name in _PAIRED_METRICS else 1.0 for name in metrics}
     rows, drop_reasons = [], {}
     for k, (np_r, cfg) in enumerate(configs.values()):
         point = replicas[k * n:(k + 1) * n]
@@ -379,9 +375,7 @@ def _run_grid(spec: SweepSpec, workers: int, kernel, metrics: tuple) -> SweepRes
         rows=tuple(rows),
         point_errors=point_errors,
         drop_reasons=drop_reasons,
-        n_replicas=n,
         elapsed_seconds=time.perf_counter() - t0,
-        normalized=spec.normalize,
         worker_blas_threads=1 if workers > 1 else None,
         worker_malloc_vars=malloc_vars,
     )

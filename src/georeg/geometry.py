@@ -38,13 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .linreg_core import (
-    Dataset,
-    FittedModel,
-    TeacherModel,
-    apply_features,
-    factorize,
-)
+from .linreg_core import Dataset, FittedModel, _check_beta, apply_features, factorize
 
 # ------------------------------------------------------------- projectors
 
@@ -172,7 +166,7 @@ def analyze_operator(p_f: np.ndarray) -> FeatureOperatorAnalysis:
 
 def prediction_decomposition(
     model: FittedModel,
-    teacher: TeacherModel,
+    beta: np.ndarray,
     data: Dataset,
     x: np.ndarray,
 ) -> tuple[float, float]:
@@ -180,10 +174,10 @@ def prediction_decomposition(
 
     delta_y_hat(x) = dz_NL(x)^T G y + x^T W G eps, where G is the model's
     effective inverse (applied through its factorization, never formed),
-    dz_NL(x) = z(x) - W^T x is the nonlinear feature remainder, and eps the
-    training noise.  The two terms sum to the prediction exactly, because
-    the training labels are y = X beta + eps, so z(x)^T G y expands into
-    them plus x^T W G X beta = x_hat . beta.
+    dz_NL(x) = z(x) - W^T x is the nonlinear feature remainder, and
+    eps = y - X beta the training noise, applied as G eps = G y - G X beta.
+    The two terms sum to the prediction exactly, because z(x)^T G y expands
+    into them plus x^T W G X beta = x_hat . beta.
     """
     if model.feature_map is None:
         raise ConfigurationError("model has no feature map attached")
@@ -191,16 +185,14 @@ def prediction_decomposition(
     W = model.feature_map.W
     if x.shape != (W.shape[0],):
         raise ShapeError(f"x must have shape ({W.shape[0]},), got {x.shape}")
-    if teacher.beta.shape[0] != W.shape[0]:
-        raise ShapeError("teacher beta length does not match the feature map")
+    beta = _check_beta(beta, W.shape[0])
 
-    # G applied to (X beta, y, eps) at once, without forming the N_p x M matrix
-    g_xb, g_y, g_eps = model.factors.solve(np.column_stack([data.X @ teacher.beta, data.y, data.eps])).T
-    z = apply_features(model.feature_map, x)
-    dz_nl = z - W.T @ x
+    # G applied to (X beta, y) at once, without forming the N_p x M matrix
+    g_xb, g_y = model.factors.solve(np.column_stack([data.X @ beta, data.y])).T
+    dz_nl = apply_features(model.feature_map, x) - W.T @ x
 
     x_hat_dot_beta = float(x @ (W @ g_xb))
-    delta_y_hat = float(dz_nl @ g_y + x @ (W @ g_eps))
+    delta_y_hat = float(dz_nl @ g_y + x @ (W @ (g_y - g_xb)))
     return x_hat_dot_beta, delta_y_hat
 
 

@@ -1,8 +1,8 @@
 """Data generation, feature-map families, and minimum-norm/ridge fitting.
 
-The teacher produces labels y(x) = y*(x) + eps with the linear
-y*(x) = x.beta.  A student predicts yhat(x) = z(x).what, where the
-features z(x) come from one of three families:
+The teacher is the coefficient vector beta of the labels y(x) = x.beta + eps.
+A student predicts yhat(x) = z(x).what, where the features z(x) come from
+one of three families:
 
     identity   z(x) = x                      (n_p = n_f)
     linear     z(x) = W^T x                  W random n_f x n_p
@@ -40,27 +40,17 @@ from .errors import ConfigurationError, NumericError, ShapeError
 # ---------------------------------------------------------------- teachers
 
 
-@dataclass(frozen=True)
-class TeacherModel:
-    """Ground-truth linear label generator y*(x) = x.beta."""
-
-    beta: np.ndarray
-
-    def y_star(self, X: np.ndarray) -> np.ndarray:
-        """Noiseless labels for each row of X."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.beta.shape[0]:
-            raise ShapeError(
-                f"X has {X.shape[1]} columns but beta has length {self.beta.shape[0]}"
-            )
-        return X @ self.beta
+def sample_teacher(config: ExperimentConfig, stream_tag: tuple = (0, 0, STREAM_TEACHER)) -> np.ndarray:
+    """Draw the teacher beta, n_f i.i.d. N(0, sigma_beta^2) entries; pure in (config, tag)."""
+    return stream_rng(config.seed, stream_tag).normal(0.0, config.sigma_beta, config.n_f)
 
 
-def sample_teacher(config: ExperimentConfig, stream_tag: tuple = (0, 0, STREAM_TEACHER)) -> TeacherModel:
-    """Draw beta with i.i.d. N(0, sigma_beta^2) entries; pure in (config, tag)."""
-    rng = stream_rng(config.seed, stream_tag)
-    beta = rng.normal(0.0, config.sigma_beta, config.n_f)
-    return TeacherModel(beta=beta)
+def _check_beta(beta: np.ndarray, n_f: int) -> np.ndarray:
+    """beta as a float array, or a ShapeError unless it has shape (n_f,)."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (n_f,):
+        raise ShapeError(f"beta must have shape ({n_f},), got {beta.shape}")
+    return beta
 
 
 # ---------------------------------------------------------------- datasets
@@ -68,32 +58,28 @@ def sample_teacher(config: ExperimentConfig, stream_tag: tuple = (0, 0, STREAM_T
 
 @dataclass(frozen=True)
 class Dataset:
-    """A design matrix with its labels and the realized noise."""
+    """A design matrix with its labels."""
 
     X: np.ndarray
     y: np.ndarray
-    eps: np.ndarray
 
     def __post_init__(self):
         if self.X.shape[0] != self.y.shape[0]:
             raise ShapeError(f"X has {self.X.shape[0]} rows but y has {self.y.shape[0]}")
-        if self.eps.shape[0] != self.y.shape[0]:
-            raise ShapeError("eps length does not match y")
 
 
-def sample_dataset(config: ExperimentConfig, teacher: TeacherModel, stream_tag: tuple) -> Dataset:
+def sample_dataset(config: ExperimentConfig, beta: np.ndarray, stream_tag: tuple) -> Dataset:
     """Draw a dataset of config.m points; training and test sets alike.
 
-    X entries are i.i.d. N(0, sigma_x^2/n_f) with sigma_x = 1, noise is i.i.d.
-    N(0, sigma_eps^2), and y = y*(X) + eps.  The same (config, teacher,
+    X entries are i.i.d. N(0, sigma_x^2/n_f) with sigma_x = 1, noise eps is
+    i.i.d. N(0, sigma_eps^2), and y = X beta + eps.  The same (config, beta,
     stream_tag) always reproduces the same bytes: X is drawn first, then eps,
     from the single stream named by the tag.
     """
+    beta = _check_beta(beta, config.n_f)
     rng = stream_rng(config.seed, stream_tag)
     X = rng.normal(0.0, config.sigma_x / np.sqrt(config.n_f), (config.m, config.n_f))
-    eps = rng.normal(0.0, config.sigma_eps, config.m)
-    y = teacher.y_star(X) + eps
-    return Dataset(X=X, y=y, eps=eps)
+    return Dataset(X=X, y=X @ beta + rng.normal(0.0, config.sigma_eps, config.m))
 
 
 # ---------------------------------------------------------------- features

@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
 )
 from .geometry import FeatureOperatorAnalysis
-from .linreg_core import FittedModel, TeacherModel, apply_features
+from .linreg_core import FittedModel, _check_beta, apply_features
 
 KINDS = ("adversarial", "invariant")
 
@@ -92,21 +92,22 @@ def decompose_perturbation(
 # ------------------------------------------------------------ experiment
 
 
-def _pearson(t: np.ndarray, p: np.ndarray) -> tuple[float, float]:
-    """(correlation, OLS slope) of the responses p against t."""
+def _pearson(t: np.ndarray, p: np.ndarray) -> tuple[float | None, float | None]:
+    """(correlation, OLS slope) of the responses p against t; None where
+    undefined: both when t does not vary, the correlation when p does not."""
     a = t - t.mean()
     b = p - p.mean()
     va = float(a @ a)
     vb = float(b @ b)
-    if va == 0.0 or vb == 0.0:
-        return float("nan"), float("nan")
+    if va == 0.0:
+        return None, None
     cov = float(a @ b)
-    return float(cov / np.sqrt(va * vb)), cov / va
+    return (float(cov / np.sqrt(va * vb)) if vb else None), cov / va
 
 
 def perturbation_experiment(
     model: FittedModel,
-    teacher: TeacherModel,
+    beta: np.ndarray,
     analysis: FeatureOperatorAnalysis,
     x: np.ndarray,
     config: ExperimentConfig,
@@ -124,7 +125,7 @@ def perturbation_experiment(
     and counted.  Returns (responses, summary): responses[kind] is
     (directions, d_y_true, d_y_pred) for each kind in KINDS, one row or entry
     per kept pair in draw order; summary holds per-kind correlations and OLS
-    slopes.
+    slopes, each None where undefined (see _pearson).
     """
     check_integer("n_pairs", n_pairs, lo=2)
     if not 0 < eta < np.inf:
@@ -132,6 +133,7 @@ def perturbation_experiment(
     if model.feature_map is None:
         raise ConfigurationError("model has no feature map attached; cannot featurize x")
     x = _input_vector(x, analysis, "x")
+    beta = _check_beta(beta, x.shape[0])
     rng = stream_rng(config.seed, (0, 0, STREAM_PERTURB))
     E = rng.normal(0.0, config.sigma_x / np.sqrt(config.n_f), (n_pairs, x.shape[0]))
     par, perp, ok_par, ok_perp = _split(E, analysis.f_w)
@@ -149,14 +151,14 @@ def perturbation_experiment(
         d_pred = (apply_features(model.feature_map, moved) @ model.w_hat - y_pred_x) / eta
         # a stack of 1 x n_f rows: each product is the vector dot
         # beta . e_hat itself, where D @ beta would sum in another order
-        d_true = (D[:, None, :] @ teacher.beta)[:, 0]
+        d_true = (D[:, None, :] @ beta)[:, 0]
         if not (np.all(np.isfinite(d_true)) and np.all(np.isfinite(d_pred))):
             raise NumericError(f"{kind} label responses are not finite")
         responses[kind] = (D, d_true, d_pred)
 
     summary = {"skipped_degenerate": int(n_pairs - n_kept)}
     for kind, (_, t, p) in responses.items():
-        corr, slope = _pearson(t, p) if n_kept >= 2 else (float("nan"), float("nan"))
+        corr, slope = _pearson(t, p)
         summary[f"corr_{kind}"] = corr
         summary[f"slope_{kind}"] = slope
         summary[f"n_{kind}"] = n_kept

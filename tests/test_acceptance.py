@@ -231,7 +231,7 @@ def test_c08_relu_residual_independence():
     n = 100_000
     cfg = ExperimentConfig(m=16, n_f=6, n_p=8, activation="relu")
     fmap = make_feature_map(cfg, (0, 0, STREAM_WEIGHTS))
-    teacher = sample_teacher(cfg, (0, 0, STREAM_TEACHER))
+    beta = sample_teacher(cfg, (0, 0, STREAM_TEACHER))
     X = stream_rng(cfg.seed, (0, 0, STREAM_TEST)).normal(
         0.0, cfg.sigma_x / np.sqrt(cfg.n_f), (n, cfg.n_f)
     )
@@ -241,7 +241,7 @@ def test_c08_relu_residual_independence():
     prod = lin[:, :, None] * d_z[:, None, :]
     t_feat = prod.mean(axis=0) / (prod.std(axis=0, ddof=1) / np.sqrt(n))
 
-    u = X @ teacher.beta
+    u = X @ beta
     d_y = 2.0 * np.maximum(0.0, u) - u  # nonlinear label residual
     prod_y = u * d_y
     t_label = prod_y.mean() / (prod_y.std(ddof=1) / np.sqrt(n))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import georeg
-from georeg.cli import _DEFAULTS, _resolve, main
+from georeg.cli import _DEFAULTS, _Outputs, _resolve, main
 from georeg.config import sigma_eps_for_snr
 
 
@@ -341,6 +341,11 @@ def _bv_args(out, *extra):
             "--np-grid", "0.5,1", *extra, "--out", str(out)]
 
 
+def _dropped(manifest):
+    """The dropped replicas of each grid point: the sum of its drop_reasons counts."""
+    return {point: sum(reasons.values()) for point, reasons in manifest["drop_reasons"].items()}
+
+
 def _fail_replica(bad):
     """A draw_paired_replica that raises NumericError for the (grid_idx, replica_idx) pairs in bad."""
     draw = georeg.decomposition.draw_paired_replica
@@ -403,7 +408,7 @@ class TestBiasVarianceReplicaRunner:
         with open(tmp_path / "bias_variance.csv") as fh:
             assert len(list(csv.reader(fh))) == 3
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["dropped_replicas"] == {"0.5,0.25": 1, "1.0,0.25": 0}
+        assert _dropped(manifest) == {"0.5,0.25": 1, "1.0,0.25": 0}
         assert manifest["point_errors"] == {}
         assert capsys.readouterr().err == ""
 
@@ -415,7 +420,6 @@ class TestBiasVarianceReplicaRunner:
         assert [r["np_over_m"] for r in rows] == ["0.5"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["point_errors"] == {"1.0,0.25": "2/10 replicas degenerate"}
-        assert manifest["dropped_replicas"] == {"0.5,0.25": 0}
         # the failed point keeps its reason counts
         assert manifest["drop_reasons"] == {"0.5,0.25": {}, "1.0,0.25": {TestDropReasons.REASON: 2}}
         assert "np_over_m=1.0 nf_over_m=0.25 failed: 2/10 replicas degenerate" in capsys.readouterr().err
@@ -431,14 +435,24 @@ class TestDropReasons:
         assert _run(*_bv_args(tmp_path, "--replicas", "20", "--workers", "1")) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["drop_reasons"] == {"0.5,0.25": {self.REASON: 2}, "1.0,0.25": {}}
-        assert manifest["dropped_replicas"] == {"0.5,0.25": 2, "1.0,0.25": 0}
+        assert _dropped(manifest) == {"0.5,0.25": 2, "1.0,0.25": 0}
+        # bias_variance.csv has no n_effective column: the library's rows of
+        # the same spec, drawn under the same patch, carry it
+        cfg = georeg.ExperimentConfig(m=32, n_f=8, n_p=32, activation="relu", sigma_eps=sigma_eps_for_snr(10.0))
+        rows = georeg.run_bias_variance(georeg.SweepSpec(cfg, (0.5, 1.0), 20)).rows
+        assert [20 - row.n_effective for row in rows] == list(_dropped(manifest).values())
 
     def test_sweep(self, tmp_path, monkeypatch):
         monkeypatch.setattr(georeg.experiments, "draw_paired_replica", _fail_replica({(1, 5)}))
         assert _run(*_sweep_args(tmp_path, **{"--replicas": "10", "--workers": "1"})) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["drop_reasons"] == {"0.5,0.25": {}, "1.0,0.25": {self.REASON: 1}}
-        assert manifest["dropped_replicas"] == {"0.5,0.25": 0, "1.0,0.25": 1}
+        assert _dropped(manifest) == {"0.5,0.25": 0, "1.0,0.25": 1}
+        # both points are kept, in grid order: each row's n_effective is the
+        # replicas less that point's drops
+        with open(tmp_path / "sweep.csv") as fh:
+            kept = [10 - int(row["n_effective"]) for row in csv.DictReader(fh)]
+        assert kept == list(_dropped(manifest).values())
 
 
 class TestAnglesCommand:
@@ -490,13 +504,13 @@ class TestPerturbCommand:
         # response arrays, interleaved per kept pair, adversarial first,
         # and every cell reads back to its array value exactly
         cfg = georeg.ExperimentConfig(m=32, n_f=48, n_p=96, activation="relu", sigma_eps=sigma_eps_for_snr(10.0))
-        teacher = georeg.sample_teacher(cfg, (0, 0, georeg.STREAM_TEACHER))
+        beta = georeg.sample_teacher(cfg, (0, 0, georeg.STREAM_TEACHER))
         fmap = georeg.make_feature_map(cfg, (0, 0, georeg.STREAM_WEIGHTS))
-        data = georeg.sample_dataset(cfg, teacher, (0, 0, georeg.STREAM_TRAIN))
+        data = georeg.sample_dataset(cfg, beta, (0, 0, georeg.STREAM_TRAIN))
         model = georeg.fit(georeg.apply_features(fmap, data.X), data.y, lam=cfg.lam, feature_map=fmap)
         analysis = georeg.analyze_operator(georeg.feature_operator_from_model(model, data.X))
         x0 = georeg.stream_rng(cfg.seed, (0, 0, georeg.STREAM_TEST)).normal(0.0, 1 / np.sqrt(cfg.n_f), cfg.n_f)
-        responses, _ = georeg.perturbation_experiment(model, teacher, analysis, x0, cfg)
+        responses, _ = georeg.perturbation_experiment(model, beta, analysis, x0, cfg)
         expected = [
             (kind, responses[kind][1][i], responses[kind][2][i])
             for i in range(200)
@@ -513,3 +527,28 @@ class TestPerturbCommand:
         text = (tmp_path / "perturb.svg").read_text()
         assert text.startswith("<svg")
         assert "adversarial" in text and "invariant" in text
+
+    def test_undefined_statistics_are_null(self, tmp_path):
+        # identity features with M < N_f: an invariant direction leaves the
+        # prediction unchanged, so d_y_pred is the same round-off on every
+        # pair; its correlation is undefined and written as null, while the
+        # OLS slope is 0
+        def strict(name):
+            raise ValueError(f"{name} in perturb_summary.json")
+
+        code = _run(
+            "perturb", "--model", "identity", "--m", "8", "--nf-ratio", "2",
+            "--np-ratio", "2", "--pairs", "2", "--out", str(tmp_path),
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "perturb_summary.json").read_text(), parse_constant=strict)
+        assert summary["corr_invariant"] is None and summary["slope_invariant"] == 0.0
+        assert summary["corr_adversarial"] is not None
+
+
+def test_json_outputs_refuse_non_finite_numbers(tmp_path):
+    outputs = _Outputs(str(tmp_path), "angles", dict(_DEFAULTS))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(georeg.NumericError, match="not JSON compliant"):
+            outputs.write_json("bad.json", {"value": bad})
+    assert not (tmp_path / "bad.json").exists()

@@ -69,12 +69,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ratio_to_count(0.0, 256)
 
-    def test_with_updates_returns_new_config(self):
-        cfg = ExperimentConfig()
-        cfg2 = cfg.with_updates(n_p=128)
-        assert cfg.n_p == 256 and cfg2.n_p == 128
-        assert cfg2.m == cfg.m
-
 
 
 NAN, INF = float("nan"), float("inf")
@@ -145,30 +139,33 @@ class TestStreams:
 class TestSampling:
     def test_teacher_shape_and_determinism(self):
         cfg = ExperimentConfig(n_f=32)
-        t1 = sample_teacher(cfg)
-        t2 = sample_teacher(cfg)
-        assert t1.beta.shape == (32,)
-        assert np.array_equal(t1.beta, t2.beta)
+        b1 = sample_teacher(cfg)
+        b2 = sample_teacher(cfg)
+        assert b1.shape == (32,)
+        assert np.array_equal(b1, b2)
 
     def test_dataset_determinism_and_invariant(self):
         cfg = ExperimentConfig(m=40, n_f=8)
-        teacher = sample_teacher(cfg)
-        d1 = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
-        d2 = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
+        beta = sample_teacher(cfg)
+        d1 = sample_dataset(cfg, beta, (0, 0, STREAM_TRAIN))
+        d2 = sample_dataset(cfg, beta, (0, 0, STREAM_TRAIN))
         assert np.array_equal(d1.X, d2.X) and np.array_equal(d1.y, d2.y)
-        # y = y*(X) + eps must hold exactly as constructed
-        assert np.allclose(d1.y, d1.X @ teacher.beta + d1.eps, rtol=0, atol=0)
+        # y = X beta + eps holds exactly, with X and then eps drawn from the tag's stream
+        rng = stream_rng(cfg.seed, (0, 0, STREAM_TRAIN))
+        X = rng.normal(0.0, cfg.sigma_x / np.sqrt(cfg.n_f), (cfg.m, cfg.n_f))
+        eps = rng.normal(0.0, cfg.sigma_eps, cfg.m)
+        assert np.array_equal(d1.X, X) and np.array_equal(d1.y, X @ beta + eps)
 
     def test_dataset_scales(self):
         cfg = ExperimentConfig(m=4000, n_f=16, sigma_eps=0.5)
-        teacher = sample_teacher(cfg)
-        d = sample_dataset(cfg, teacher, (0, 1, STREAM_TRAIN))
+        beta = sample_teacher(cfg)
+        d = sample_dataset(cfg, beta, (0, 1, STREAM_TRAIN))
         assert d.X.std() == pytest.approx(1.0 / 4.0, rel=0.05)
-        assert d.eps.std() == pytest.approx(0.5, rel=0.05)
+        assert (d.y - d.X @ beta).std() == pytest.approx(0.5, rel=0.05)
 
     def test_dataset_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            Dataset(X=np.zeros((4, 3)), y=np.zeros(5), eps=np.zeros(5))
+            Dataset(X=np.zeros((4, 3)), y=np.zeros(5))
 
 
 class TestFeatureMaps:
@@ -351,8 +348,7 @@ class TestPredictAndError:
     def test_training_error_is_projector_residual(self):
         rng = np.random.default_rng(12)
         cfg = ExperimentConfig(m=20, n_f=6, n_p=30, lam=0.0)
-        teacher = sample_teacher(cfg)
-        data = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
+        data = sample_dataset(cfg, sample_teacher(cfg), (0, 0, STREAM_TRAIN))
         fmap = make_feature_map(cfg)
         Z = apply_features(fmap, data.X)
         model = fit(Z, data.y, feature_map=fmap)
@@ -361,8 +357,7 @@ class TestPredictAndError:
 
     def test_training_error_zero_at_interpolation(self):
         cfg = ExperimentConfig(m=16, n_f=8, n_p=64, lam=0.0)
-        teacher = sample_teacher(cfg)
-        data = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
+        data = sample_dataset(cfg, sample_teacher(cfg), (0, 0, STREAM_TRAIN))
         fmap = make_feature_map(cfg)
         model = fit(apply_features(fmap, data.X), data.y, feature_map=fmap)
         assert model.train_error <= 1e-12 * cfg.sigma_y_sq

@@ -12,6 +12,8 @@ row x_1 = (1, 0) give P_f = diag(1, 0).  With beta = (1, 1) and test input
 x = (3, 2) the lost component is (I - P_f) x = (0, 2), so the geometric error
 is (0*1 + 2*1)^2 = 4.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,14 +23,17 @@ from georeg import (
     Dataset,
     ExperimentConfig,
     NumericError,
+    STREAM_TEST,
+    STREAM_TRAIN,
+    STREAM_TRAIN_PAIR,
     SweepSpec,
-    TeacherModel,
     apply_features,
     draw_paired_replica,
     feature_operator_from_model,
     fit,
     paired_projections,
     run_bias_variance,
+    sample_dataset,
     sigma_eps_for_snr,
 )
 from georeg import experiments
@@ -53,11 +58,11 @@ def _geometric_error(X_train, beta, X_test):
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
     fmap = FeatureMap(kind="identity", W=np.eye(beta.shape[0]))
-    train = Dataset(X=X_train, y=X_train @ beta, eps=np.zeros(X_train.shape[0]))
-    test = Dataset(X=X_test, y=X_test @ beta, eps=np.zeros(X_test.shape[0]))
+    train = Dataset(X=X_train, y=X_train @ beta)
+    test = Dataset(X=X_test, y=X_test @ beta)
     model = fit(X_train, train.y, lam=0.0, feature_map=fmap)
     beta_hat = feature_operator_from_model(model, X_train).T @ beta
-    draw = PairedDraw(TeacherModel(beta), fmap, train, train, test, model, model, (beta_hat, beta_hat))
+    draw = PairedDraw(beta, fmap, train, train, test, model, model, (beta_hat, beta_hat))
     return _paired_metrics(draw, symmetric=False)["geom_error"]
 
 
@@ -92,7 +97,7 @@ class TestPairedDraw:
         b = draw_paired_replica(cfg, 0, 0)
         assert np.array_equal(a.train_1.X, b.train_1.X)
         assert np.array_equal(a.model_1.w_hat, b.model_1.w_hat)
-        assert np.array_equal(a.teacher.beta, b.teacher.beta)
+        assert np.array_equal(a.beta, b.beta)
 
     def test_streams_differ(self):
         cfg = ExperimentConfig(m=12, n_f=5, n_p=16)
@@ -100,7 +105,7 @@ class TestPairedDraw:
         other = draw_paired_replica(cfg, 0, 1)
         assert not np.array_equal(d.train_1.X, d.train_2.X)
         assert not np.array_equal(d.train_1.X, d.test.X)
-        assert not np.array_equal(d.teacher.beta, other.teacher.beta)
+        assert not np.array_equal(d.beta, other.beta)
         assert not np.array_equal(d.feature_map.W, other.feature_map.W)
 
     def test_shared_teacher_and_weights_within_pair(self):
@@ -108,14 +113,17 @@ class TestPairedDraw:
         d = draw_paired_replica(cfg, 2, 3)
         assert d.model_1.feature_map is d.feature_map
         assert d.model_2.feature_map is d.feature_map
-        assert np.allclose(d.train_1.y - d.train_1.eps, d.train_1.X @ d.teacher.beta, atol=1e-12)
+        # every set of the pair is labelled by the one beta of the draw
+        for data, stream in ((d.train_1, STREAM_TRAIN), (d.train_2, STREAM_TRAIN_PAIR), (d.test, STREAM_TEST)):
+            want = sample_dataset(cfg, d.beta, (2, 3, stream))
+            assert np.array_equal(data.X, want.X) and np.array_equal(data.y, want.y)
 
     def test_projections_shapes_and_meaning(self):
         cfg = ExperimentConfig(m=33, n_f=5, n_p=16)
         d = draw_paired_replica(cfg, 0, 0)
         t, a1, a2 = paired_projections(d)
         assert t.shape == a1.shape == a2.shape == (33,)
-        assert np.allclose(t, d.test.X @ d.teacher.beta, atol=1e-14)
+        assert np.allclose(t, d.test.X @ d.beta, atol=1e-14)
         # A_k = X_test P_f^T beta on every route, though P_f is never built:
         # (n_p, lam) -> the tall Gram, wide Gram, square SVD and lam = 0 SVD
         routes = {(16, 1e-8): "gram", (64, 1e-8): "gram", (32, 1e-8): "svd", (16, 0.0): "svd"}
@@ -124,7 +132,7 @@ class TestPairedDraw:
             _, *got = paired_projections(d)
             for model, train, a in zip((d.model_1, d.model_2), (d.train_1, d.train_2), got):
                 assert (model.factors._K is not None) == (route == "gram")
-                expected = d.test.X @ (feature_operator_from_model(model, train.X).T @ d.teacher.beta)
+                expected = d.test.X @ (feature_operator_from_model(model, train.X).T @ d.beta)
                 assert np.linalg.norm(a - expected) <= 1e-12 * np.linalg.norm(expected), (n_p, lam)
 
     @pytest.mark.parametrize("n_p, lam, route", [(16, 1e-8, "gram"), (64, 1e-8, "gram"), (32, 1e-8, "svd"), (16, 0.0, "svd")])
@@ -134,7 +142,7 @@ class TestPairedDraw:
         d = draw_paired_replica(ExperimentConfig(m=32, n_f=8, n_p=n_p, lam=lam), 0, 0)
         for model, train, beta_hat in zip((d.model_1, d.model_2), (d.train_1, d.train_2), d.beta_hats):
             assert (model.factors._K is not None) == (route == "gram")
-            expected = feature_operator_from_model(model, train.X).T @ d.teacher.beta
+            expected = feature_operator_from_model(model, train.X).T @ d.beta
             assert np.linalg.norm(beta_hat - expected) <= 1e-12 * np.linalg.norm(expected)
             ref = fit(georeg.apply_features(d.feature_map, train.X), train.y, lam=lam, feature_map=d.feature_map)
             assert np.linalg.norm(model.w_hat - ref.w_hat) <= 1e-12 * np.linalg.norm(ref.w_hat)
@@ -236,7 +244,7 @@ class TestBiasVarianceMC:
         base = ExperimentConfig(m=64, n_f=16, activation="relu", n_p=64)
         var = {}
         for ratio in (0.5, 1.0, 2.0):
-            cfg = base.with_updates(n_p=int(round(ratio * base.m)))
+            cfg = replace(base, n_p=int(round(ratio * base.m)))
             var[ratio] = _estimate(cfg, 60).means["variance"]
         assert var[1.0] > var[0.5]
         assert var[1.0] > var[2.0]

@@ -145,22 +145,22 @@ def test_tall_ridge_spectrum_is_the_singular_values_alone(monkeypatch):
 
 
 def _relu_or_linear_fit(m, n_f, n_p, activation, lam=1e-8):
-    """(teacher, training data, fit) of one draw of the named family."""
+    """(beta, training data, fit) of one draw of the named family."""
     cfg = ExperimentConfig(m=m, n_f=n_f, n_p=n_p, activation=activation, lam=lam)
-    teacher = sample_teacher(cfg)
-    data = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
+    beta = sample_teacher(cfg)
+    data = sample_dataset(cfg, beta, (0, 0, STREAM_TRAIN))
     fmap = make_feature_map(cfg)
-    return teacher, data, fit(apply_features(fmap, data.X), data.y, lam=lam, feature_map=fmap)
+    return beta, data, fit(apply_features(fmap, data.X), data.y, lam=lam, feature_map=fmap)
 
 
-def _decomposition_residual(model, teacher, data) -> float:
+def _decomposition_residual(model, beta, data) -> float:
     """The largest |y_hat - (x_hat . beta + delta_y_hat)| / (1 + |y_hat|) over 20 fresh inputs (c06)."""
     rng = np.random.default_rng(42)
     fmap, worst = model.feature_map, 0.0
     for _ in range(20):
         x = rng.normal(0.0, 1.0 / np.sqrt(fmap.W.shape[0]), fmap.W.shape[0])
         y_hat = float(apply_features(fmap, x) @ model.w_hat)
-        xb, dy = prediction_decomposition(model, teacher, data, x)
+        xb, dy = prediction_decomposition(model, beta, data, x)
         worst = max(worst, abs(y_hat - (xb + dy)) / (1.0 + abs(y_hat)))
     return worst
 
@@ -168,9 +168,9 @@ def _decomposition_residual(model, teacher, data) -> float:
 @pytest.mark.parametrize("m, n_f, n_p", [(64, 32, 96), (256, 307, 768), (64, 32, 16), (256, 64, 128)])
 def test_relu_fits_take_the_gram_route(monkeypatch, m, n_f, n_p):
     _forbid_svd(monkeypatch)
-    teacher, data, model = _relu_or_linear_fit(m, n_f, n_p, "relu")
+    beta, data, model = _relu_or_linear_fit(m, n_f, n_p, "relu")
     feature_operator_from_model(model, data.X)
-    assert _decomposition_residual(model, teacher, data) <= 1e-12
+    assert _decomposition_residual(model, beta, data) <= 1e-12
 
 
 @pytest.mark.parametrize("m, n_f, n_p", [(64, 32, 96), (256, 64, 512), (256, 64, 128)])
@@ -178,7 +178,7 @@ def test_rank_deficient_linear_fits_fall_back_to_the_svd(m, n_f, n_p):
     # Z = X W has rank n_f < min(M, N_p): at lam = 1e-8 the smallest pivot
     # of K reads about 1.5 lam, so the guard takes the SVD, and the fit is
     # bitwise the one built from np.linalg.svd here
-    teacher, data, model = _relu_or_linear_fit(m, n_f, n_p, "linear")
+    beta, data, model = _relu_or_linear_fit(m, n_f, n_p, "linear")
     Z = apply_features(model.feature_map, data.X)
     ref = Factorization(Z, model.factors.lam)
     assert model.w_hat.tobytes() == ref.solve(data.y).tobytes()
@@ -186,7 +186,7 @@ def test_rank_deficient_linear_fits_fall_back_to_the_svd(m, n_f, n_p):
     p_f = feature_operator_from_model(model, data.X)
     assert p_f.tobytes() == ref.solve(data.X, left=model.feature_map.W).T.tobytes()
     assert model.rank_z == n_f
-    assert _decomposition_residual(model, teacher, data) <= 1e-12
+    assert _decomposition_residual(model, beta, data) <= 1e-12
 
 
 @pytest.mark.parametrize("m, n_f, n_p", [(256, 64, 512), (256, 64, 128)])
@@ -196,10 +196,10 @@ def test_large_lam_keeps_a_rank_deficient_design_on_the_gram_route(monkeypatch, 
     lam = 1e-2
     with monkeypatch.context() as patched:
         _forbid_svd(patched)
-        teacher, data, model = _relu_or_linear_fit(m, n_f, n_p, "linear", lam=lam)
+        beta, data, model = _relu_or_linear_fit(m, n_f, n_p, "linear", lam=lam)
     w_ref = Factorization(apply_features(model.feature_map, data.X), lam).solve(data.y)
     assert np.linalg.norm(model.w_hat - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
-    assert _decomposition_residual(model, teacher, data) <= 1e-12
+    assert _decomposition_residual(model, beta, data) <= 1e-12
 
 
 # ------------------------------------------------- the spectrum of a wide fit
@@ -301,8 +301,7 @@ def test_gram_cut_reports_planted_rank_of_duplicate_columns(m, n, r):
 
 def test_gram_cut_keeps_a_relu_design_at_full_rank():
     cfg = ExperimentConfig(m=256, n_f=64, n_p=192, activation="relu")
-    teacher = sample_teacher(cfg)
-    data = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
+    data = sample_dataset(cfg, sample_teacher(cfg), (0, 0, STREAM_TRAIN))
     Z = apply_features(make_feature_map(cfg), data.X)
     model = fit(Z, data.y, lam=cfg.lam)
     assert model.factors.U is None

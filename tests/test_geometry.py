@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from georeg import (
-    Dataset,
     ExperimentConfig,
     NumericError,
     ShapeError,
@@ -32,11 +31,11 @@ from georeg.linreg_core import FeatureMap
 
 
 def _fitted(cfg, tag=(0, 0, STREAM_TRAIN)):
-    teacher = sample_teacher(cfg)
-    data = sample_dataset(cfg, teacher, tag)
+    beta = sample_teacher(cfg)
+    data = sample_dataset(cfg, beta, tag)
     fmap = make_feature_map(cfg)
     model = fit(apply_features(fmap, data.X), data.y, lam=cfg.lam, feature_map=fmap)
-    return teacher, data, fmap, model
+    return beta, data, fmap, model
 
 
 class TestLabelProjector:
@@ -197,11 +196,11 @@ class TestPredictionDecomposition:
         cfg = ExperimentConfig(
             m=30, n_f=8, n_p=8, activation="identity", sigma_eps=0.0, lam=0.0
         )
-        teacher, data, fmap, model = _fitted(cfg)
+        beta, data, fmap, model = _fitted(cfg)
         rng = np.random.default_rng(13)
         for _ in range(5):
             x = rng.normal(size=8)
-            xb, dy = prediction_decomposition(model, teacher, data, x)
+            xb, dy = prediction_decomposition(model, beta, data, x)
             assert abs(dy) <= 1e-10
             assert xb == pytest.approx(float(apply_features(fmap, x) @ model.w_hat), abs=1e-10)
 
@@ -209,20 +208,13 @@ class TestPredictionDecomposition:
     def test_sum_equals_prediction(self, activation):
         n_p = 12 if activation == "identity" else 40
         cfg = ExperimentConfig(m=25, n_f=12, n_p=n_p, activation=activation)
-        teacher, data, fmap, model = _fitted(cfg)
+        beta, data, fmap, model = _fitted(cfg)
         rng = np.random.default_rng(14)
         for _ in range(10):
             x = rng.normal(size=12) / np.sqrt(12)
             y_hat = float(apply_features(fmap, x) @ model.w_hat)
-            xb, dy = prediction_decomposition(model, teacher, data, x)
+            xb, dy = prediction_decomposition(model, beta, data, x)
             assert abs(y_hat - (xb + dy)) <= 1e-8 * (1.0 + abs(y_hat))
-
-    def test_requires_noise_vector(self):
-        # the split reads the realized noise, so a Dataset carries it always
-        cfg = ExperimentConfig(m=10, n_f=4, n_p=12)
-        _, data, _, _ = _fitted(cfg)
-        with pytest.raises(TypeError):
-            Dataset(X=data.X, y=data.y)
 
 
 class TestNearThresholdInvariant:

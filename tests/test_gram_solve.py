@@ -13,7 +13,7 @@ from georeg import ExperimentConfig, NumericError, ShapeError, apply_features, d
 from georeg.decomposition import _one_sided_metrics, _paired_metrics
 from georeg.experiments import _frob_complement_from_fit, _replica_metrics
 from georeg.geometry import feature_operator_from_model, prediction_decomposition
-from georeg.linreg_core import Dataset, Factorization, FeatureMap, TeacherModel, factorize
+from georeg.linreg_core import Dataset, Factorization, FeatureMap, factorize
 
 FACTOR_KERNELS = ("svd", "eigh", "cholesky", "qr", "solve", "lstsq")
 
@@ -213,17 +213,17 @@ def test_prediction_decomposition_never_forms_G(monkeypatch, m, n_f, n_p, lam):
     rng = np.random.default_rng(m + n_f + n_p)
     X = rng.normal(size=(m, n_f)) / np.sqrt(n_f)
     fmap = FeatureMap("relu", rng.normal(size=(n_f, n_p)) / np.sqrt(n_p))
-    teacher = TeacherModel(rng.normal(size=n_f))
+    beta = rng.normal(size=n_f)
     eps = 0.1 * rng.normal(size=m)
-    data = Dataset(X, teacher.y_star(X) + eps, eps)
+    data = Dataset(X, X @ beta + eps)
     model = fit(2.0 * np.maximum(0.0, X @ fmap.W), data.y, lam=lam, feature_map=fmap)
     x = rng.normal(size=n_f) / np.sqrt(n_f)
     G = model.effective_inverse()
     dz_nl = 2.0 * np.maximum(0.0, fmap.W.T @ x) - fmap.W.T @ x
-    want = (x @ fmap.W @ G @ X @ teacher.beta, dz_nl @ G @ data.y + x @ fmap.W @ G @ eps)
+    want = (x @ fmap.W @ G @ X @ beta, dz_nl @ G @ data.y + x @ fmap.W @ G @ eps)
 
     _forbid_G(monkeypatch)
-    got = prediction_decomposition(model, teacher, data, x)
+    got = prediction_decomposition(model, beta, data, x)
     y_hat = 2.0 * np.maximum(0.0, fmap.W.T @ x) @ model.w_hat
     assert abs(sum(got) - y_hat) <= 1e-12 * (1.0 + abs(y_hat))
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * (1.0 + abs(y_hat)))

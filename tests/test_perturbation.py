@@ -5,6 +5,8 @@ proper subspace of the input space, i.e. fewer training rows than input
 dimensions; fixtures below use m < n_f.  With m >= n_f every direction is
 purely adversarial and the experiment must fail loudly.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,9 @@ from georeg import (
     ExperimentConfig,
     ExperimentError,
     NumericError,
+    ShapeError,
     STREAM_PERTURB,
     STREAM_TRAIN,
-    TeacherModel,
     analyze_operator,
     apply_features,
     decompose_perturbation,
@@ -24,6 +26,7 @@ from georeg import (
     fit,
     make_feature_map,
     perturbation_experiment,
+    prediction_decomposition,
     sample_dataset,
     sample_teacher,
     stream_rng,
@@ -32,12 +35,12 @@ from georeg import (
 
 def _setup(activation="relu", m=16, n_f=24, n_p=48, **kw):
     cfg = ExperimentConfig(m=m, n_f=n_f, n_p=n_p, activation=activation, **kw)
-    teacher = sample_teacher(cfg)
-    data = sample_dataset(cfg, teacher, (0, 0, STREAM_TRAIN))
+    beta = sample_teacher(cfg)
+    data = sample_dataset(cfg, beta, (0, 0, STREAM_TRAIN))
     fmap = make_feature_map(cfg)
     model = fit(apply_features(fmap, data.X), data.y, lam=cfg.lam, feature_map=fmap)
     analysis = analyze_operator(feature_operator_from_model(model, data.X))
-    return cfg, teacher, data, model, analysis
+    return cfg, beta, data, model, analysis
 
 
 class TestDecompose:
@@ -48,7 +51,7 @@ class TestDecompose:
         assert np.allclose(e_perp, [0.0, 1.0], atol=1e-12)
 
     def test_unit_norms_and_orthogonality(self):
-        cfg, teacher, data, model, an = _setup()
+        cfg, beta, data, model, an = _setup()
         rng = np.random.default_rng(31)
         for _ in range(10):
             e = rng.normal(size=cfg.n_f)
@@ -58,7 +61,7 @@ class TestDecompose:
             assert abs(e_par @ e_perp) <= 1e-10
 
     def test_perp_is_in_kernel(self):
-        cfg, teacher, data, model, an = _setup()
+        cfg, beta, data, model, an = _setup()
         rng = np.random.default_rng(32)
         p_norm = np.linalg.norm(an.p_f)
         for _ in range(10):
@@ -96,10 +99,10 @@ class TestBatchedResponses:
     @pytest.mark.parametrize("activation", ["identity", "linear", "relu"])
     def test_records_match_per_direction_oracles(self, activation):
         # the identity family needs n_p = n_f
-        cfg, teacher, data, model, an = _setup(activation=activation, n_p=24 if activation == "identity" else 48)
+        cfg, beta, data, model, an = _setup(activation=activation, n_p=24 if activation == "identity" else 48)
         x = np.random.default_rng(34).normal(0.0, cfg.sigma_x / np.sqrt(cfg.n_f), cfg.n_f)
         eta = 1e-2
-        responses, summary = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=12, eta=eta)
+        responses, summary = perturbation_experiment(model, beta, an, x, cfg, n_pairs=12, eta=eta)
         assert summary["skipped_degenerate"] == 0
         rng = stream_rng(cfg.seed, (0, 0, STREAM_PERTURB))
         scale = cfg.sigma_x / np.sqrt(cfg.n_f)
@@ -115,27 +118,41 @@ class TestBatchedResponses:
                 assert np.allclose(d, e, rtol=0.0, atol=1e-15)
                 fd = (y_hat(x + eta * d) - y_hat(x)) / eta
                 assert abs(p - fd) <= 1e-12
-                assert t == teacher.beta @ d
+                assert t == beta @ d
 
     @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_eta(self, eta):
-        cfg, teacher, data, model, an = _setup()
+        cfg, beta, data, model, an = _setup()
         with pytest.raises(ConfigurationError):
-            perturbation_experiment(model, teacher, an, np.zeros(cfg.n_f), cfg, n_pairs=4, eta=eta)
+            perturbation_experiment(model, beta, an, np.zeros(cfg.n_f), cfg, n_pairs=4, eta=eta)
 
     def test_non_finite_labels_raise(self):
-        cfg, teacher, data, model, an = _setup()
+        cfg, beta, data, model, an = _setup()
         # an infinite coefficient makes beta . e_hat non-finite on every direction
-        beta = teacher.beta.copy()
-        beta[0] = np.inf
-        bad = TeacherModel(beta)
+        bad = beta.copy()
+        bad[0] = np.inf
         with pytest.raises(NumericError):
             perturbation_experiment(model, bad, an, np.zeros(cfg.n_f), cfg, n_pairs=4)
 
 
+@pytest.mark.parametrize("shape", [(5,), (24, 1)], ids=["short", "column"])
+@pytest.mark.parametrize("call", ["sample_dataset", "prediction_decomposition", "perturbation_experiment"])
+def test_beta_of_the_wrong_shape_is_a_shape_error(call, shape):
+    cfg, beta, data, model, an = _setup()
+    bad = np.resize(beta, shape)
+    x = np.zeros(cfg.n_f)
+    calls = {
+        "sample_dataset": lambda: sample_dataset(cfg, bad, (0, 0, STREAM_TRAIN)),
+        "prediction_decomposition": lambda: prediction_decomposition(model, bad, data, x),
+        "perturbation_experiment": lambda: perturbation_experiment(model, bad, an, x, cfg, n_pairs=4),
+    }
+    with pytest.raises(ShapeError, match=re.escape(f"beta must have shape (24,), got {shape}")):
+        calls[call]()
+
+
 class TestRepresentationInvariance:
     def test_invariant_direction_leaves_projection_fixed(self):
-        cfg, teacher, data, model, an = _setup()
+        cfg, beta, data, model, an = _setup()
         rng = np.random.default_rng(33)
         x = rng.normal(0.0, cfg.sigma_x / np.sqrt(cfg.n_f), cfg.n_f)
         p_norm = np.linalg.norm(an.p_f)
@@ -149,10 +166,10 @@ class TestRepresentationInvariance:
 
 class TestExperiment:
     def test_record_counts_and_summary_schema(self):
-        cfg, teacher, data, model, an = _setup()
+        cfg, beta, data, model, an = _setup()
         x = np.zeros(cfg.n_f)
         responses, summary = perturbation_experiment(
-            model, teacher, an, x, cfg, n_pairs=50, eta=1e-2
+            model, beta, an, x, cfg, n_pairs=50, eta=1e-2
         )
         assert summary["skipped_degenerate"] == 0
         assert summary["n_adversarial"] == summary["n_invariant"] == 50
@@ -163,10 +180,10 @@ class TestExperiment:
             assert key in summary
 
     def test_deterministic(self):
-        cfg, teacher, data, model, an = _setup()
+        cfg, beta, data, model, an = _setup()
         x = np.zeros(cfg.n_f)
-        r1, s1 = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=20)
-        r2, s2 = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=20)
+        r1, s1 = perturbation_experiment(model, beta, an, x, cfg, n_pairs=20)
+        r2, s2 = perturbation_experiment(model, beta, an, x, cfg, n_pairs=20)
         assert s1 == s2
         for kind in r1:
             for a, b in zip(r1[kind], r2[kind]):
@@ -176,11 +193,11 @@ class TestExperiment:
         # noiseless identity fit: P_f is the orthogonal projector onto the
         # row space, so adversarial responses match the teacher exactly and
         # invariant ones vanish
-        cfg, teacher, data, model, an = _setup(
+        cfg, beta, data, model, an = _setup(
             activation="identity", m=12, n_f=20, n_p=20, sigma_eps=0.0, lam=0.0
         )
         x = np.zeros(cfg.n_f)
-        _, summary = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=100)
+        _, summary = perturbation_experiment(model, beta, an, x, cfg, n_pairs=100)
         assert summary["corr_adversarial"] >= 1.0 - 1e-8
         assert summary["slope_adversarial"] == pytest.approx(1.0, abs=1e-8)
         assert abs(summary["slope_invariant"]) <= 1e-8
@@ -188,19 +205,19 @@ class TestExperiment:
     def test_oblique_linear_family_still_correlates(self):
         # the linear family's operator is oblique, so adversarial agreement
         # is strong but not exact
-        cfg, teacher, data, model, an = _setup(
+        cfg, beta, data, model, an = _setup(
             activation="linear", m=12, n_f=20, n_p=60, sigma_eps=0.0, lam=0.0
         )
         x = np.zeros(cfg.n_f)
-        _, summary = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=100)
+        _, summary = perturbation_experiment(model, beta, an, x, cfg, n_pairs=100)
         assert summary["corr_adversarial"] >= 0.8
         assert abs(summary["slope_invariant"]) <= 1e-6
 
     def test_eta_independence_for_linear_labels(self):
-        cfg, teacher, data, model, an = _setup(activation="linear", sigma_eps=0.0, lam=0.0)
+        cfg, beta, data, model, an = _setup(activation="linear", sigma_eps=0.0, lam=0.0)
         x = np.zeros(cfg.n_f)
-        r_big, _ = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=20, eta=1e-2)
-        r_small, _ = perturbation_experiment(model, teacher, an, x, cfg, n_pairs=20, eta=1e-3)
+        r_big, _ = perturbation_experiment(model, beta, an, x, cfg, n_pairs=20, eta=1e-2)
+        r_small, _ = perturbation_experiment(model, beta, an, x, cfg, n_pairs=20, eta=1e-3)
         for kind in r_big:
             _, t_big, p_big = r_big[kind]
             _, t_small, p_small = r_small[kind]
@@ -210,15 +227,15 @@ class TestExperiment:
     def test_all_degenerate_raises(self):
         # square-feature identity fit: P_f row space is all of input space,
         # so no invariant component ever survives
-        cfg, teacher, data, model, an = _setup(
+        cfg, beta, data, model, an = _setup(
             activation="identity", m=20, n_f=8, n_p=8, lam=0.0
         )
         with pytest.raises(ExperimentError):
-            perturbation_experiment(model, teacher, an, np.zeros(8), cfg, n_pairs=5)
+            perturbation_experiment(model, beta, an, np.zeros(8), cfg, n_pairs=5)
 
     def test_rejects_tiny_pair_count(self):
-        cfg, teacher, data, model, an = _setup()
+        cfg, beta, data, model, an = _setup()
         for n_pairs in (1, 2.5, float("nan")):
             with pytest.raises(ConfigurationError):
-                perturbation_experiment(model, teacher, an, np.zeros(cfg.n_f), cfg, n_pairs=n_pairs)
+                perturbation_experiment(model, beta, an, np.zeros(cfg.n_f), cfg, n_pairs=n_pairs)
 
