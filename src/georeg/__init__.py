@@ -26,7 +26,6 @@ from .config import (
 from .decomposition import (
     PairedDraw,
     draw_paired_replica,
-    paired_projections,
     summarize,
 )
 from .errors import (

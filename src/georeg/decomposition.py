@@ -20,9 +20,9 @@ A1, A2 and the test residuals once per call.  A_k reads P_f only through
 beta_hat_k = P_f^T beta = W G (X_k beta), the teacher as fit k perceives
 it.  So draw_paired_replica solves each fit for the two columns
 [y_k, X_k beta] at once, which gives w_hat = G y_k and G (X_k beta) from one
-LU of K on the Gram route, and keeps both beta_hats; paired_projections
-only multiplies them by X_test.  The N_f x N_f operator is never built
-here; the sweep builds it for analyze_operator.
+LU of K on the Gram route, and keeps both beta_hats; _paired_metrics only
+multiplies them by X_test.  The N_f x N_f operator is never built here; the
+sweep builds it for analyze_operator.
 
 The kernel has two reductions over the same draws.  The one-sided one
 (_one_sided_metrics), which experiments.run_bias_variance and georeg
@@ -51,7 +51,6 @@ from .config import (
 from .errors import ConfigurationError
 from .linreg_core import (
     Dataset,
-    FeatureMap,
     FittedModel,
     _fit,
     apply_features,
@@ -66,15 +65,13 @@ from .linreg_core import (
 
 @dataclass(frozen=True)
 class PairedDraw:
-    """One replica: shared teacher beta and weights, two training fits, one test set."""
+    """One replica: a shared teacher beta and feature map (held by both
+    models), the training sets D1 and D2 with their fits, and one test set."""
 
     beta: np.ndarray
-    feature_map: FeatureMap
-    train_1: Dataset
-    train_2: Dataset
+    trains: tuple[Dataset, Dataset]  # D1, D2
     test: Dataset
-    model_1: FittedModel
-    model_2: FittedModel
+    models: tuple[FittedModel, FittedModel]  # the D1 fit, the D2 fit
     beta_hats: tuple[np.ndarray, np.ndarray]  # P_f^T beta of the D1 fit, of the D2 fit
 
 
@@ -98,26 +95,7 @@ def draw_paired_replica(
     (m1, g1), (m2, g2) = (
         _fit(apply_features(fmap, d.X), d.y, config.lam, fmap, also=d.X @ beta) for d in (d1, d2)
     )
-    return PairedDraw(
-        beta=beta,
-        feature_map=fmap,
-        train_1=d1,
-        train_2=d2,
-        test=dt,
-        model_1=m1,
-        model_2=m2,
-        beta_hats=(fmap.W @ g1, fmap.W @ g2),
-    )
-
-
-def paired_projections(draw: PairedDraw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, A1, A2) over the test rows: true signal x.beta and both x_hat.beta.
-
-    A_k = X_test beta_hat_k with the draw's beta_hat_k = P_f^T beta of fit k,
-    which came out of that fit's own solve, so no solve runs here.
-    """
-    X = draw.test.X
-    return X @ draw.beta, X @ draw.beta_hats[0], X @ draw.beta_hats[1]
+    return PairedDraw(beta, (d1, d2), dt, (m1, m2), (fmap.W @ g1, fmap.W @ g2))
 
 
 # the paired-product metrics, in the column order of bias_variance.csv
@@ -131,13 +109,14 @@ def _paired_metrics(draw: PairedDraw, symmetric: bool) -> dict:
     the D1 fit); symmetric=True averages each over both fits.  bias_sq is the
     cross product (T - A1).(T - A2) either way.
     """
-    models = (draw.model_1, draw.model_2)
+    models, X = draw.models, draw.test.X
 
     def reduce(per_fit):
         return 0.5 * (per_fit(0) + per_fit(1)) if symmetric else per_fit(0)
 
-    z_t = apply_features(draw.feature_map, draw.test.X)
-    t, *a = paired_projections(draw)
+    z_t = apply_features(models[0].feature_map, X)
+    # T = X_test beta and A_k = X_test beta_hat_k over the test rows
+    t, a = X @ draw.beta, [X @ beta_hat for beta_hat in draw.beta_hats]
     return {
         "train_error": reduce(lambda k: models[k].train_error),
         "test_error": reduce(lambda k: np.mean((draw.test.y - z_t @ models[k].w_hat) ** 2)),

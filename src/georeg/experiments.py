@@ -151,7 +151,7 @@ def _frob_complement_from_fit(model, m: int) -> float:
     the Gram identity |I - U U^T|_F^2 = M - 2 |U|_F^2 + |U^T U|_F^2."""
     ur = model.factors.U_k
     if ur is None:
-        return float(np.sqrt(m - model.rank_z))
+        return float(np.sqrt(m - model.factors.rank))
     sq = m - 2.0 * np.sum(ur * ur) + np.sum((ur.T @ ur) ** 2)
     return float(np.sqrt(max(sq, 0.0)))
 
@@ -159,13 +159,13 @@ def _frob_complement_from_fit(model, m: int) -> float:
 def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict:
     """Every metric in ALL_METRICS for one paired replica (run_sweep's kernel)."""
     draw = draw_paired_replica(config, grid_idx, replica_idx)
-    models = (draw.model_1, draw.model_2)
+    models = draw.models
     out = _paired_metrics(draw, symmetric=True)
     per_fit = {
-        "sigma_Z_min": [m.sigma_z_min for m in models],
+        "sigma_Z_min": [m.factors.sigma_min for m in models],
         "frob_I_minus_Pl": [_frob_complement_from_fit(m, config.m) for m in models],
     }
-    analyses = [analyze_operator(feature_operator_from_model(m, d.X)) for m, d in zip(models, (draw.train_1, draw.train_2))]
+    analyses = [analyze_operator(feature_operator_from_model(m, d.X)) for m, d in zip(models, draw.trains)]
     if any(a.rank == 0 for a in analyses):
         raise NumericError("P_f has rank 0")
     for name in ("frob_I_minus_Pf", "sigma_max", "theta_max_deg", "delta_phi_max_deg"):

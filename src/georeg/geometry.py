@@ -172,12 +172,13 @@ def prediction_decomposition(
 ) -> tuple[float, float]:
     """Split the prediction z(x) . w_hat into (x_hat . beta, delta_y_hat).
 
-    delta_y_hat(x) = dz_NL(x)^T G y + x^T W G eps, where G is the model's
-    effective inverse (applied through its factorization, never formed),
-    dz_NL(x) = z(x) - W^T x is the nonlinear feature remainder, and
-    eps = y - X beta the training noise, applied as G eps = G y - G X beta.
-    The two terms sum to the prediction exactly, because z(x)^T G y expands
-    into them plus x^T W G X beta = x_hat . beta.
+    data is the fit's training set, so w_hat = G y.  x_hat . beta =
+    x^T W G X beta takes one vector solve of X beta on the fit's
+    factorization, and delta_y_hat(x) = dz_NL(x)^T w_hat + x^T W G eps,
+    where dz_NL(x) = z(x) - W^T x is the nonlinear feature remainder and
+    G eps = w_hat - G X beta the fit's response to the training noise.
+    The two terms sum to z(x) . w_hat up to round-off, as they split the
+    fit's own w_hat.
     """
     if model.feature_map is None:
         raise ConfigurationError("model has no feature map attached")
@@ -187,12 +188,11 @@ def prediction_decomposition(
         raise ShapeError(f"x must have shape ({W.shape[0]},), got {x.shape}")
     beta = _check_beta(beta, W.shape[0])
 
-    # G applied to (X beta, y) at once, without forming the N_p x M matrix
-    g_xb, g_y = model.factors.solve(np.column_stack([data.X @ beta, data.y])).T
+    g_xb = model.factors.solve(data.X @ beta)
     dz_nl = apply_features(model.feature_map, x) - W.T @ x
 
     x_hat_dot_beta = float(x @ (W @ g_xb))
-    delta_y_hat = float(dz_nl @ g_y + x @ (W @ (g_y - g_xb)))
+    delta_y_hat = float(dz_nl @ model.w_hat + x @ (W @ (model.w_hat - g_xb)))
     return x_hat_dot_beta, delta_y_hat
 
 

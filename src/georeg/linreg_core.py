@@ -154,8 +154,12 @@ def _guarded_gram(A: np.ndarray, lam: float) -> np.ndarray | None:
         d2 = np.diagonal(np.linalg.cholesky(K)) ** 2
     except np.linalg.LinAlgError:
         return None
-    if d2.size and d2.min() < _GUARD_LAM * lam and d2.min() < _GUARD_RATIO * d2.max():
-        return None
+    if d2.size and d2.min() < _GUARD_LAM * lam:
+        if d2.min() < _GUARD_RATIO * d2.max():
+            return None
+        ev = np.linalg.eigvalsh(K)
+        if ev[0] < _GUARD_LAM * lam and ev[0] < _GUARD_RATIO * ev[-1]:
+            return None
     return K
 
 
@@ -284,21 +288,24 @@ def factorize(A: np.ndarray, lam: float = 0.0, *, caller: str = "factorize") -> 
 
     * lam > 0 and A not square, the Gram route, on the smaller side of A:
       factorize forms K = A^T A + lam I for a tall A and K = A A^T + lam I
-      for a wide one, and reads the pivots d = diag(L) of
-      L = np.linalg.cholesky(K).  For lam > 0 the cut feeds only rank,
-      sigma_min and the kept modes; G and G B use every mode.
+      for a wide one.  For lam > 0 the cut feeds only rank, sigma_min and
+      the kept modes; G and G B use every mode.
     * otherwise the thin SVD of np.linalg.svd.  That is every square A,
       every lam = 0, and a Gram route that fails its guard.
 
     The guard sends a non-square lam > 0 fit to the thin SVD when cholesky
-    rejects K, or when both
+    rejects K, or when the eigenvalues of K give both
 
-        min d^2 < 1e3 lam                and    (min d / max d)^2 < sqrt(eps),
+        lam_min < 1e3 lam                and    lam_min / lam_max < sqrt(eps),
 
     that is, when A is numerically rank-deficient at this lam and K is
     ill-conditioned.  K^-1 then amplifies the round-off of forming A^T A
     or A A^T in the null directions of A by up to 1/lam.  A large lam
-    keeps K well conditioned, and such a fit keeps the Gram route.
+    keeps K well conditioned, and such a fit keeps the Gram route.  As
+    lam_min <= min d^2 and max d^2 <= lam_max for the pivots
+    d = diag(np.linalg.cholesky(K)), pivots that meet both clauses reject,
+    min d^2 >= 1e3 lam accepts (lam_min may still be below 1e3 lam), and
+    only a fit between the two pays for np.linalg.eigvalsh(K).
 
     A wide Gram-route fit whose spectrum is read runs the Gram solves and
     then the thin SVD, so only G and G B differ from the SVD route's, by
@@ -324,20 +331,14 @@ def pseudoinverse(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Result of one least-squares/ridge fit, with its factorization kept for reuse."""
+    """One least-squares/ridge fit, and the one holder of each of its
+    quantities: w_hat = G y, the factorization of Z with every product of G
+    (rank, sigma_min, G B), the feature map, and the train error."""
 
     w_hat: np.ndarray
     feature_map: FeatureMap | None
     factors: Factorization = field(repr=False)
     train_error: float  # mean((y - Z w_hat)^2) on the training set
-
-    @property
-    def rank_z(self) -> int:
-        return self.factors.rank
-
-    @property
-    def sigma_z_min(self) -> float:
-        return self.factors.sigma_min
 
     def effective_inverse(self) -> np.ndarray:
         """The matrix G with what = G y: truncated Z^+ for lam = 0, the

@@ -277,8 +277,8 @@ class TestFit:
         y = rng.normal(size=10)
         model = fit(Z, y)
         assert np.linalg.norm(Z @ model.w_hat - y) <= 1e-10
-        assert model.rank_z == 10
-        assert model.sigma_z_min > 0
+        assert model.factors.rank == 10
+        assert model.factors.sigma_min > 0
 
     def test_minimum_norm_solution(self):
         rng = np.random.default_rng(6)
@@ -333,14 +333,14 @@ class TestFit:
     def test_rank_and_sigma_reporting(self):
         Z = np.diag([4.0, 2.0, 0.0])
         model = fit(Z, np.ones(3))
-        assert model.rank_z == 2
-        assert model.sigma_z_min == pytest.approx(2.0)
+        assert model.factors.rank == 2
+        assert model.factors.sigma_min == pytest.approx(2.0)
 
     def test_zero_columns_fit_nothing(self):
         y = np.array([1.0, -2.0, 3.0])
         for lam in (0.0, 1e-8):
             model = fit(np.zeros((3, 0)), y, lam=lam)
-            assert model.w_hat.shape == (0,) and model.rank_z == 0
+            assert model.w_hat.shape == (0,) and model.factors.rank == 0
             assert model.train_error == np.mean(y * y)
 
 

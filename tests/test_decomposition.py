@@ -31,7 +31,6 @@ from georeg import (
     draw_paired_replica,
     feature_operator_from_model,
     fit,
-    paired_projections,
     run_bias_variance,
     sample_dataset,
     sigma_eps_for_snr,
@@ -62,7 +61,7 @@ def _geometric_error(X_train, beta, X_test):
     test = Dataset(X=X_test, y=X_test @ beta)
     model = fit(X_train, train.y, lam=0.0, feature_map=fmap)
     beta_hat = feature_operator_from_model(model, X_train).T @ beta
-    draw = PairedDraw(beta, fmap, train, train, test, model, model, (beta_hat, beta_hat))
+    draw = PairedDraw(beta, (train, train), test, (model, model), (beta_hat, beta_hat))
     return _paired_metrics(draw, symmetric=False)["geom_error"]
 
 
@@ -90,61 +89,65 @@ class TestGeometricTestError:
             assert err >= 0.0
 
 
+# (n_p, lam, route) at m = 32, n_f = 8: the tall Gram, wide Gram, square SVD and lam = 0 SVD routes
+_ROUTES = [(16, 1e-8, "gram"), (64, 1e-8, "gram"), (32, 1e-8, "svd"), (16, 0.0, "svd")]
+
+
 class TestPairedDraw:
     def test_deterministic(self):
         cfg = ExperimentConfig(m=12, n_f=5, n_p=16)
         a = draw_paired_replica(cfg, 0, 0)
         b = draw_paired_replica(cfg, 0, 0)
-        assert np.array_equal(a.train_1.X, b.train_1.X)
-        assert np.array_equal(a.model_1.w_hat, b.model_1.w_hat)
+        assert np.array_equal(a.trains[0].X, b.trains[0].X)
+        assert np.array_equal(a.models[0].w_hat, b.models[0].w_hat)
         assert np.array_equal(a.beta, b.beta)
 
     def test_streams_differ(self):
         cfg = ExperimentConfig(m=12, n_f=5, n_p=16)
         d = draw_paired_replica(cfg, 0, 0)
         other = draw_paired_replica(cfg, 0, 1)
-        assert not np.array_equal(d.train_1.X, d.train_2.X)
-        assert not np.array_equal(d.train_1.X, d.test.X)
+        assert not np.array_equal(d.trains[0].X, d.trains[1].X)
+        assert not np.array_equal(d.trains[0].X, d.test.X)
         assert not np.array_equal(d.beta, other.beta)
-        assert not np.array_equal(d.feature_map.W, other.feature_map.W)
+        assert not np.array_equal(d.models[0].feature_map.W, other.models[0].feature_map.W)
 
     def test_shared_teacher_and_weights_within_pair(self):
         cfg = ExperimentConfig(m=12, n_f=5, n_p=16)
         d = draw_paired_replica(cfg, 2, 3)
-        assert d.model_1.feature_map is d.feature_map
-        assert d.model_2.feature_map is d.feature_map
+        assert d.models[0].feature_map is d.models[1].feature_map
         # every set of the pair is labelled by the one beta of the draw
-        for data, stream in ((d.train_1, STREAM_TRAIN), (d.train_2, STREAM_TRAIN_PAIR), (d.test, STREAM_TEST)):
+        for data, stream in zip((*d.trains, d.test), (STREAM_TRAIN, STREAM_TRAIN_PAIR, STREAM_TEST)):
             want = sample_dataset(cfg, d.beta, (2, 3, stream))
             assert np.array_equal(data.X, want.X) and np.array_equal(data.y, want.y)
 
-    def test_projections_shapes_and_meaning(self):
-        cfg = ExperimentConfig(m=33, n_f=5, n_p=16)
-        d = draw_paired_replica(cfg, 0, 0)
-        t, a1, a2 = paired_projections(d)
-        assert t.shape == a1.shape == a2.shape == (33,)
-        assert np.allclose(t, d.test.X @ d.beta, atol=1e-14)
-        # A_k = X_test P_f^T beta on every route, though P_f is never built:
-        # (n_p, lam) -> the tall Gram, wide Gram, square SVD and lam = 0 SVD
-        routes = {(16, 1e-8): "gram", (64, 1e-8): "gram", (32, 1e-8): "svd", (16, 0.0): "svd"}
-        for (n_p, lam), route in routes.items():
-            d = draw_paired_replica(ExperimentConfig(m=32, n_f=8, n_p=n_p, lam=lam), 0, 0)
-            _, *got = paired_projections(d)
-            for model, train, a in zip((d.model_1, d.model_2), (d.train_1, d.train_2), got):
-                assert (model.factors._K is not None) == (route == "gram")
-                expected = d.test.X @ (feature_operator_from_model(model, train.X).T @ d.beta)
-                assert np.linalg.norm(a - expected) <= 1e-12 * np.linalg.norm(expected), (n_p, lam)
-
-    @pytest.mark.parametrize("n_p, lam, route", [(16, 1e-8, "gram"), (64, 1e-8, "gram"), (32, 1e-8, "svd"), (16, 0.0, "svd")])
-    def test_beta_hats_are_the_fits_P_f_transpose_beta(self, n_p, lam, route):
-        # the tall Gram, wide Gram, square SVD and lam = 0 SVD routes; the
-        # draw's two-column solve gives fit's w_hat up to round-off
+    @pytest.mark.parametrize("n_p, lam, route", _ROUTES)
+    def test_paired_metrics_are_those_of_the_fits_P_f(self, n_p, lam, route):
+        # A_k = X_test P_f^T beta on every route, though P_f is never built
         d = draw_paired_replica(ExperimentConfig(m=32, n_f=8, n_p=n_p, lam=lam), 0, 0)
-        for model, train, beta_hat in zip((d.model_1, d.model_2), (d.train_1, d.train_2), d.beta_hats):
+        X = d.test.X
+        t = X @ d.beta
+        a = [X @ (feature_operator_from_model(m, train.X).T @ d.beta) for m, train in zip(d.models, d.trains)]
+        want = {
+            "geom_error": [np.mean((t - a_k) ** 2) for a_k in a],
+            "bias_sq": [np.mean((t - a[0]) * (t - a[1]))] * 2,
+            "variance": [np.mean(a_k**2) - np.mean(a[0] * a[1]) for a_k in a],
+        }
+        tol = 1e-12 * np.mean(t * t)
+        for symmetric in (False, True):
+            got = _paired_metrics(d, symmetric)
+            for name, (one_sided, other) in want.items():
+                value = 0.5 * (one_sided + other) if symmetric else one_sided
+                assert abs(got[name] - value) <= tol, (name, symmetric)
+
+    @pytest.mark.parametrize("n_p, lam, route", _ROUTES)
+    def test_beta_hats_are_the_fits_P_f_transpose_beta(self, n_p, lam, route):
+        # the draw's two-column solve gives fit's w_hat up to round-off
+        d = draw_paired_replica(ExperimentConfig(m=32, n_f=8, n_p=n_p, lam=lam), 0, 0)
+        for model, train, beta_hat in zip(d.models, d.trains, d.beta_hats):
             assert (model.factors._K is not None) == (route == "gram")
             expected = feature_operator_from_model(model, train.X).T @ d.beta
             assert np.linalg.norm(beta_hat - expected) <= 1e-12 * np.linalg.norm(expected)
-            ref = fit(georeg.apply_features(d.feature_map, train.X), train.y, lam=lam, feature_map=d.feature_map)
+            ref = fit(apply_features(model.feature_map, train.X), train.y, lam=lam, feature_map=model.feature_map)
             assert np.linalg.norm(model.w_hat - ref.w_hat) <= 1e-12 * np.linalg.norm(ref.w_hat)
             assert model.train_error == pytest.approx(ref.train_error, rel=1e-6, abs=1e-14)
 
@@ -259,7 +262,7 @@ class TestLinearFamilyOracle:
         cfg = self._config(m, n_f, n_p)
         for r in range(20):
             d = draw_paired_replica(cfg, 0, r)
-            for model, train in ((d.model_1, d.train_1), (d.model_2, d.train_2)):
+            for model, train in zip(d.models, d.trains):
                 p_f = feature_operator_from_model(model, train.X)
                 assert np.linalg.norm(p_f - np.eye(n_f)) <= 1e-12
 
@@ -362,9 +365,10 @@ def test_c01_train_error_is_the_ridge_estimators_own():
     certified = []
     for r in range(100):
         draw = draw_paired_replica(cfg, 3, r)
-        Z, y = apply_features(draw.feature_map, draw.train_1.X), draw.train_1.y
+        model, train = draw.models[0], draw.trains[0]
+        Z, y = apply_features(model.feature_map, train.X), train.y
         w = np.linalg.lstsq(np.vstack([Z, aug]), np.concatenate([y, np.zeros(cfg.n_p)]), rcond=None)[0]
         resid = y - Z @ w
         certified.append(np.mean(resid * resid))
-        assert abs(draw.model_1.train_error - certified[-1]) <= 2e-9 * certified[-1], r
+        assert abs(model.train_error - certified[-1]) <= 2e-9 * certified[-1], r
     assert np.mean(certified) / cfg.sigma_y_sq > 1e-6

@@ -121,9 +121,9 @@ class TestFrobeniusComplements:
         under, over = run_sweep(SweepSpec(base, np_over_m_grid=(0.5, 2.0), n_replicas=2)).rows
         draws = [draw_paired_replica(replace(base, n_p=under.n_p), 0, r) for r in range(2)]
         formed = np.mean([
-            np.linalg.norm(np.eye(base.m) - label_projector(apply_features(d.feature_map, train.X)).p_l)
+            np.linalg.norm(np.eye(base.m) - label_projector(apply_features(model.feature_map, train.X)).p_l)
             for d in draws
-            for train in (d.train_1, d.train_2)
+            for model, train in zip(d.models, d.trains)
         ])
         value = under.means["frob_I_minus_Pl"]
         assert value == pytest.approx(np.sqrt(base.m - under.n_p), rel=1e-12)

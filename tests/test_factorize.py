@@ -1,8 +1,8 @@
 """The two routes of linreg_core.factorize: the thin SVD and the Gram route.
 
 A non-square A at lam > 0 is factorized through the Gram matrix of its
-smaller side when its Cholesky pivots pass the guard of factorize; every
-other call is np.linalg.svd as it returns.  The differential test compares
+smaller side when K passes the guard of factorize; every other call is
+np.linalg.svd as it returns.  The differential test compares
 the fit with the normal equations and with Factorization(Z, lam), the
 SVD route built by hand, on tall and wide Z with s_min / s_max >= 1e-4.
 The Gram route squares the condition number kappa of Z, so each tolerance is
@@ -58,7 +58,7 @@ def test_gram_route_matches_normal_equations_and_svd(case):
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
         model = fit(Z, y, lam=lam, feature_map=fmap)
     # The guard sends a fit to the SVD only when K is ill-conditioned, and
-    # cond(K) <= kappa^2 bounds the pivot ratio it reads.
+    # cond(K) <= kappa^2 bounds the pivot and eigenvalue ratios it reads.
     assert svd.call_count == 0 or kappa**2 > 1.0 / np.sqrt(EPS)
     ref = Factorization(Z, lam)
     G_ref = ref.effective_inverse()
@@ -75,10 +75,10 @@ def test_gram_route_matches_normal_equations_and_svd(case):
     r = y - Z @ w_ref
     assert abs(model.train_error - np.mean(r * r)) <= tol * np.dot(y, y) / m
 
-    assert model.rank_z == ref.rank == min(m, n)
+    assert model.factors.rank == ref.rank == min(m, n)
     s_tol = SPECTRUM_TOL * max(m, n) * EPS * ref.s[0]
     assert np.all(np.abs(model.factors.s - ref.s) <= s_tol)
-    assert abs(model.sigma_z_min - ref.sigma_min) <= s_tol
+    assert abs(model.factors.sigma_min - ref.sigma_min) <= s_tol
     if model.factors.U is None:  # the tall Gram route takes the singular values alone
         assert m > n and model.factors.U_k is None and model.factors.Vt_k is None
     else:  # every other route reads the SVD route's own thin SVD
@@ -173,11 +173,13 @@ def test_relu_fits_take_the_gram_route(monkeypatch, m, n_f, n_p):
     assert _decomposition_residual(model, beta, data) <= 1e-12
 
 
-@pytest.mark.parametrize("m, n_f, n_p", [(64, 32, 96), (256, 64, 512), (256, 64, 128)])
+@pytest.mark.parametrize("m, n_f, n_p", [(64, 32, 96), (256, 64, 512), (256, 64, 128), (256, 128, 768)])
 def test_rank_deficient_linear_fits_fall_back_to_the_svd(m, n_f, n_p):
     # Z = X W has rank n_f < min(M, N_p): at lam = 1e-8 the smallest pivot
     # of K reads about 1.5 lam, so the guard takes the SVD, and the fit is
-    # bitwise the one built from np.linalg.svd here
+    # bitwise the one built from np.linalg.svd here.  The last design is
+    # georeg angles --model linear --nf-ratio 0.5 --np-ratio 3, whose pivot
+    # ratio 1.56e-8 is just above sqrt(eps): its eigenvalues reject it.
     beta, data, model = _relu_or_linear_fit(m, n_f, n_p, "linear")
     Z = apply_features(model.feature_map, data.X)
     ref = Factorization(Z, model.factors.lam)
@@ -185,7 +187,7 @@ def test_rank_deficient_linear_fits_fall_back_to_the_svd(m, n_f, n_p):
     assert model.factors.U.tobytes() == ref.U.tobytes()
     p_f = feature_operator_from_model(model, data.X)
     assert p_f.tobytes() == ref.solve(data.X, left=model.feature_map.W).T.tobytes()
-    assert model.rank_z == n_f
+    assert model.factors.rank == n_f
     assert _decomposition_residual(model, beta, data) <= 1e-12
 
 
@@ -202,6 +204,34 @@ def test_large_lam_keeps_a_rank_deficient_design_on_the_gram_route(monkeypatch, 
     assert _decomposition_residual(model, beta, data) <= 1e-12
 
 
+# ------------------------------------------------------ the eigenvalue guard
+
+
+def test_passing_pivots_do_not_keep_an_ill_conditioned_wide_fit():
+    # a wide 2 x 3 Z with singular values (1, 1e-8) at lam = 1e-8: the
+    # pivot ratio of K reads 5.0e-7, above sqrt(eps), but its eigenvalue
+    # ratio is 1e-8, so the eigenvalue stage sends the fit to the SVD
+    rng = np.random.default_rng(1827)
+    U, V = np.linalg.qr(rng.normal(size=(2, 2)))[0], np.linalg.qr(rng.normal(size=(3, 2)))[0]
+    Z, lam = (U * [1.0, 1e-8]) @ V.T, 1e-8
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        f = factorize(Z, lam)
+    assert f._K is None and eigvalsh.call_count == 1
+    y = rng.normal(size=2)
+    assert f.solve(y).tobytes() == Factorization(Z, lam).solve(y).tobytes()
+
+
+def test_c06_linear_fit_is_the_svd_routes_at_seeds_0_to_39():
+    # c06's linear design (64 x 96, rank 32, lam = 1e-8); at 8 of these
+    # seeds the pivots alone kept the Gram route, whose w_hat was 2.0e-8 off
+    for seed in range(40):
+        cfg = ExperimentConfig(m=64, n_f=32, n_p=96, activation="linear", seed=seed)
+        data = sample_dataset(cfg, sample_teacher(cfg), (0, 0, STREAM_TRAIN))
+        Z = apply_features(make_feature_map(cfg), data.X)
+        model = fit(Z, data.y, lam=cfg.lam)
+        assert model.w_hat.tobytes() == Factorization(Z, cfg.lam).solve(data.y).tobytes(), seed
+
+
 # ------------------------------------------------- the spectrum of a wide fit
 
 
@@ -216,8 +246,8 @@ def test_wide_gram_fit_reads_the_spectrum_of_the_thin_svd(monkeypatch):
     _, data, model = _relu_or_linear_fit(64, 32, 96, "relu")
     assert calls == []
     ref = Factorization(apply_features(model.feature_map, data.X), model.factors.lam)
-    assert model.rank_z == ref.rank == 64
-    assert model.sigma_z_min == ref.sigma_min
+    assert model.factors.rank == ref.rank == 64
+    assert model.factors.sigma_min == ref.sigma_min
     assert model.factors.U_k.tobytes() == ref.U_k.tobytes()
     assert calls == ["svd", "svd"]  # the reference's, and the fit's once
 
@@ -284,9 +314,9 @@ def test_tall_gram_fit_reports_the_rank_of_the_thin_svd(s_min):
     model = fit(Z, rng.normal(size=256), lam=1.0)
     assert model.factors._K is not None
     rank = label_projector(Z).rank
-    assert model.rank_z == rank
+    assert model.factors.rank == rank
     s = np.linalg.svd(Z, compute_uv=False)
-    assert abs(model.sigma_z_min - s[rank - 1]) <= SPECTRUM_TOL * 256 * EPS * s[0]
+    assert abs(model.factors.sigma_min - s[rank - 1]) <= SPECTRUM_TOL * 256 * EPS * s[0]
 
 
 @pytest.mark.parametrize("m, n, r", [(256, 192, 128), (256, 64, 40), (40, 12, 5), (7, 6, 1)])
@@ -296,7 +326,7 @@ def test_gram_cut_reports_planted_rank_of_duplicate_columns(m, n, r):
     Z = B[:, np.concatenate([np.arange(r), rng.integers(0, r, n - r)])]
     for scale in (1e-6, 1.0, 1e6):
         model = fit(scale * Z, rng.normal(size=m), lam=1e-8)
-        assert model.rank_z == r
+        assert model.factors.rank == r
 
 
 def test_gram_cut_keeps_a_relu_design_at_full_rank():
@@ -305,6 +335,6 @@ def test_gram_cut_keeps_a_relu_design_at_full_rank():
     Z = apply_features(make_feature_map(cfg), data.X)
     model = fit(Z, data.y, lam=cfg.lam)
     assert model.factors.U is None
-    assert model.rank_z == 192
+    assert model.factors.rank == 192
     s_min = np.linalg.svd(Z, compute_uv=False)[-1]
-    assert model.sigma_z_min == pytest.approx(s_min, rel=1e-10)
+    assert model.factors.sigma_min == pytest.approx(s_min, rel=1e-10)

@@ -27,7 +27,7 @@ from georeg import (
     sample_dataset,
     sample_teacher,
 )
-from georeg.linreg_core import FeatureMap
+from georeg.linreg_core import Factorization, FeatureMap
 
 
 def _fitted(cfg, tag=(0, 0, STREAM_TRAIN)):
@@ -215,6 +215,37 @@ class TestPredictionDecomposition:
             y_hat = float(apply_features(fmap, x) @ model.w_hat)
             xb, dy = prediction_decomposition(model, beta, data, x)
             assert abs(y_hat - (xb + dy)) <= 1e-8 * (1.0 + abs(y_hat))
+
+    @pytest.mark.parametrize("n_p", [12, 25, 40])  # the tall Gram, square SVD and wide Gram routes
+    def test_one_vector_solve_splits_the_fits_own_w_hat(self, monkeypatch, n_p):
+        cfg = ExperimentConfig(m=25, n_f=12, n_p=n_p, activation="relu")
+        beta, data, fmap, model = _fitted(cfg)
+        assert (model.factors._K is not None) == (n_p != 25)
+        calls, solve = [], Factorization.solve
+
+        def counted(self, B, left=None):
+            calls.append((np.shape(B), left))
+            return solve(self, B, left)
+
+        monkeypatch.setattr(Factorization, "solve", counted)
+        prediction_decomposition(model, beta, data, np.full(12, 12**-0.5))
+        assert calls == [((25,), None)]  # G (X beta); G y is the fit's w_hat
+
+    @pytest.mark.parametrize("activation, n_p", [("identity", 32), ("linear", 96), ("relu", 96)])
+    def test_c06_holds_to_round_off_at_seeds_0_to_39(self, activation, n_p):
+        # c06's designs and loop at 40 seeds; worst seen 1.2e-15 (relu),
+        # against c06's bound of 1e-8
+        worst = 0.0
+        for seed in range(40):
+            cfg = ExperimentConfig(m=64, n_f=32, n_p=n_p, activation=activation, seed=seed)
+            beta, data, fmap, model = _fitted(cfg)
+            rng = np.random.default_rng(42)
+            for _ in range(100):
+                x = rng.normal(0.0, cfg.sigma_x / np.sqrt(cfg.n_f), cfg.n_f)
+                y_hat = float(apply_features(fmap, x) @ model.w_hat)
+                xb, dy = prediction_decomposition(model, beta, data, x)
+                worst = max(worst, abs(y_hat - (xb + dy)) / (1.0 + abs(y_hat)))
+        assert worst <= 1e-13
 
 
 class TestNearThresholdInvariant:

@@ -62,12 +62,12 @@ def test_one_sided_replica_skips_the_spectrum(monkeypatch):
     metrics = _paired_metrics(draw, symmetric=False)
     assert np.all(np.isfinite(list(metrics.values())))
 
-    model = draw.model_1
+    model = draw.models[0]
     monkeypatch.undo()
     _forbid(monkeypatch, "eigh")
     calls = _count_calls(monkeypatch, "svd")
-    assert model.rank_z == 48
-    assert model.rank_z == 48
+    assert model.factors.rank == 48
+    assert model.factors.rank == 48
     assert model.factors.U is None  # the tall Gram route forms no singular vectors
     assert calls == ["svd"]
 
@@ -79,15 +79,15 @@ def test_paired_replica_reads_the_thin_svd_spectrum_of_a_wide_fit(monkeypatch):
     svd, cholesky = _count_calls(monkeypatch, "svd"), _count_calls(monkeypatch, "cholesky")
     draw = draw_paired_replica(cfg, 0, 0)
     assert (svd, cholesky) == ([], ["cholesky", "cholesky"])
-    frobs = [_frob_complement_from_fit(m, cfg.m) for m in (draw.model_1, draw.model_2)]
+    frobs = [_frob_complement_from_fit(m, cfg.m) for m in draw.models]
     assert svd == ["svd", "svd"]
     monkeypatch.undo()
     assert _replica_metrics(cfg, 0, 0)["frob_I_minus_Pl"] == 0.5 * (frobs[0] + frobs[1])
-    for model, data in ((draw.model_1, draw.train_1), (draw.model_2, draw.train_2)):
-        U, s, _ = np.linalg.svd(apply_features(draw.feature_map, data.X), full_matrices=False)
+    for model, data in zip(draw.models, draw.trains):
+        U, s, _ = np.linalg.svd(apply_features(model.feature_map, data.X), full_matrices=False)
         keep = s > 1e-10 * max(cfg.m, cfg.n_p) * s[0]
         assert model.factors.U_k.tobytes() == U[:, keep].tobytes()
-        assert model.sigma_z_min == s[keep].min()
+        assert model.factors.sigma_min == s[keep].min()
 
 
 # ------------------------------------------------- one solve per fit
@@ -98,7 +98,7 @@ def test_replica_solves_y_and_X_beta_together(monkeypatch, n_p):
     # one LU per fit for [y, X beta]; the sweep's P_f adds one per fit
     cfg = ExperimentConfig(m=64, n_f=16, n_p=n_p, activation="relu")
     draw = draw_paired_replica(cfg, 0, 0)
-    assert all(m.factors._K is not None for m in (draw.model_1, draw.model_2))
+    assert all(m.factors._K is not None for m in draw.models)
     rhs, orig = [], np.linalg.solve
 
     def counted(K, B):
@@ -172,7 +172,7 @@ def test_rejected_cholesky_falls_back_to_the_svd():
     assert model.w_hat.tobytes() == ref.solve(y).tobytes()
     resid = y - Z @ model.w_hat
     assert model.train_error == np.mean(resid * resid)
-    assert model.rank_z == r
+    assert model.factors.rank == r
     assert np.all(np.isfinite(feature_operator_from_model(model, rng.normal(size=(m, 5)))))
 
 

@@ -32,7 +32,7 @@ def test_pseudoinverse_is_the_min_norm_effective_inverse(case):
 @given(planted_rank())
 def test_fit_and_label_projector_share_the_rank(case):
     Z, y, r = case
-    rank = fit(Z, y).rank_z
+    rank = fit(Z, y).factors.rank
     assert rank == label_projector(Z).rank
     assert rank == r
 
@@ -61,7 +61,7 @@ def planted_cut(draw):
 @given(planted_cut())
 def test_analyze_operator_and_label_projector_share_the_cut(case):
     A, kept = case
-    assert fit(A, np.ones(A.shape[0]), lam=0.0).rank_z == kept
+    assert fit(A, np.ones(A.shape[0]), lam=0.0).factors.rank == kept
     assert label_projector(A).rank == kept
     # each kept mode gives A^+ a singular value 1/s >= 1/s_max; a dropped one
     # leaves only round-off
