@@ -150,16 +150,15 @@ def _guarded_gram(A: np.ndarray, lam: float) -> np.ndarray | None:
     or None when K fails the guard of factorize."""
     K = A.T @ A if A.shape[0] > A.shape[1] else A @ A.T
     K.flat[:: K.shape[0] + 1] += lam
+    d = np.diagonal(K).copy()
+    with np.errstate(over="ignore"):  # an overflowed norm leaves tau = 1e3 lam
+        tau = min(_GUARD_LAM * lam, _GUARD_RATIO * np.linalg.norm(K))
+    K.flat[:: K.shape[0] + 1] = d - tau
     try:
-        d2 = np.diagonal(np.linalg.cholesky(K)) ** 2
+        np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
         return None
-    if d2.size and d2.min() < _GUARD_LAM * lam:
-        if d2.min() < _GUARD_RATIO * d2.max():
-            return None
-        ev = np.linalg.eigvalsh(K)
-        if ev[0] < _GUARD_LAM * lam and ev[0] < _GUARD_RATIO * ev[-1]:
-            return None
+    K.flat[:: K.shape[0] + 1] = d
     return K
 
 
@@ -293,19 +292,14 @@ def factorize(A: np.ndarray, lam: float = 0.0, *, caller: str = "factorize") -> 
     * otherwise the thin SVD of np.linalg.svd.  That is every square A,
       every lam = 0, and a Gram route that fails its guard.
 
-    The guard sends a non-square lam > 0 fit to the thin SVD when cholesky
-    rejects K, or when the eigenvalues of K give both
+    The guard sends a non-square lam > 0 fit to the thin SVD when
 
-        lam_min < 1e3 lam                and    lam_min / lam_max < sqrt(eps),
+        lam_min(K) < tau = min(1e3 lam, sqrt(eps) |K|_F),
 
-    that is, when A is numerically rank-deficient at this lam and K is
-    ill-conditioned.  K^-1 then amplifies the round-off of forming A^T A
-    or A A^T in the null directions of A by up to 1/lam.  A large lam
-    keeps K well conditioned, and such a fit keeps the Gram route.  As
-    lam_min <= min d^2 and max d^2 <= lam_max for the pivots
-    d = diag(np.linalg.cholesky(K)), pivots that meet both clauses reject,
-    min d^2 >= 1e3 lam accepts (lam_min may still be below 1e3 lam), and
-    only a fit between the two pays for np.linalg.eigvalsh(K).
+    decided exactly by whether np.linalg.cholesky(K - tau I) fails: A is
+    then numerically rank-deficient at this lam and K ill-conditioned, and
+    K^-1 would amplify the round-off of forming A^T A or A A^T in the null
+    directions of A by up to 1/lam.
 
     A wide Gram-route fit whose spectrum is read runs the Gram solves and
     then the thin SVD, so only G and G B differ from the SVD route's, by

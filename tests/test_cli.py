@@ -135,6 +135,25 @@ def test_repeated_main_calls_write_what_fresh_processes_write(tmp_path):
                 assert (here / file).read_bytes() == (fresh / file).read_bytes(), (name, file)
 
 
+def test_angles_and_a_one_worker_sweep_load_no_pool_module_and_no_scipy(tmp_path):
+    # the README's promise, checked in a fresh interpreter: the pool modules
+    # are imported by the first pooled call only, and scipy never
+    script = (
+        "import sys\n"
+        "from georeg.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['angles', '--model', 'linear', '--m', '32', '--out', out + '/angles']) == 0\n"
+        "assert main(['sweep', '--model', 'relu', '--m', '32', '--np-grid', '0.5,1', '--replicas', '4',\n"
+        "             '--workers', '1', '--out', out + '/sweep']) == 0\n"
+        "names = ('multiprocessing', 'concurrent.futures', 'scipy')\n"
+        "print(sorted(m for m in sys.modules if m in names or m.startswith(tuple(n + '.' for n in names))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(georeg.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
+
+
 # each command with its plot flag where it has one, at a small M
 _RERUNS = {
     "sweep": ["--model", "relu", "--np-grid", "0.5,1", "--replicas", "4", "--normalize", "--plot"],

@@ -13,6 +13,7 @@ held to the backward-stable SPECTRUM_TOL * max(M, N_p) * eps * s_max (the
 largest normalized gap seen over 6000 draws, against the SVD route and
 against the planted values, was 0.94).
 """
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -57,9 +58,9 @@ def test_gram_route_matches_normal_equations_and_svd(case):
     X = rng.normal(size=(m, 3))
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
         model = fit(Z, y, lam=lam, feature_map=fmap)
-    # The guard sends a fit to the SVD only when K is ill-conditioned, and
-    # cond(K) <= kappa^2 bounds the pivot and eigenvalue ratios it reads.
-    assert svd.call_count == 0 or kappa**2 > 1.0 / np.sqrt(EPS)
+    # The guard sends a fit to the SVD only when lam_min(K) < sqrt(eps) |K|_F,
+    # and |K|_F <= sqrt(min(m, n)) lam_max with cond(K) <= kappa^2.
+    assert svd.call_count == 0 or kappa**2 * np.sqrt(min(m, n)) > 1.0 / np.sqrt(EPS)
     ref = Factorization(Z, lam)
     G_ref = ref.effective_inverse()
     g_norm = np.linalg.norm(G_ref, 2)
@@ -175,11 +176,11 @@ def test_relu_fits_take_the_gram_route(monkeypatch, m, n_f, n_p):
 
 @pytest.mark.parametrize("m, n_f, n_p", [(64, 32, 96), (256, 64, 512), (256, 64, 128), (256, 128, 768)])
 def test_rank_deficient_linear_fits_fall_back_to_the_svd(m, n_f, n_p):
-    # Z = X W has rank n_f < min(M, N_p): at lam = 1e-8 the smallest pivot
-    # of K reads about 1.5 lam, so the guard takes the SVD, and the fit is
-    # bitwise the one built from np.linalg.svd here.  The last design is
-    # georeg angles --model linear --nf-ratio 0.5 --np-ratio 3, whose pivot
-    # ratio 1.56e-8 is just above sqrt(eps): its eigenvalues reject it.
+    # Z = X W has rank n_f < min(M, N_p): at lam = 1e-8 lam_min of K is
+    # about lam, so the guard takes the SVD, and the fit is bitwise the one
+    # built from np.linalg.svd here.  The last design is georeg angles
+    # --model linear --nf-ratio 0.5 --np-ratio 3, whose pivot ratio 1.56e-8
+    # sits just above sqrt(eps).
     beta, data, model = _relu_or_linear_fit(m, n_f, n_p, "linear")
     Z = apply_features(model.feature_map, data.X)
     ref = Factorization(Z, model.factors.lam)
@@ -193,8 +194,8 @@ def test_rank_deficient_linear_fits_fall_back_to_the_svd(m, n_f, n_p):
 
 @pytest.mark.parametrize("m, n_f, n_p", [(256, 64, 512), (256, 64, 128)])
 def test_large_lam_keeps_a_rank_deficient_design_on_the_gram_route(monkeypatch, m, n_f, n_p):
-    # at lam = 1e-2 the pivots still read Z as rank-deficient (min d^2 near
-    # lam), but K is well conditioned, so the Gram route is accurate
+    # at lam = 1e-2 Z is still rank-deficient (lam_min of K near lam), but
+    # lam_min is far above sqrt(eps) |K|_F, so the Gram route is accurate
     lam = 1e-2
     with monkeypatch.context() as patched:
         _forbid_svd(patched)
@@ -204,26 +205,114 @@ def test_large_lam_keeps_a_rank_deficient_design_on_the_gram_route(monkeypatch, 
     assert _decomposition_residual(model, beta, data) <= 1e-12
 
 
-# ------------------------------------------------------ the eigenvalue guard
+# -------------------------------------------------------------- the guard
 
 
-def test_passing_pivots_do_not_keep_an_ill_conditioned_wide_fit():
-    # a wide 2 x 3 Z with singular values (1, 1e-8) at lam = 1e-8: the
-    # pivot ratio of K reads 5.0e-7, above sqrt(eps), but its eigenvalue
-    # ratio is 1e-8, so the eigenvalue stage sends the fit to the SVD
+def _gram(Z, lam) -> np.ndarray:
+    """K = Z^T Z + lam I for a tall Z and Z Z^T + lam I otherwise, formed as factorize forms it."""
+    K = Z.T @ Z if Z.shape[0] > Z.shape[1] else Z @ Z.T
+    K.flat[:: K.shape[0] + 1] += lam
+    return K
+
+
+def _eigenvalue_rule_rejects(Z, lam) -> bool:
+    """lam_min < 1e3 lam and lam_min / lam_max < sqrt(eps), read from np.linalg.eigvalsh(K)."""
+    ev = np.linalg.eigvalsh(_gram(Z, lam))
+    return bool(ev[0] < 1e3 * lam and ev[0] < np.sqrt(EPS) * ev[-1])
+
+
+def test_an_ill_conditioned_wide_fit_takes_the_svd_without_eigvalsh():
+    # a wide 2 x 3 Z with singular values (1, 1e-8) at lam = 1e-8: lam_min
+    # of K is 2e-8, below both 1e3 lam and sqrt(eps) |K|_F
     rng = np.random.default_rng(1827)
     U, V = np.linalg.qr(rng.normal(size=(2, 2)))[0], np.linalg.qr(rng.normal(size=(3, 2)))[0]
     Z, lam = (U * [1.0, 1e-8]) @ V.T, 1e-8
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
         f = factorize(Z, lam)
-    assert f._K is None and eigvalsh.call_count == 1
+    assert f._K is None and eigvalsh.call_count == 0
     y = rng.normal(size=2)
     assert f.solve(y).tobytes() == Factorization(Z, lam).solve(y).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
+def test_the_guard_is_one_cholesky_and_keeps_the_bits_of_k(monkeypatch, shape):
+    Z, lam = np.random.default_rng(4).normal(size=shape), 1e-8
+    K = _gram(Z, lam)
+    for name in ("svd", "eigh", "eigvalsh", "qr", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, mock.Mock(side_effect=AssertionError(name)))
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+        f = factorize(Z, lam)
+    assert cholesky.call_count == 1 and f._K.tobytes() == K.tobytes()
+
+
+def _random_design(family, seed) -> np.ndarray:
+    """A non-square Z of M in [8, 128] rows and N_p in [8, 256] columns:
+    a random low-rank product, or linear or relu features of N_f random inputs."""
+    rng = np.random.default_rng(seed)
+    m, n_p = int(rng.integers(8, 129)), int(rng.integers(8, 257))
+    while m == n_p:
+        n_p = int(rng.integers(8, 257))
+    if family == "low-rank":
+        r = int(rng.integers(1, min(m, n_p)))
+        return rng.normal(size=(m, r)) @ rng.normal(size=(r, n_p)) / np.sqrt(r)
+    n_f = int(rng.integers(1, 2 * m))
+    W = rng.normal(0.0, 1.0 / np.sqrt(n_p), (n_f, n_p))
+    return apply_features(FeatureMap(family, W), rng.normal(0.0, 1.0 / np.sqrt(n_f), (m, n_f)))
+
+
+@pytest.mark.parametrize("family", ["low-rank", "linear", "relu"])
+def test_every_design_the_eigenvalue_rule_rejects_takes_the_svd(family):
+    for seed in range(200):
+        Z = _random_design(family, seed)
+        for lam in (1e-8, 1e-6, 1e-4):
+            if _eigenvalue_rule_rejects(Z, lam):
+                assert factorize(Z, lam)._K is None, (seed, lam)
+
+
+def _det_one_design() -> np.ndarray:
+    """[L | 0] for L L^T = K0 = [[1, b], [b, 1e6]] with det(K0) = 1: the
+    pivots d^2 of K0 are (1, 1) but its eigenvalues about (1e-6, 1e6)."""
+    b = np.sqrt(1e6 - 1.0)
+    return np.hstack([np.linalg.cholesky(np.array([[1.0, b], [b, 1e6]])), np.zeros((2, 1))])
+
+
+# designs whose Cholesky pivots of K all read d^2 >= 1e3 lam at lam = 1e-8
+# while the eigenvalue rule rejects K; the seeds come from a seeded search
+# over seeds 0-999 of _random_design
+_PIVOT_ESCAPES = {
+    "det-one": _det_one_design,
+    "low-rank-108": lambda: _random_design("low-rank", 108),
+    "linear-31": lambda: _random_design("linear", 31),
+    "relu-587": lambda: _random_design("relu", 587),
+}
+
+
+@pytest.mark.parametrize("design", _PIVOT_ESCAPES)
+def test_a_design_whose_pivots_all_pass_takes_the_svd(design):
+    Z, lam = _PIVOT_ESCAPES[design](), 1e-8
+    d2 = np.diagonal(np.linalg.cholesky(_gram(Z, lam))) ** 2
+    assert d2.min() >= 1e3 * lam and _eigenvalue_rule_rejects(Z, lam)
+    f = factorize(Z, lam)
+    y = np.random.default_rng(0).normal(size=Z.shape[0])
+    assert f._K is None and f.solve(y).tobytes() == Factorization(Z, lam).solve(y).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
+def test_a_huge_design_fits_without_a_runtime_warning(shape):
+    # |K|_F overflows at entries of 1e100 while K stays finite, which
+    # leaves tau = 1e3 lam and the fit on the Gram route
+    rng = np.random.default_rng(5)
+    Z = 1e100 * rng.normal(size=shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        model = fit(Z, rng.normal(size=shape[0]), lam=1e-8)
+    assert model.factors._K is not None and np.all(np.isfinite(model.w_hat))
+
+
 def test_c06_linear_fit_is_the_svd_routes_at_seeds_0_to_39():
     # c06's linear design (64 x 96, rank 32, lam = 1e-8); at 8 of these
-    # seeds the pivots alone kept the Gram route, whose w_hat was 2.0e-8 off
+    # seeds a guard that read the Cholesky pivots alone kept the Gram route,
+    # whose w_hat was 2.0e-8 off
     for seed in range(40):
         cfg = ExperimentConfig(m=64, n_f=32, n_p=96, activation="linear", seed=seed)
         data = sample_dataset(cfg, sample_teacher(cfg), (0, 0, STREAM_TRAIN))
