@@ -19,7 +19,7 @@ The five error metrics are the symmetric reduction of decomposition's
 paired-replica kernel; run_bias_variance reports its one-sided reduction
 over the same draws.  The P_f metrics, frob_I_minus_Pf among them, are
 properties of each fit's operator analysis; sigma_Z_min and frob_I_minus_Pl
-read each fit's stored factorization of Z.
+are the sigma_min and frob_complement of each fit's Factorization of Z.
 
 One grid runner, _run_grid, serves run_sweep and run_bias_variance with one
 task per (grid point, replica); only the replica kernel differs.  Every
@@ -145,17 +145,6 @@ class SweepResult:
 # ------------------------------------------------------------- plumbing
 
 
-def _frob_complement_from_fit(model, m: int) -> float:
-    """|I - P_l|_F of a fit to M = m labels: sqrt(M - rank) exactly for a fit
-    without the kept columns U of Z's thin SVD (the tall Gram route), else
-    the Gram identity |I - U U^T|_F^2 = M - 2 |U|_F^2 + |U^T U|_F^2."""
-    ur = model.factors.U_k
-    if ur is None:
-        return float(np.sqrt(m - model.factors.rank))
-    sq = m - 2.0 * np.sum(ur * ur) + np.sum((ur.T @ ur) ** 2)
-    return float(np.sqrt(max(sq, 0.0)))
-
-
 def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) -> dict:
     """Every metric in ALL_METRICS for one paired replica (run_sweep's kernel)."""
     draw = draw_paired_replica(config, grid_idx, replica_idx)
@@ -163,7 +152,7 @@ def _replica_metrics(config: ExperimentConfig, grid_idx: int, replica_idx: int) 
     out = _paired_metrics(draw, symmetric=True)
     per_fit = {
         "sigma_Z_min": [m.factors.sigma_min for m in models],
-        "frob_I_minus_Pl": [_frob_complement_from_fit(m, config.m) for m in models],
+        "frob_I_minus_Pl": [m.factors.frob_complement for m in models],
     }
     analyses = [analyze_operator(feature_operator_from_model(m, d.X)) for m, d in zip(models, draw.trains)]
     if any(a.rank == 0 for a in analyses):

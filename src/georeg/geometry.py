@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, NumericError, ShapeError
 from .linreg_core import Dataset, FittedModel, _check_beta, apply_features, factorize
 
 # ------------------------------------------------------------- projectors
@@ -186,6 +186,8 @@ def prediction_decomposition(
     W = model.feature_map.W
     if x.shape != (W.shape[0],):
         raise ShapeError(f"x must have shape ({W.shape[0]},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NumericError("x has non-finite entries")
     beta = _check_beta(beta, W.shape[0])
 
     g_xb = model.factors.solve(data.X @ beta)

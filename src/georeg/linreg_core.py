@@ -46,10 +46,12 @@ def sample_teacher(config: ExperimentConfig, stream_tag: tuple = (0, 0, STREAM_T
 
 
 def _check_beta(beta: np.ndarray, n_f: int) -> np.ndarray:
-    """beta as a float array, or a ShapeError unless it has shape (n_f,)."""
+    """beta as a float array: a ShapeError unless of shape (n_f,), a NumericError unless finite."""
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (n_f,):
         raise ShapeError(f"beta must have shape ({n_f},), got {beta.shape}")
+    if not np.all(np.isfinite(beta)):
+        raise NumericError("beta has non-finite entries")
     return beta
 
 
@@ -181,8 +183,8 @@ class Factorization:
     taken the first time it is read.
 
     Every route's spectrum is the thin SVD of A: on the tall Gram route its
-    singular values alone, so U, Vt, U_k and Vt_k are None there, and on a
-    wide one the full thin SVD, bitwise the SVD route's.
+    singular values s alone, so the kept U_k and Vt_k are None there, and on
+    a wide one the full thin SVD, bitwise the SVD route's.
     """
 
     def __init__(self, A: np.ndarray, lam: float, K: np.ndarray | None = None):
@@ -200,20 +202,8 @@ class Factorization:
         return U, s, Vt, s > 1e-10 * max(A.shape) * (s[0] if s.size else 0.0)
 
     @property
-    def U(self) -> np.ndarray | None:
-        return self._spectrum[0]
-
-    @property
     def s(self) -> np.ndarray:
         return self._spectrum[1]
-
-    @property
-    def Vt(self) -> np.ndarray | None:
-        return self._spectrum[2]
-
-    @property
-    def keep(self) -> np.ndarray:
-        return self._spectrum[3]
 
     # The kept modes are copied with the boolean mask, not sliced, and G is
     # built from them for lam = 0 but from the unsliced factors for lam > 0:
@@ -221,15 +211,18 @@ class Factorization:
     # number, depends on that layout.
     @cached_property
     def U_k(self) -> np.ndarray | None:
-        return None if self.U is None else self.U[:, self.keep]
+        U, _, _, keep = self._spectrum
+        return None if U is None else U[:, keep]
 
     @cached_property
     def s_k(self) -> np.ndarray:
-        return self.s[self.keep]
+        _, s, _, keep = self._spectrum
+        return s[keep]
 
     @cached_property
     def Vt_k(self) -> np.ndarray | None:
-        return None if self.Vt is None else self.Vt[self.keep]
+        _, _, Vt, keep = self._spectrum
+        return None if Vt is None else Vt[keep]
 
     @property
     def rank(self) -> int:
@@ -239,10 +232,21 @@ class Factorization:
     def sigma_min(self) -> float:
         return float(self.s_k.min()) if self.rank else 0.0
 
+    @property
+    def frob_complement(self) -> float:
+        """|I - P_l|_F, P_l = U_k U_k^T, over the M rows of A: sqrt(M - rank) on
+        the tall Gram route, else the root of M - 2 |U_k|_F^2 + |U_k^T U_k|_F^2."""
+        m, U_k = self._A.shape[0], self.U_k
+        if U_k is None:
+            return float(np.sqrt(m - self.rank))
+        sq = m - 2.0 * np.sum(U_k * U_k) + np.sum((U_k.T @ U_k) ** 2)
+        return float(np.sqrt(max(sq, 0.0)))
+
     @cached_property
     def _filtered(self) -> tuple:  # (U, f, Vt) of the SVD route, with G = Vt^T diag(f) U^T
         if self.lam > 0:
-            return self.U, self.s / (self.s**2 + self.lam), self.Vt
+            U, s, Vt, _ = self._spectrum
+            return U, s / (s**2 + self.lam), Vt
         return self.U_k, 1.0 / self.s_k, self.Vt_k
 
     def effective_inverse(self) -> np.ndarray:
@@ -354,7 +358,8 @@ def fit(
     least one row; a Z with no columns fits w_hat = [] with train error
     mean(y^2).
     Records the train error; rank(Z) and the smallest retained singular
-    value are read from the factorization when first read.
+    value are read from the factorization when first read.  A w_hat that
+    is not finite, as when K or the filter overflows, is a NumericError.
     """
     return _fit(Z, y, lam, feature_map)[0]
 
@@ -386,6 +391,8 @@ def _fit(
         w_hat, g_also = factors.solve(y), None
     else:
         w_hat, g_also = factors.solve(np.column_stack((y, also))).T.copy()
+    if not np.all(np.isfinite(w_hat)):
+        raise NumericError(f"fit's w_hat is not finite on the {'thin SVD' if factors._K is None else 'Gram'} route")
     r = y - Z @ w_hat
     model = FittedModel(w_hat=w_hat, feature_map=feature_map, factors=factors, train_error=float(np.mean(r * r)))
     return model, g_also

@@ -133,6 +133,8 @@ def perturbation_experiment(
     if model.feature_map is None:
         raise ConfigurationError("model has no feature map attached; cannot featurize x")
     x = _input_vector(x, analysis, "x")
+    if config.n_f != x.shape[0]:
+        raise ConfigurationError(f"config has n_f = {config.n_f}, but P_f has N_f = {x.shape[0]}")
     beta = _check_beta(beta, x.shape[0])
     rng = stream_rng(config.seed, (0, 0, STREAM_PERTURB))
     E = rng.normal(0.0, config.sigma_x / np.sqrt(config.n_f), (n_pairs, x.shape[0]))

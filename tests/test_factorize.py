@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from georeg import STREAM_TRAIN, ExperimentConfig, apply_features, fit, make_feature_map, sample_dataset, sample_teacher
+from georeg import STREAM_TRAIN, ExperimentConfig, NumericError, apply_features, fit, make_feature_map, sample_dataset, sample_teacher
 from georeg.cli import main
 from georeg.experiments import _replica, _replica_metrics
 from georeg.geometry import feature_operator_from_model, label_projector, prediction_decomposition
@@ -80,8 +80,8 @@ def test_gram_route_matches_normal_equations_and_svd(case):
     s_tol = SPECTRUM_TOL * max(m, n) * EPS * ref.s[0]
     assert np.all(np.abs(model.factors.s - ref.s) <= s_tol)
     assert abs(model.factors.sigma_min - ref.sigma_min) <= s_tol
-    if model.factors.U is None:  # the tall Gram route takes the singular values alone
-        assert m > n and model.factors.U_k is None and model.factors.Vt_k is None
+    if model.factors.U_k is None:  # the tall Gram route takes the singular values alone
+        assert m > n and model.factors._K is not None and model.factors.Vt_k is None
     else:  # every other route reads the SVD route's own thin SVD
         assert model.factors.U_k.tobytes() == ref.U_k.tobytes()
 
@@ -120,7 +120,8 @@ def test_wide_square_and_lam_zero_are_the_thin_svd(shape, lam):
     Z = np.random.default_rng(sum(shape)).normal(size=shape)
     U, s, Vt = np.linalg.svd(Z, full_matrices=False)
     f = Factorization(Z, lam) if _is_tall_ridge(shape, lam) else factorize(Z, lam)
-    for got, want in ((f.U, U), (f.s, s), (f.Vt, Vt)):
+    assert f.rank == min(shape)  # every mode is kept, so U_k and Vt_k are U and Vt
+    for got, want in ((f.U_k, U), (f.s, s), (f.Vt_k, Vt)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -139,7 +140,7 @@ def test_tall_ridge_spectrum_is_the_singular_values_alone(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     f = factorize(Z, 1e-8)
     assert f._K is not None and calls == []
-    assert all(v is None for v in (f.U, f.Vt, f.U_k, f.Vt_k))
+    assert f.U_k is None and f.Vt_k is None
     assert calls == [{"compute_uv": False}]
     assert f.s.tobytes() == svd(Z, compute_uv=False).tobytes()
     assert (f.rank, f.sigma_min) == (4, f.s[-1])
@@ -185,7 +186,8 @@ def test_rank_deficient_linear_fits_fall_back_to_the_svd(m, n_f, n_p):
     Z = apply_features(model.feature_map, data.X)
     ref = Factorization(Z, model.factors.lam)
     assert model.w_hat.tobytes() == ref.solve(data.y).tobytes()
-    assert model.factors.U.tobytes() == ref.U.tobytes()
+    for got, want in ((model.factors.U_k, ref.U_k), (model.factors.s, ref.s), (model.factors.Vt_k, ref.Vt_k)):
+        assert got.tobytes() == want.tobytes()
     p_f = feature_operator_from_model(model, data.X)
     assert p_f.tobytes() == ref.solve(data.X, left=model.feature_map.W).T.tobytes()
     assert model.factors.rank == n_f
@@ -309,6 +311,15 @@ def test_a_huge_design_fits_without_a_runtime_warning(shape):
     assert model.factors._K is not None and np.all(np.isfinite(model.w_hat))
 
 
+@pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
+def test_an_overflowing_gram_fit_is_a_numeric_error(shape):
+    # at entries of 1e160, K = Z Z^T (or Z^T Z) overflows to inf and the
+    # Gram solve returns an all-NaN w_hat, which fit must not hand back
+    Z = 1e160 * np.random.default_rng(5).normal(size=shape)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="not finite on the Gram route"):
+        fit(Z, np.ones(shape[0]), lam=1e-8)
+
+
 def test_c06_linear_fit_is_the_svd_routes_at_seeds_0_to_39():
     # c06's linear design (64 x 96, rank 32, lam = 1e-8); at 8 of these
     # seeds a guard that read the Cholesky pivots alone kept the Gram route,
@@ -373,6 +384,27 @@ def test_the_svd_route_does_not_see_a_later_write_to_Z(design):
         assert np.allclose(f.solve(y), np.linalg.lstsq(Z0, y, rcond=None)[0], rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "Z, lam",
+    [
+        (np.random.default_rng(0).normal(size=(9, 4)), 1e-8),  # tall Gram route
+        (np.random.default_rng(1).normal(size=(4, 9)), 1e-8),  # wide Gram route
+        (np.random.default_rng(2).normal(size=(6, 6)), 1e-8),  # square, the thin SVD
+        (np.random.default_rng(3).normal(size=(9, 4)), 0.0),  # lam = 0, the thin SVD
+        (_rank_deficient(40, 12, 5), 1e-8),  # the guard's SVD fallback, rank 5
+    ],
+    ids=["tall_gram", "wide_gram", "square", "lam_zero", "guard_rejected"],
+)
+def test_frob_complement_is_the_norm_of_I_minus_P_l(Z, lam):
+    f = factorize(Z, lam)
+    m = Z.shape[0]
+    want = np.linalg.norm(np.eye(m) - label_projector(Z).p_l)
+    # the Gram identity cancels to the root of its round-off
+    assert abs(f.frob_complement - want) <= 4.0 * np.sqrt(m * EPS)
+    if f.U_k is None:  # the tall Gram route: exact
+        assert f.frob_complement == np.sqrt(m - f.rank)
+
+
 def test_a_failing_deferred_svd_fails_the_fit_the_replica_and_the_command(monkeypatch, tmp_path):
     # the SVD route takes its SVD when it is built, inside fit, so a
     # LinAlgError from it still fails the fit, drops the replica with its
@@ -423,7 +455,7 @@ def test_gram_cut_keeps_a_relu_design_at_full_rank():
     data = sample_dataset(cfg, sample_teacher(cfg), (0, 0, STREAM_TRAIN))
     Z = apply_features(make_feature_map(cfg), data.X)
     model = fit(Z, data.y, lam=cfg.lam)
-    assert model.factors.U is None
+    assert model.factors.U_k is None
     assert model.factors.rank == 192
     s_min = np.linalg.svd(Z, compute_uv=False)[-1]
     assert model.factors.sigma_min == pytest.approx(s_min, rel=1e-10)

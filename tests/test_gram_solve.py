@@ -11,7 +11,7 @@ import pytest
 
 from georeg import ExperimentConfig, NumericError, ShapeError, apply_features, draw_paired_replica, fit
 from georeg.decomposition import _one_sided_metrics, _paired_metrics
-from georeg.experiments import _frob_complement_from_fit, _replica_metrics
+from georeg.experiments import _replica_metrics
 from georeg.geometry import feature_operator_from_model, prediction_decomposition
 from georeg.linreg_core import Dataset, Factorization, FeatureMap, factorize
 
@@ -68,7 +68,7 @@ def test_one_sided_replica_skips_the_spectrum(monkeypatch):
     calls = _count_calls(monkeypatch, "svd")
     assert model.factors.rank == 48
     assert model.factors.rank == 48
-    assert model.factors.U is None  # the tall Gram route forms no singular vectors
+    assert model.factors.U_k is None  # the tall Gram route forms no singular vectors
     assert calls == ["svd"]
 
 
@@ -79,7 +79,7 @@ def test_paired_replica_reads_the_thin_svd_spectrum_of_a_wide_fit(monkeypatch):
     svd, cholesky = _count_calls(monkeypatch, "svd"), _count_calls(monkeypatch, "cholesky")
     draw = draw_paired_replica(cfg, 0, 0)
     assert (svd, cholesky) == ([], ["cholesky", "cholesky"])
-    frobs = [_frob_complement_from_fit(m, cfg.m) for m in draw.models]
+    frobs = [m.factors.frob_complement for m in draw.models]
     assert svd == ["svd", "svd"]
     monkeypatch.undo()
     assert _replica_metrics(cfg, 0, 0)["frob_I_minus_Pl"] == 0.5 * (frobs[0] + frobs[1])

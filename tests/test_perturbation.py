@@ -128,26 +128,64 @@ class TestBatchedResponses:
 
     def test_non_finite_labels_raise(self):
         cfg, beta, data, model, an = _setup()
-        # an infinite coefficient makes beta . e_hat non-finite on every direction
+        # an infinite coefficient would make beta . e_hat non-finite on every
+        # direction; _check_beta rejects it before any direction is drawn
         bad = beta.copy()
         bad[0] = np.inf
         with pytest.raises(NumericError):
             perturbation_experiment(model, bad, an, np.zeros(cfg.n_f), cfg, n_pairs=4)
 
 
-@pytest.mark.parametrize("shape", [(5,), (24, 1)], ids=["short", "column"])
-@pytest.mark.parametrize("call", ["sample_dataset", "prediction_decomposition", "perturbation_experiment"])
-def test_beta_of_the_wrong_shape_is_a_shape_error(call, shape):
+_BETA_CALLERS = ("sample_dataset", "prediction_decomposition", "perturbation_experiment")
+
+
+def _call_with_beta(call, make_bad):
+    """Run the named caller of _check_beta on _setup()'s fit with make_bad(beta) as the teacher."""
     cfg, beta, data, model, an = _setup()
-    bad = np.resize(beta, shape)
-    x = np.zeros(cfg.n_f)
+    bad, x = make_bad(beta), np.zeros(cfg.n_f)
     calls = {
         "sample_dataset": lambda: sample_dataset(cfg, bad, (0, 0, STREAM_TRAIN)),
         "prediction_decomposition": lambda: prediction_decomposition(model, bad, data, x),
         "perturbation_experiment": lambda: perturbation_experiment(model, bad, an, x, cfg, n_pairs=4),
     }
+    return calls[call]()
+
+
+def _with_entry(v, index, value):
+    v = np.array(v, dtype=float)
+    v[index] = value
+    return v
+
+
+@pytest.mark.parametrize("shape", [(5,), (24, 1)], ids=["short", "column"])
+@pytest.mark.parametrize("call", _BETA_CALLERS)
+def test_beta_of_the_wrong_shape_is_a_shape_error(call, shape):
     with pytest.raises(ShapeError, match=re.escape(f"beta must have shape (24,), got {shape}")):
-        calls[call]()
+        _call_with_beta(call, lambda beta: np.resize(beta, shape))
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("call", _BETA_CALLERS)
+def test_a_non_finite_beta_is_a_numeric_error(call, entry):
+    with pytest.raises(NumericError, match="beta has non-finite entries"):
+        _call_with_beta(call, lambda beta: _with_entry(beta, 3, entry))
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_a_non_finite_x_is_a_numeric_error_of_prediction_decomposition(entry):
+    cfg, beta, data, model, an = _setup()
+    for x in (_with_entry(np.zeros(cfg.n_f), 0, entry), np.full(cfg.n_f, entry)):
+        with pytest.raises(NumericError, match="x has non-finite entries"):
+            prediction_decomposition(model, beta, data, x)
+
+
+def test_perturbation_experiment_rejects_a_config_of_another_n_f():
+    # a relu fit at N_f = 48; a config with n_f = 4 would scale the
+    # directions by 1/sqrt(4) where the inputs use 1/sqrt(48)
+    cfg, beta, data, model, an = _setup(n_f=48, n_p=96)
+    other = ExperimentConfig(m=cfg.m, n_f=4, n_p=cfg.n_p, activation="relu")
+    with pytest.raises(ConfigurationError, match=r"n_f = 4, but P_f has N_f = 48"):
+        perturbation_experiment(model, beta, an, np.zeros(48), other, n_pairs=4)
 
 
 class TestRepresentationInvariance:
