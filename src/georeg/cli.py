@@ -324,7 +324,7 @@ def cmd_perturb(params: dict, out: str) -> int:
         0.0, config.sigma_x / np.sqrt(config.n_f), config.n_f
     )
     responses, summary = perturbation_experiment(
-        model, beta, analysis, x0, config,
+        model, beta, analysis, x0, config.seed,
         n_pairs=params["pairs"], eta=params["eta"],
     )
 

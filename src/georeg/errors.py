@@ -26,9 +26,9 @@ class DegenerateDirectionError(RuntimeError):
     entirely inside it.
     """
 
-    def __init__(self, side: str, message: str | None = None):
+    def __init__(self, side: str):
         self.side = side
-        super().__init__(message or f"degenerate {side} component")
+        super().__init__(f"degenerate {side} component")
 
 
 class ExperimentError(RuntimeError):

@@ -116,6 +116,8 @@ class SweepSpec:
             if self.np_over_m_grid.count(r) > 1:
                 raise ConfigurationError(f"np_over_m_grid repeats the ratio {r}")
         check_integer("n_replicas", self.n_replicas)
+        if not isinstance(self.normalize, bool):
+            raise ConfigurationError(f"normalize must be a bool, got {self.normalize!r}")
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ShapeError
-from .linreg_core import Dataset, FittedModel, _check_beta, apply_features, factorize
+from .errors import ConfigurationError, ShapeError
+from .linreg_core import FittedModel, _check_vector, apply_features, factorize
 
 # ------------------------------------------------------------- projectors
 
@@ -62,6 +62,17 @@ def label_projector(Z: np.ndarray) -> LabelProjector:
     return LabelProjector(p_l=factors.U_k @ factors.U_k.T, rank=factors.rank)
 
 
+def _weights_and_inputs(model: FittedModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(W, X) of a fit with a feature map and its training inputs X, 2-D with N_f columns."""
+    if model.feature_map is None:
+        raise ConfigurationError("model has no feature map attached")
+    X = np.asarray(X, dtype=float)
+    W = model.feature_map.W
+    if X.ndim != 2 or X.shape[1] != W.shape[0]:
+        raise ShapeError(f"X is {X.shape}, expected {W.shape[0]} columns")
+    return W, X
+
+
 def feature_operator_from_model(model: FittedModel, X: np.ndarray) -> np.ndarray:
     """The feature-space operator P_f = (W G X)^T of a fit, shape N_f x N_f.
 
@@ -71,12 +82,7 @@ def feature_operator_from_model(model: FittedModel, X: np.ndarray) -> np.ndarray
     that was actually fitted.  G is applied between W and X without being
     formed, by linreg_core.Factorization.solve on the fit's route.
     """
-    if model.feature_map is None:
-        raise ConfigurationError("model has no feature map attached")
-    X = np.asarray(X, dtype=float)
-    W = model.feature_map.W
-    if X.ndim != 2 or X.shape[1] != W.shape[0]:
-        raise ShapeError(f"X is {X.shape}, expected {W.shape[0]} columns")
+    W, X = _weights_and_inputs(model, X)
     return model.factors.solve(X, left=W).T
 
 
@@ -167,30 +173,25 @@ def analyze_operator(p_f: np.ndarray) -> FeatureOperatorAnalysis:
 def prediction_decomposition(
     model: FittedModel,
     beta: np.ndarray,
-    data: Dataset,
+    X: np.ndarray,
     x: np.ndarray,
 ) -> tuple[float, float]:
     """Split the prediction z(x) . w_hat into (x_hat . beta, delta_y_hat).
 
-    data is the fit's training set, so w_hat = G y.  x_hat . beta =
-    x^T W G X beta takes one vector solve of X beta on the fit's
-    factorization, and delta_y_hat(x) = dz_NL(x)^T w_hat + x^T W G eps,
-    where dz_NL(x) = z(x) - W^T x is the nonlinear feature remainder and
+    X holds the fit's M training inputs, as in feature_operator_from_model,
+    and w_hat = G y with y = X beta + eps.  x_hat . beta = x^T W G X beta
+    takes one vector solve of X beta on the fit's factorization, and
+    delta_y_hat(x) = dz_NL(x)^T w_hat + x^T W G eps, where
+    dz_NL(x) = z(x) - W^T x is the nonlinear feature remainder and
     G eps = w_hat - G X beta the fit's response to the training noise.
     The two terms sum to z(x) . w_hat up to round-off, as they split the
     fit's own w_hat.
     """
-    if model.feature_map is None:
-        raise ConfigurationError("model has no feature map attached")
-    x = np.asarray(x, dtype=float)
-    W = model.feature_map.W
-    if x.shape != (W.shape[0],):
-        raise ShapeError(f"x must have shape ({W.shape[0]},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("x has non-finite entries")
-    beta = _check_beta(beta, W.shape[0])
+    W, X = _weights_and_inputs(model, X)
+    x = _check_vector("x", x, W.shape[0])
+    beta = _check_vector("beta", beta, W.shape[0])
 
-    g_xb = model.factors.solve(data.X @ beta)
+    g_xb = model.factors.solve(X @ beta)
     dz_nl = apply_features(model.feature_map, x) - W.T @ x
 
     x_hat_dot_beta = float(x @ (W @ g_xb))

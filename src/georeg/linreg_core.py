@@ -45,14 +45,14 @@ def sample_teacher(config: ExperimentConfig, stream_tag: tuple = (0, 0, STREAM_T
     return stream_rng(config.seed, stream_tag).normal(0.0, config.sigma_beta, config.n_f)
 
 
-def _check_beta(beta: np.ndarray, n_f: int) -> np.ndarray:
-    """beta as a float array: a ShapeError unless of shape (n_f,), a NumericError unless finite."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (n_f,):
-        raise ShapeError(f"beta must have shape ({n_f},), got {beta.shape}")
-    if not np.all(np.isfinite(beta)):
-        raise NumericError("beta has non-finite entries")
-    return beta
+def _check_vector(name: str, v: np.ndarray, n: int) -> np.ndarray:
+    """v as a float array: a ShapeError unless of shape (n,), a NumericError unless finite."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ShapeError(f"{name} must have shape ({n},), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise NumericError(f"{name} has non-finite entries")
+    return v
 
 
 # ---------------------------------------------------------------- datasets
@@ -78,7 +78,7 @@ def sample_dataset(config: ExperimentConfig, beta: np.ndarray, stream_tag: tuple
     stream_tag) always reproduces the same bytes: X is drawn first, then eps,
     from the single stream named by the tag.
     """
-    beta = _check_beta(beta, config.n_f)
+    beta = _check_vector("beta", beta, config.n_f)
     rng = stream_rng(config.seed, stream_tag)
     X = rng.normal(0.0, config.sigma_x / np.sqrt(config.n_f), (config.m, config.n_f))
     return Dataset(X=X, y=X @ beta + rng.normal(0.0, config.sigma_eps, config.m))

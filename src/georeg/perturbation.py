@@ -19,15 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig, STREAM_PERTURB, check_integer, stream_rng
-from .errors import (
-    ConfigurationError,
-    DegenerateDirectionError,
-    ExperimentError,
-    NumericError,
-    ShapeError,
-)
+from .errors import ConfigurationError, DegenerateDirectionError, ExperimentError, NumericError
 from .geometry import FeatureOperatorAnalysis
-from .linreg_core import FittedModel, _check_beta, apply_features
+from .linreg_core import FittedModel, _check_vector, apply_features
 
 KINDS = ("adversarial", "invariant")
 
@@ -39,13 +33,7 @@ def _input_vector(v: np.ndarray, analysis: FeatureOperatorAnalysis, name: str) -
     """v as a finite float vector in P_f's input space; P_f must not be null."""
     if analysis.rank < 1:
         raise ConfigurationError("analysis has no SVD triples; P_f is null")
-    v = np.asarray(v, dtype=float)
-    n_f = analysis.p_f.shape[0]
-    if v.shape != (n_f,):
-        raise ShapeError(f"{name} must have shape ({n_f},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NumericError(f"{name} has non-finite entries")
-    return v
+    return _check_vector(name, v, analysis.p_f.shape[0])
 
 
 def _split(E: np.ndarray, f_w: np.ndarray) -> tuple:
@@ -110,34 +98,35 @@ def perturbation_experiment(
     beta: np.ndarray,
     analysis: FeatureOperatorAnalysis,
     x: np.ndarray,
-    config: ExperimentConfig,
+    seed: int,
     n_pairs: int = 200,
     eta: float = 1e-2,
 ) -> tuple[dict, dict]:
     """Measure label responses along random adversarial/invariant directions.
 
-    Draws n_pairs perturbations e on the (0, 0, STREAM_PERTURB) stream from
-    the input distribution (normal with the same per-entry scale as x),
-    splits each, and measures dy/d_eta and dyhat/d_eta for both components at
-    the base point x.  The teacher is linear, so dy/d_eta is beta . e_hat,
-    the exact value of the finite difference at any eta; dyhat/d_eta is the
-    one-sided difference at the given eta.  Degenerate splits are skipped
+    Draws n_pairs perturbations e on the (0, 0, STREAM_PERTURB) stream of
+    seed from the input distribution: normal with the per-entry scale
+    sigma_x / sqrt(N_f) of x, where N_f is the length of x.  It splits each
+    and measures dy/d_eta and dyhat/d_eta for both components at the base
+    point x.  The teacher is linear, so dy/d_eta is beta . e_hat, the exact
+    value of the finite difference at any eta; dyhat/d_eta is the one-sided
+    difference at the given eta.  Degenerate splits are skipped
     and counted.  Returns (responses, summary): responses[kind] is
     (directions, d_y_true, d_y_pred) for each kind in KINDS, one row or entry
     per kept pair in draw order; summary holds per-kind correlations and OLS
     slopes, each None where undefined (see _pearson).
     """
+    check_integer("seed", seed, lo=0, hi=2**64 - 1)
     check_integer("n_pairs", n_pairs, lo=2)
     if not 0 < eta < np.inf:
         raise ConfigurationError(f"eta must be finite and positive, got {eta}")
     if model.feature_map is None:
         raise ConfigurationError("model has no feature map attached; cannot featurize x")
     x = _input_vector(x, analysis, "x")
-    if config.n_f != x.shape[0]:
-        raise ConfigurationError(f"config has n_f = {config.n_f}, but P_f has N_f = {x.shape[0]}")
-    beta = _check_beta(beta, x.shape[0])
-    rng = stream_rng(config.seed, (0, 0, STREAM_PERTURB))
-    E = rng.normal(0.0, config.sigma_x / np.sqrt(config.n_f), (n_pairs, x.shape[0]))
+    n_f = x.shape[0]
+    beta = _check_vector("beta", beta, n_f)
+    rng = stream_rng(seed, (0, 0, STREAM_PERTURB))
+    E = rng.normal(0.0, ExperimentConfig.sigma_x / np.sqrt(n_f), (n_pairs, n_f))
     par, perp, ok_par, ok_perp = _split(E, analysis.f_w)
     kept = ok_par & ok_perp
     n_kept = int(kept.sum())

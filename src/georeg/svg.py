@@ -23,10 +23,9 @@ def _label(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / n
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About five round ticks in [lo, hi]; _Axes has widened any lo == hi."""
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw)
     first = math.ceil(lo / step) * step
@@ -134,7 +133,7 @@ def _write(path, parts: list[str], legend: list[tuple[str, str]]) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def line_chart(path, series: list[dict], x_label: str, y_label: str, title: str = "") -> None:
+def line_chart(path, series: list[dict], x_label: str, y_label: str, title: str) -> None:
     """Write a multi-series line chart on a log-scale y axis.
 
     Each series is {"label", "x", "y"}, coloured from PALETTE in order;
@@ -167,11 +166,11 @@ def scatter_chart(
     groups: list[dict],
     x_label: str,
     y_label: str,
-    title: str = "",
+    title: str,
 ) -> None:
     """Write a grouped scatter plot with optional per-group OLS lines.
 
-    Each group is {"label", "x", "y"} plus optional "color" and "slope"
+    Each group is {"label", "x", "y", "color"} plus an optional "slope"
     (line through the group's mean point with that slope).
     """
     all_x = [x for g in groups for x in g["x"]]
@@ -179,8 +178,8 @@ def scatter_chart(
     ax = _Axes(all_x, all_y, log_y=False)
     parts = _frame(ax, title, x_label, y_label)
     legend = []
-    for i, g in enumerate(groups):
-        color = g.get("color", PALETTE[i % len(PALETTE)])
+    for g in groups:
+        color = g["color"]
         legend.append((g["label"], color))
         for x, y in zip(g["x"], g["y"]):
             parts.append(

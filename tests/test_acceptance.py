@@ -199,7 +199,7 @@ def test_c06_exact_prediction_decomposition():
             x = rng.normal(0.0, cfg.sigma_x / np.sqrt(cfg.n_f), cfg.n_f)
             z = apply_features(fmap, x)
             y_hat = float(z @ model.w_hat)
-            xb, dy = prediction_decomposition(model, teacher, data, x)
+            xb, dy = prediction_decomposition(model, teacher, data.X, x)
             w = max(w, abs(y_hat - (xb + dy)) / (1.0 + abs(y_hat)))
         worst[activation] = w
     print(
@@ -272,7 +272,7 @@ def test_c09_perturbation_contrast():
         0.0, cfg.sigma_x / np.sqrt(cfg.n_f), cfg.n_f
     )
     responses, summary = perturbation_experiment(
-        model, teacher, analysis, x0, cfg, n_pairs=200, eta=1e-2
+        model, teacher, analysis, x0, cfg.seed, n_pairs=200, eta=1e-2
     )
     assert summary["skipped_degenerate"] == 0
 

@@ -529,7 +529,7 @@ class TestPerturbCommand:
         model = georeg.fit(georeg.apply_features(fmap, data.X), data.y, lam=cfg.lam, feature_map=fmap)
         analysis = georeg.analyze_operator(georeg.feature_operator_from_model(model, data.X))
         x0 = georeg.stream_rng(cfg.seed, (0, 0, georeg.STREAM_TEST)).normal(0.0, 1 / np.sqrt(cfg.n_f), cfg.n_f)
-        responses, _ = georeg.perturbation_experiment(model, beta, analysis, x0, cfg)
+        responses, _ = georeg.perturbation_experiment(model, beta, analysis, x0, cfg.seed)
         expected = [
             (kind, responses[kind][1][i], responses[kind][2][i])
             for i in range(200)

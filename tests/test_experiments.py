@@ -168,6 +168,13 @@ class TestSweepSpec:
             with pytest.raises(ConfigurationError):
                 SweepSpec(self._base(), np_over_m_grid=(1.0,), n_replicas=n)
 
+    def test_normalize_must_be_a_bool(self):
+        # "no" is truthy, so it would normalize
+        for v in ("no", 0, 1, None, np.True_):
+            with pytest.raises(ConfigurationError, match="normalize must be a bool"):
+                SweepSpec(self._base(), (0.5,), 2, normalize=v)
+        assert SweepSpec(self._base(), (0.5,), 2, normalize=True).normalize is True
+
     def test_grid_points_np_major_with_default_nf(self):
         # rows follow the N_p/M grid in its given order, at the base N_f/M
         rows = run_sweep(SweepSpec(self._base(), np_over_m_grid=(2.0, 0.5), n_replicas=2)).rows

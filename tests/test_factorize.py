@@ -162,7 +162,7 @@ def _decomposition_residual(model, beta, data) -> float:
     for _ in range(20):
         x = rng.normal(0.0, 1.0 / np.sqrt(fmap.W.shape[0]), fmap.W.shape[0])
         y_hat = float(apply_features(fmap, x) @ model.w_hat)
-        xb, dy = prediction_decomposition(model, beta, data, x)
+        xb, dy = prediction_decomposition(model, beta, data.X, x)
         worst = max(worst, abs(y_hat - (xb + dy)) / (1.0 + abs(y_hat)))
     return worst
 

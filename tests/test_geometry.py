@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from georeg import (
+    ConfigurationError,
     ExperimentConfig,
     NumericError,
     ShapeError,
@@ -200,7 +201,7 @@ class TestPredictionDecomposition:
         rng = np.random.default_rng(13)
         for _ in range(5):
             x = rng.normal(size=8)
-            xb, dy = prediction_decomposition(model, beta, data, x)
+            xb, dy = prediction_decomposition(model, beta, data.X, x)
             assert abs(dy) <= 1e-10
             assert xb == pytest.approx(float(apply_features(fmap, x) @ model.w_hat), abs=1e-10)
 
@@ -213,7 +214,7 @@ class TestPredictionDecomposition:
         for _ in range(10):
             x = rng.normal(size=12) / np.sqrt(12)
             y_hat = float(apply_features(fmap, x) @ model.w_hat)
-            xb, dy = prediction_decomposition(model, beta, data, x)
+            xb, dy = prediction_decomposition(model, beta, data.X, x)
             assert abs(y_hat - (xb + dy)) <= 1e-8 * (1.0 + abs(y_hat))
 
     @pytest.mark.parametrize("n_p", [12, 25, 40])  # the tall Gram, square SVD and wide Gram routes
@@ -228,7 +229,7 @@ class TestPredictionDecomposition:
             return solve(self, B, left)
 
         monkeypatch.setattr(Factorization, "solve", counted)
-        prediction_decomposition(model, beta, data, np.full(12, 12**-0.5))
+        prediction_decomposition(model, beta, data.X, np.full(12, 12**-0.5))
         assert calls == [((25,), None)]  # G (X beta); G y is the fit's w_hat
 
     @pytest.mark.parametrize("activation, n_p", [("identity", 32), ("linear", 96), ("relu", 96)])
@@ -243,9 +244,30 @@ class TestPredictionDecomposition:
             for _ in range(100):
                 x = rng.normal(0.0, cfg.sigma_x / np.sqrt(cfg.n_f), cfg.n_f)
                 y_hat = float(apply_features(fmap, x) @ model.w_hat)
-                xb, dy = prediction_decomposition(model, beta, data, x)
+                xb, dy = prediction_decomposition(model, beta, data.X, x)
                 worst = max(worst, abs(y_hat - (xb + dy)) / (1.0 + abs(y_hat)))
         assert worst <= 1e-13
+
+
+_FIT_READERS = {
+    "feature_operator_from_model": lambda model, beta, X: feature_operator_from_model(model, X),
+    "prediction_decomposition": lambda model, beta, X: prediction_decomposition(model, beta, X, np.zeros(24)),
+}
+
+
+@pytest.mark.parametrize("reader", _FIT_READERS)
+def test_both_readers_of_a_fit_check_the_model_and_its_inputs_alike(reader):
+    # a relu fit at N_f = 24 from 16 training inputs: a 16 x 30 X has the
+    # fit's M rows but not its N_f columns
+    cfg = ExperimentConfig(m=16, n_f=24, n_p=48)
+    beta, data, fmap, model = _fitted(cfg)
+    read = _FIT_READERS[reader]
+    for X in (np.zeros((16, 30)), data.X[0], data.X[None]):
+        with pytest.raises(ShapeError, match=r"expected 24 columns"):
+            read(model, beta, X)
+    bare = fit(apply_features(fmap, data.X), data.y, lam=cfg.lam)
+    with pytest.raises(ConfigurationError, match="no feature map"):
+        read(bare, beta, data.X)
 
 
 class TestNearThresholdInvariant:

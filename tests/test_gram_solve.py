@@ -223,7 +223,7 @@ def test_prediction_decomposition_never_forms_G(monkeypatch, m, n_f, n_p, lam):
     want = (x @ fmap.W @ G @ X @ beta, dz_nl @ G @ data.y + x @ fmap.W @ G @ eps)
 
     _forbid_G(monkeypatch)
-    got = prediction_decomposition(model, beta, data, x)
+    got = prediction_decomposition(model, beta, X, x)
     y_hat = 2.0 * np.maximum(0.0, fmap.W.T @ x) @ model.w_hat
     assert abs(sum(got) - y_hat) <= 1e-12 * (1.0 + abs(y_hat))
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * (1.0 + abs(y_hat)))

@@ -102,7 +102,7 @@ class TestBatchedResponses:
         cfg, beta, data, model, an = _setup(activation=activation, n_p=24 if activation == "identity" else 48)
         x = np.random.default_rng(34).normal(0.0, cfg.sigma_x / np.sqrt(cfg.n_f), cfg.n_f)
         eta = 1e-2
-        responses, summary = perturbation_experiment(model, beta, an, x, cfg, n_pairs=12, eta=eta)
+        responses, summary = perturbation_experiment(model, beta, an, x, cfg.seed, n_pairs=12, eta=eta)
         assert summary["skipped_degenerate"] == 0
         rng = stream_rng(cfg.seed, (0, 0, STREAM_PERTURB))
         scale = cfg.sigma_x / np.sqrt(cfg.n_f)
@@ -124,29 +124,29 @@ class TestBatchedResponses:
     def test_rejects_bad_eta(self, eta):
         cfg, beta, data, model, an = _setup()
         with pytest.raises(ConfigurationError):
-            perturbation_experiment(model, beta, an, np.zeros(cfg.n_f), cfg, n_pairs=4, eta=eta)
+            perturbation_experiment(model, beta, an, np.zeros(cfg.n_f), cfg.seed, n_pairs=4, eta=eta)
 
     def test_non_finite_labels_raise(self):
         cfg, beta, data, model, an = _setup()
         # an infinite coefficient would make beta . e_hat non-finite on every
-        # direction; _check_beta rejects it before any direction is drawn
+        # direction; _check_vector rejects it before any direction is drawn
         bad = beta.copy()
         bad[0] = np.inf
         with pytest.raises(NumericError):
-            perturbation_experiment(model, bad, an, np.zeros(cfg.n_f), cfg, n_pairs=4)
+            perturbation_experiment(model, bad, an, np.zeros(cfg.n_f), cfg.seed, n_pairs=4)
 
 
 _BETA_CALLERS = ("sample_dataset", "prediction_decomposition", "perturbation_experiment")
 
 
 def _call_with_beta(call, make_bad):
-    """Run the named caller of _check_beta on _setup()'s fit with make_bad(beta) as the teacher."""
+    """Run the named caller of _check_vector on _setup()'s fit with make_bad(beta) as the teacher."""
     cfg, beta, data, model, an = _setup()
     bad, x = make_bad(beta), np.zeros(cfg.n_f)
     calls = {
         "sample_dataset": lambda: sample_dataset(cfg, bad, (0, 0, STREAM_TRAIN)),
-        "prediction_decomposition": lambda: prediction_decomposition(model, bad, data, x),
-        "perturbation_experiment": lambda: perturbation_experiment(model, bad, an, x, cfg, n_pairs=4),
+        "prediction_decomposition": lambda: prediction_decomposition(model, bad, data.X, x),
+        "perturbation_experiment": lambda: perturbation_experiment(model, bad, an, x, cfg.seed, n_pairs=4),
     }
     return calls[call]()
 
@@ -176,16 +176,16 @@ def test_a_non_finite_x_is_a_numeric_error_of_prediction_decomposition(entry):
     cfg, beta, data, model, an = _setup()
     for x in (_with_entry(np.zeros(cfg.n_f), 0, entry), np.full(cfg.n_f, entry)):
         with pytest.raises(NumericError, match="x has non-finite entries"):
-            prediction_decomposition(model, beta, data, x)
+            prediction_decomposition(model, beta, data.X, x)
 
 
-def test_perturbation_experiment_rejects_a_config_of_another_n_f():
-    # a relu fit at N_f = 48; a config with n_f = 4 would scale the
-    # directions by 1/sqrt(4) where the inputs use 1/sqrt(48)
-    cfg, beta, data, model, an = _setup(n_f=48, n_p=96)
-    other = ExperimentConfig(m=cfg.m, n_f=4, n_p=cfg.n_p, activation="relu")
-    with pytest.raises(ConfigurationError, match=r"n_f = 4, but P_f has N_f = 48"):
-        perturbation_experiment(model, beta, an, np.zeros(48), other, n_pairs=4)
+@pytest.mark.parametrize("seed", [True, -1, 2**64, 2.0, "2"])
+def test_perturbation_experiment_checks_its_seed_as_the_config_does(seed):
+    cfg, beta, data, model, an = _setup()
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        ExperimentConfig(seed=seed)
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        perturbation_experiment(model, beta, an, np.zeros(cfg.n_f), seed, n_pairs=4)
 
 
 class TestRepresentationInvariance:
@@ -207,7 +207,7 @@ class TestExperiment:
         cfg, beta, data, model, an = _setup()
         x = np.zeros(cfg.n_f)
         responses, summary = perturbation_experiment(
-            model, beta, an, x, cfg, n_pairs=50, eta=1e-2
+            model, beta, an, x, cfg.seed, n_pairs=50, eta=1e-2
         )
         assert summary["skipped_degenerate"] == 0
         assert summary["n_adversarial"] == summary["n_invariant"] == 50
@@ -220,8 +220,8 @@ class TestExperiment:
     def test_deterministic(self):
         cfg, beta, data, model, an = _setup()
         x = np.zeros(cfg.n_f)
-        r1, s1 = perturbation_experiment(model, beta, an, x, cfg, n_pairs=20)
-        r2, s2 = perturbation_experiment(model, beta, an, x, cfg, n_pairs=20)
+        r1, s1 = perturbation_experiment(model, beta, an, x, cfg.seed, n_pairs=20)
+        r2, s2 = perturbation_experiment(model, beta, an, x, cfg.seed, n_pairs=20)
         assert s1 == s2
         for kind in r1:
             for a, b in zip(r1[kind], r2[kind]):
@@ -235,7 +235,7 @@ class TestExperiment:
             activation="identity", m=12, n_f=20, n_p=20, sigma_eps=0.0, lam=0.0
         )
         x = np.zeros(cfg.n_f)
-        _, summary = perturbation_experiment(model, beta, an, x, cfg, n_pairs=100)
+        _, summary = perturbation_experiment(model, beta, an, x, cfg.seed, n_pairs=100)
         assert summary["corr_adversarial"] >= 1.0 - 1e-8
         assert summary["slope_adversarial"] == pytest.approx(1.0, abs=1e-8)
         assert abs(summary["slope_invariant"]) <= 1e-8
@@ -247,15 +247,15 @@ class TestExperiment:
             activation="linear", m=12, n_f=20, n_p=60, sigma_eps=0.0, lam=0.0
         )
         x = np.zeros(cfg.n_f)
-        _, summary = perturbation_experiment(model, beta, an, x, cfg, n_pairs=100)
+        _, summary = perturbation_experiment(model, beta, an, x, cfg.seed, n_pairs=100)
         assert summary["corr_adversarial"] >= 0.8
         assert abs(summary["slope_invariant"]) <= 1e-6
 
     def test_eta_independence_for_linear_labels(self):
         cfg, beta, data, model, an = _setup(activation="linear", sigma_eps=0.0, lam=0.0)
         x = np.zeros(cfg.n_f)
-        r_big, _ = perturbation_experiment(model, beta, an, x, cfg, n_pairs=20, eta=1e-2)
-        r_small, _ = perturbation_experiment(model, beta, an, x, cfg, n_pairs=20, eta=1e-3)
+        r_big, _ = perturbation_experiment(model, beta, an, x, cfg.seed, n_pairs=20, eta=1e-2)
+        r_small, _ = perturbation_experiment(model, beta, an, x, cfg.seed, n_pairs=20, eta=1e-3)
         for kind in r_big:
             _, t_big, p_big = r_big[kind]
             _, t_small, p_small = r_small[kind]
@@ -269,11 +269,11 @@ class TestExperiment:
             activation="identity", m=20, n_f=8, n_p=8, lam=0.0
         )
         with pytest.raises(ExperimentError):
-            perturbation_experiment(model, beta, an, np.zeros(8), cfg, n_pairs=5)
+            perturbation_experiment(model, beta, an, np.zeros(8), cfg.seed, n_pairs=5)
 
     def test_rejects_tiny_pair_count(self):
         cfg, beta, data, model, an = _setup()
         for n_pairs in (1, 2.5, float("nan")):
             with pytest.raises(ConfigurationError):
-                perturbation_experiment(model, beta, an, np.zeros(cfg.n_f), cfg, n_pairs=n_pairs)
+                perturbation_experiment(model, beta, an, np.zeros(cfg.n_f), cfg.seed, n_pairs=n_pairs)
 
