@@ -55,6 +55,14 @@ def check_integer(name: str, v, lo: int = 1, hi: float = np.inf) -> None:
         raise ConfigurationError(f"{name} must be an integer {bound}, got {v!r}")
 
 
+def check_real(name: str, v, positive: bool = False) -> None:
+    """Raise ConfigurationError unless v is a finite real number >= 0, or > 0 if positive; a bool is not one."""
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    # the chained comparison also rejects NaN, which fails every comparison
+    if not real or not (0 < v < np.inf if positive else 0 <= v < np.inf):
+        raise ConfigurationError(f"{name} must be a finite number {'>' if positive else '>='} 0, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -85,11 +93,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("m", "n_f", "n_p"):
             check_integer(name, getattr(self, name))
-        # written as "not lo <= v < inf" so that NaN, which fails every
-        # comparison, is rejected too
         for name in ("sigma_eps", "lam"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigurationError(f"{name} must be finite and >= 0")
+            check_real(name, getattr(self, name))
         if self.activation not in ACTIVATIONS:
             raise ConfigurationError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.activation == "identity" and self.n_p != self.n_f:
@@ -119,6 +124,5 @@ def ratio_to_count(ratio: float, m: int) -> int:
     The 1e-9 nudge keeps decimal-intent ratios (0.3 * 640 = 191.99999999999997
     in binary) from rounding down one short; it never changes an exact product.
     """
-    if not 0 < ratio < np.inf:
-        raise ConfigurationError(f"grid ratio must be finite and > 0, got {ratio}")
+    check_real("grid ratio", ratio, positive=True)
     return max(1, int(np.floor(ratio * m + 1e-9)))

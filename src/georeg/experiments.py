@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ExperimentConfig, check_integer, ratio_to_count
+from .config import ExperimentConfig, check_integer, check_real, ratio_to_count
 from .decomposition import _PAIRED_METRICS, _one_sided_metrics, _paired_metrics, draw_paired_replica, summarize
 from .errors import ConfigurationError, ExperimentError, NumericError
 from .geometry import analyze_operator, feature_operator_from_model
@@ -111,8 +111,7 @@ class SweepSpec:
         if not self.np_over_m_grid:
             raise ConfigurationError("np_over_m_grid must not be empty")
         for r in self.np_over_m_grid:
-            if not 0 < r < np.inf:
-                raise ConfigurationError(f"grid ratios must be finite and > 0, got {r}")
+            check_real("grid ratios", r, positive=True)
             if self.np_over_m_grid.count(r) > 1:
                 raise ConfigurationError(f"np_over_m_grid repeats the ratio {r}")
         check_integer("n_replicas", self.n_replicas)

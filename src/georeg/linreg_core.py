@@ -33,6 +33,7 @@ from .config import (
     ExperimentConfig,
     STREAM_TEACHER,
     STREAM_WEIGHTS,
+    check_real,
     stream_rng,
 )
 from .errors import ConfigurationError, NumericError, ShapeError
@@ -169,18 +170,19 @@ class Factorization:
     the mask keep of the modes that pass the package's one singular-value
     cut, s > 1e-10 * max(A.shape) * s_max.
 
-    Factorization(A, lam) is the thin SVD route: G and G B are read
-    from the U, s and Vt of np.linalg.svd(A, full_matrices=False) through
-    the filter factors f = 1/s on the kept modes for lam = 0 and
+    Factorization(A, lam) is the thin SVD route, route "svd", as is a
+    non-square A at lam > 0 whose K the guard of factorize rejected: G and
+    G B are read from the U, s and Vt of np.linalg.svd(A, full_matrices=False)
+    through the filter factors f = 1/s on the kept modes for lam = 0 and
     f = s/(s^2 + lam) on every mode for lam > 0.  It takes that SVD here,
     so a later write to A changes nothing.
 
     Factorization(A, lam, K), with the K that the guard of factorize
     accepted for a non-square A at lam > 0, is the Gram route, which solves
     with np.linalg.solve: G B = K^-1 A^T B with K = A^T A + lam I on a tall
-    A, and G B = A^T K^-1 B with K = A A^T + lam I on a wide one.  Its
-    solves read A, which is kept as given, not copied, and its spectrum is
-    taken the first time it is read.
+    A (route "tall_gram"), and G B = A^T K^-1 B with K = A A^T + lam I on a
+    wide one ("wide_gram").  Its solves read A, which is kept as given, not
+    copied, and its spectrum is taken the first time it is read.
 
     Every route's spectrum is the thin SVD of A: on the tall Gram route its
     singular values s alone, so the kept U_k and Vt_k are None there, and on
@@ -189,13 +191,14 @@ class Factorization:
 
     def __init__(self, A: np.ndarray, lam: float, K: np.ndarray | None = None):
         self._A, self.lam, self._K = A, float(lam), K
-        if K is None:  # the SVD route takes its SVD now
+        self.route = "svd" if K is None else "tall_gram" if A.shape[0] > A.shape[1] else "wide_gram"
+        if self.route == "svd":  # the SVD route takes its SVD now
             self._spectrum
 
     @cached_property
     def _spectrum(self) -> tuple:  # (U, s, Vt, keep)
         A = self._A
-        if self._K is not None and A.shape[0] > A.shape[1]:
+        if self.route == "tall_gram":
             U, s, Vt = None, np.linalg.svd(A, compute_uv=False), None
         else:
             U, s, Vt = np.linalg.svd(A, full_matrices=False)
@@ -237,7 +240,7 @@ class Factorization:
         """|I - P_l|_F, P_l = U_k U_k^T, over the M rows of A: sqrt(M - rank) on
         the tall Gram route, else the root of M - 2 |U_k|_F^2 + |U_k^T U_k|_F^2."""
         m, U_k = self._A.shape[0], self.U_k
-        if U_k is None:
+        if self.route == "tall_gram":
             return float(np.sqrt(m - self.rank))
         sq = m - 2.0 * np.sum(U_k * U_k) + np.sum((U_k.T @ U_k) ** 2)
         return float(np.sqrt(max(sq, 0.0)))
@@ -246,6 +249,8 @@ class Factorization:
     def _filtered(self) -> tuple:  # (U, f, Vt) of the SVD route, with G = Vt^T diag(f) U^T
         if self.lam > 0:
             U, s, Vt, _ = self._spectrum
+            if s.size and s[0] > np.sqrt(np.finfo(float).max):  # s**2 would overflow
+                raise NumericError(f"the filter s/(s^2 + lam) overflows on the {self.route} route")
             return U, s / (s**2 + self.lam), Vt
         return self.U_k, 1.0 / self.s_k, self.Vt_k
 
@@ -270,10 +275,10 @@ class Factorization:
             shapes = f"B {B.shape}" if left is None else f"left {left.shape} and B {B.shape}"
             raise ShapeError(f"G of a {rows} x {cols} matrix cannot take {shapes}")
         A, K = self._A, self._K
-        if K is not None and rows > cols:
+        if self.route == "tall_gram":
             GB = np.linalg.solve(K, A.T @ B)
             return GB if left is None else left @ GB
-        if K is not None:
+        if self.route == "wide_gram":
             KB = np.linalg.solve(K, B)
             return A.T @ KB if left is None else (left @ A.T) @ KB
         U, f, Vt = self._filtered
@@ -312,8 +317,7 @@ def factorize(A: np.ndarray, lam: float = 0.0, *, caller: str = "factorize") -> 
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ShapeError(f"{caller} input must be 2-D, got shape {A.shape}")
-    if not 0 <= lam < np.inf:
-        raise ConfigurationError(f"lam must be finite and >= 0, got {lam}")
+    check_real("lam", lam)
     if not np.all(np.isfinite(A)):
         raise NumericError(f"{caller} input has non-finite entries")
     rows, cols = A.shape
@@ -359,7 +363,8 @@ def fit(
     mean(y^2).
     Records the train error; rank(Z) and the smallest retained singular
     value are read from the factorization when first read.  A w_hat that
-    is not finite, as when K or the filter overflows, is a NumericError.
+    is not finite, as when K overflows, is a NumericError, and so is an
+    SVD-route ridge filter s/(s^2 + lam) whose s^2 would overflow.
     """
     return _fit(Z, y, lam, feature_map)[0]
 
@@ -392,7 +397,7 @@ def _fit(
     else:
         w_hat, g_also = factors.solve(np.column_stack((y, also))).T.copy()
     if not np.all(np.isfinite(w_hat)):
-        raise NumericError(f"fit's w_hat is not finite on the {'thin SVD' if factors._K is None else 'Gram'} route")
+        raise NumericError(f"fit's w_hat is not finite on the {factors.route} route")
     r = y - Z @ w_hat
     model = FittedModel(w_hat=w_hat, feature_map=feature_map, factors=factors, train_error=float(np.mean(r * r)))
     return model, g_also

@@ -120,6 +120,33 @@ def test_bool_counts_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ExperimentConfig(lam=True),
+        lambda: ExperimentConfig(sigma_eps=True),
+        lambda: ExperimentConfig(lam=np.True_),
+        lambda: ExperimentConfig(lam="1e-8"),
+        lambda: ExperimentConfig(sigma_eps=None),
+        lambda: fit(np.eye(4), np.ones(4), lam=True),
+        lambda: fit(np.eye(4), np.ones(4), lam="1"),
+    ],
+    ids=["config-lam", "config-sigma_eps", "config-lam-np-bool", "config-lam-str", "config-sigma_eps-none",
+         "fit-lam", "fit-lam-str"],
+)
+def test_scales_that_are_not_numbers_rejected(call):
+    # True used to be taken as the scale 1, and a string or None reached the
+    # range check's bare TypeError
+    with pytest.raises(ConfigurationError, match="must be a finite number >= 0"):
+        call()
+
+
+def test_numpy_and_integer_scales_accepted():
+    cfg = ExperimentConfig(lam=np.float64(1e-3), sigma_eps=0)
+    assert (cfg.lam, cfg.sigma_eps) == (1e-3, 0)
+    assert fit(np.eye(4), np.ones(4), lam=np.float32(0.5)).factors.lam == 0.5
+
+
 class TestStreams:
     def test_same_tag_reproduces(self):
         a = stream_rng(7, (0, 3, STREAM_TRAIN)).normal(size=10)

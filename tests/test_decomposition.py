@@ -90,7 +90,7 @@ class TestGeometricTestError:
 
 
 # (n_p, lam, route) at m = 32, n_f = 8: the tall Gram, wide Gram, square SVD and lam = 0 SVD routes
-_ROUTES = [(16, 1e-8, "gram"), (64, 1e-8, "gram"), (32, 1e-8, "svd"), (16, 0.0, "svd")]
+_ROUTES = [(16, 1e-8, "tall_gram"), (64, 1e-8, "wide_gram"), (32, 1e-8, "svd"), (16, 0.0, "svd")]
 
 
 class TestPairedDraw:
@@ -144,7 +144,7 @@ class TestPairedDraw:
         # the draw's two-column solve gives fit's w_hat up to round-off
         d = draw_paired_replica(ExperimentConfig(m=32, n_f=8, n_p=n_p, lam=lam), 0, 0)
         for model, train, beta_hat in zip(d.models, d.trains, d.beta_hats):
-            assert (model.factors._K is not None) == (route == "gram")
+            assert model.factors.route == route
             expected = feature_operator_from_model(model, train.X).T @ d.beta
             assert np.linalg.norm(beta_hat - expected) <= 1e-12 * np.linalg.norm(expected)
             ref = fit(apply_features(model.feature_map, train.X), train.y, lam=lam, feature_map=model.feature_map)

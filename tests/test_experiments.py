@@ -156,6 +156,13 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError):
             SweepSpec(self._base(), np_over_m_grid=(0.5, -1.0))
 
+    def test_a_ratio_that_is_not_a_number_is_rejected(self):
+        # True used to be accepted as the ratio 1, and "1" raised a bare TypeError
+        for grid in ((True, 0.5), (np.True_,), ("1",), (None,)):
+            with pytest.raises(ConfigurationError, match="grid ratios must be a finite number > 0"):
+                SweepSpec(self._base(), grid, 2)
+        assert SweepSpec(self._base(), (np.float64(0.5), 1), 2).np_over_m_grid == (0.5, 1)
+
     def test_repeated_ratio_rejected(self):
         # a point's record is keyed by its ratio, so a repeat would overwrite the other's
         with pytest.raises(ConfigurationError, match="repeats the ratio 0.5"):

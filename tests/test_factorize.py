@@ -80,8 +80,8 @@ def test_gram_route_matches_normal_equations_and_svd(case):
     s_tol = SPECTRUM_TOL * max(m, n) * EPS * ref.s[0]
     assert np.all(np.abs(model.factors.s - ref.s) <= s_tol)
     assert abs(model.factors.sigma_min - ref.sigma_min) <= s_tol
-    if model.factors.U_k is None:  # the tall Gram route takes the singular values alone
-        assert m > n and model.factors._K is not None and model.factors.Vt_k is None
+    if model.factors.route == "tall_gram":  # takes the singular values alone
+        assert m > n and model.factors.U_k is None and model.factors.Vt_k is None
     else:  # every other route reads the SVD route's own thin SVD
         assert model.factors.U_k.tobytes() == ref.U_k.tobytes()
 
@@ -139,7 +139,7 @@ def test_tall_ridge_spectrum_is_the_singular_values_alone(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     f = factorize(Z, 1e-8)
-    assert f._K is not None and calls == []
+    assert f.route == "tall_gram" and calls == []
     assert f.U_k is None and f.Vt_k is None
     assert calls == [{"compute_uv": False}]
     assert f.s.tobytes() == svd(Z, compute_uv=False).tobytes()
@@ -231,7 +231,7 @@ def test_an_ill_conditioned_wide_fit_takes_the_svd_without_eigvalsh():
     Z, lam = (U * [1.0, 1e-8]) @ V.T, 1e-8
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
         f = factorize(Z, lam)
-    assert f._K is None and eigvalsh.call_count == 0
+    assert f.route == "svd" and eigvalsh.call_count == 0
     y = rng.normal(size=2)
     assert f.solve(y).tobytes() == Factorization(Z, lam).solve(y).tobytes()
 
@@ -268,7 +268,7 @@ def test_every_design_the_eigenvalue_rule_rejects_takes_the_svd(family):
         Z = _random_design(family, seed)
         for lam in (1e-8, 1e-6, 1e-4):
             if _eigenvalue_rule_rejects(Z, lam):
-                assert factorize(Z, lam)._K is None, (seed, lam)
+                assert factorize(Z, lam).route == "svd", (seed, lam)
 
 
 def _det_one_design() -> np.ndarray:
@@ -296,7 +296,10 @@ def test_a_design_whose_pivots_all_pass_takes_the_svd(design):
     assert d2.min() >= 1e3 * lam and _eigenvalue_rule_rejects(Z, lam)
     f = factorize(Z, lam)
     y = np.random.default_rng(0).normal(size=Z.shape[0])
-    assert f._K is None and f.solve(y).tobytes() == Factorization(Z, lam).solve(y).tobytes()
+    assert f.route == "svd" and f.solve(y).tobytes() == Factorization(Z, lam).solve(y).tobytes()
+
+
+_GRAM_ROUTES = {(4, 6): "wide_gram", (6, 4): "tall_gram"}
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
@@ -308,7 +311,7 @@ def test_a_huge_design_fits_without_a_runtime_warning(shape):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         model = fit(Z, rng.normal(size=shape[0]), lam=1e-8)
-    assert model.factors._K is not None and np.all(np.isfinite(model.w_hat))
+    assert model.factors.route == _GRAM_ROUTES[shape] and np.all(np.isfinite(model.w_hat))
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
@@ -316,8 +319,16 @@ def test_an_overflowing_gram_fit_is_a_numeric_error(shape):
     # at entries of 1e160, K = Z Z^T (or Z^T Z) overflows to inf and the
     # Gram solve returns an all-NaN w_hat, which fit must not hand back
     Z = 1e160 * np.random.default_rng(5).normal(size=shape)
-    with np.errstate(over="ignore"), pytest.raises(NumericError, match="not finite on the Gram route"):
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"not finite on the {_GRAM_ROUTES[shape]} route"):
         fit(Z, np.ones(shape[0]), lam=1e-8)
+
+
+def test_an_overflowing_svd_filter_is_a_numeric_error():
+    # at entries of 1e160 the s^2 of a square ridge fit overflows, and the
+    # filter s/(s^2 + lam) would read 0 and hand back an all-zero w_hat
+    Z = 1e160 * np.random.default_rng(5).normal(size=(4, 4))
+    with pytest.raises(NumericError, match="overflows on the svd route"):
+        fit(Z, np.ones(4), lam=1e-8)
 
 
 def test_c06_linear_fit_is_the_svd_routes_at_seeds_0_to_39():
@@ -375,7 +386,7 @@ def test_the_svd_route_does_not_see_a_later_write_to_Z(design):
     Z, Z0 = make(), make()
     want = factorize(Z0, lam)
     f = factorize(Z, lam)
-    assert f._K is None
+    assert f.route == "svd"
     Z[:] = 0.0
     y = np.random.default_rng(3).normal(size=Z.shape[0])
     assert f.solve(y).tobytes() == want.solve(y).tobytes()
@@ -401,7 +412,7 @@ def test_frob_complement_is_the_norm_of_I_minus_P_l(Z, lam):
     want = np.linalg.norm(np.eye(m) - label_projector(Z).p_l)
     # the Gram identity cancels to the root of its round-off
     assert abs(f.frob_complement - want) <= 4.0 * np.sqrt(m * EPS)
-    if f.U_k is None:  # the tall Gram route: exact
+    if f.route == "tall_gram":  # exact
         assert f.frob_complement == np.sqrt(m - f.rank)
 
 
@@ -433,7 +444,7 @@ def test_tall_gram_fit_reports_the_rank_of_the_thin_svd(s_min):
     Q2, _ = np.linalg.qr(rng.normal(size=(64, 64)))
     Z = (Q1 * np.geomspace(1.0, s_min, 64)) @ Q2.T
     model = fit(Z, rng.normal(size=256), lam=1.0)
-    assert model.factors._K is not None
+    assert model.factors.route == "tall_gram"
     rank = label_projector(Z).rank
     assert model.factors.rank == rank
     s = np.linalg.svd(Z, compute_uv=False)
@@ -455,7 +466,7 @@ def test_gram_cut_keeps_a_relu_design_at_full_rank():
     data = sample_dataset(cfg, sample_teacher(cfg), (0, 0, STREAM_TRAIN))
     Z = apply_features(make_feature_map(cfg), data.X)
     model = fit(Z, data.y, lam=cfg.lam)
-    assert model.factors.U_k is None
+    assert model.factors.route == "tall_gram"
     assert model.factors.rank == 192
     s_min = np.linalg.svd(Z, compute_uv=False)[-1]
     assert model.factors.sigma_min == pytest.approx(s_min, rel=1e-10)

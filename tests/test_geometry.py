@@ -221,7 +221,7 @@ class TestPredictionDecomposition:
     def test_one_vector_solve_splits_the_fits_own_w_hat(self, monkeypatch, n_p):
         cfg = ExperimentConfig(m=25, n_f=12, n_p=n_p, activation="relu")
         beta, data, fmap, model = _fitted(cfg)
-        assert (model.factors._K is not None) == (n_p != 25)
+        assert model.factors.route == {12: "tall_gram", 25: "svd", 40: "wide_gram"}[n_p]
         calls, solve = [], Factorization.solve
 
         def counted(self, B, left=None):

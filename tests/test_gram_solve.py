@@ -68,7 +68,7 @@ def test_one_sided_replica_skips_the_spectrum(monkeypatch):
     calls = _count_calls(monkeypatch, "svd")
     assert model.factors.rank == 48
     assert model.factors.rank == 48
-    assert model.factors.U_k is None  # the tall Gram route forms no singular vectors
+    assert model.factors.route == "tall_gram"  # which forms no singular vectors
     assert calls == ["svd"]
 
 
@@ -98,7 +98,7 @@ def test_replica_solves_y_and_X_beta_together(monkeypatch, n_p):
     # one LU per fit for [y, X beta]; the sweep's P_f adds one per fit
     cfg = ExperimentConfig(m=64, n_f=16, n_p=n_p, activation="relu")
     draw = draw_paired_replica(cfg, 0, 0)
-    assert all(m.factors._K is not None for m in draw.models)
+    assert {m.factors.route for m in draw.models} == {"tall_gram" if n_p < cfg.m else "wide_gram"}
     rhs, orig = [], np.linalg.solve
 
     def counted(K, B):
@@ -115,19 +115,19 @@ def test_replica_solves_y_and_X_beta_together(monkeypatch, n_p):
 
 # ------------------------------------------------------- the four routes
 
-_ROUTES = {  # name: (shape of Z, lam, whether factorize takes the Gram route)
-    "tall_gram": ((9, 4), 1e-8, True),
-    "wide_gram": ((4, 9), 1e-8, True),
-    "svd_ridge": ((8, 8), 0.5, False),
-    "svd_min_norm": ((9, 4), 0.0, False),
+_ROUTES = {  # name: (shape of Z, lam, the route factorize takes)
+    "tall_gram": ((9, 4), 1e-8, "tall_gram"),
+    "wide_gram": ((4, 9), 1e-8, "wide_gram"),
+    "svd_ridge": ((8, 8), 0.5, "svd"),
+    "svd_min_norm": ((9, 4), 0.0, "svd"),
 }
 
 
 def _factorize_route(route: str) -> tuple[Factorization, int]:
     """(the factorization of a random Z on the named route, rows of Z)."""
-    shape, lam, gram = _ROUTES[route]
+    shape, lam, want = _ROUTES[route]
     factors = factorize(np.random.default_rng(sum(shape)).normal(size=shape), lam)
-    assert (factors._K is not None) == gram
+    assert factors.route == want
     return factors, shape[0]
 
 
